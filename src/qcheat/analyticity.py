@@ -31,7 +31,8 @@ class HolomorphyProbe:
     `center_nodes` holds [0, delta, -delta, i*delta, -i*delta] and
     `contour_nodes` the points on |zeta| = 2*epsilon; `fields` aligns with
     the concatenation of the two.  `builder` recomputes the field at any
-    zeta so quotient tests can take extra samples.
+    zeta so quotient tests can take extra samples; `q` is the quadrature
+    the fields were built with.
     """
 
     w0: SampledFunction
@@ -41,6 +42,7 @@ class HolomorphyProbe:
     contour_nodes: np.ndarray
     fields: list = field(repr=False)
     builder: object = field(repr=False, default=None)
+    q: QuadratureSpec = field(repr=False, default=DEFAULT_QUADRATURE)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -102,7 +104,7 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
                 break
             fields.append(f)
         if ok:
-            return HolomorphyProbe(w0, w1, eps, centers, contour, fields, builder=make)
+            return HolomorphyProbe(w0, w1, eps, centers, contour, fields, builder=make, q=q)
         eps /= 2.0
     raise ProbeFailure(
         f"no safe evaluation disk after 6 retries; last singular node zeta = {last_bad}",
@@ -148,7 +150,7 @@ def cauchy_reconstruct(p: HolomorphyProbe, zeta0: complex,
     err = hybrid_norm(diff)
     if check_resolution:
         doubled = build_probe(p.w0, p.w1, p.epsilon, 2 * p.contour_nodes.size,
-                              direct.grid)
+                              direct.grid, p.q)
         _, err2 = cauchy_reconstruct(doubled, zeta0)
         if err2 > err and err > 1e-14:
             from .errors import ResolutionError

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import funcspace
 from .errors import DomainError
 from .extension import BeltramiField, HalfPlaneGrid
 
@@ -83,16 +84,6 @@ def _logy_weights(ys: np.ndarray, y_top: float) -> np.ndarray:
     return w
 
 
-def _box_widths(span: float, hx: float, n_cells: int) -> list[int]:
-    """Dyadic box widths in cells, full span down to 4 cells."""
-    widths = []
-    c = n_cells
-    while c >= 4:
-        widths.append(c)
-        c //= 2
-    return widths
-
-
 def carleson_norm_halfplane(mu: BeltramiField) -> CarlesonReport:
     """Sup over dyadic boxes (half-step translates) of the box average of
     |mu|^2 / y, trapezoid in log y, cut off at the grid's lowest level."""
@@ -102,11 +93,10 @@ def carleson_norm_halfplane(mu: BeltramiField) -> CarlesonReport:
     ys = grid.y_levels
     hx = grid.hx
     nx = grid.nx
-    span = grid.x_max - grid.x_min
     dens = np.abs(mu.values) ** 2
     periodic = mu.periodic
 
-    widths = _box_widths(span, hx, nx)
+    widths = funcspace._dyadic_cell_widths(nx)
     if not widths:
         raise DomainError("empty box family: grid has fewer than 4 x cells")
 

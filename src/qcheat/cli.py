@@ -3,9 +3,11 @@
 Subcommands: analyze | extend | beltrami | carleson | transfer | probe |
 contract | baseline.  Reports are JSON (sorted keys), fields are CSV with
 header x,y,re,im (row-major by y level then x, 17 significant digits); all
-files are written atomically (write-then-rename).  Exit codes: 0 success,
-2 validation error, 3 numerical failure, each with one machine-parsable
-line on stderr.  QCHEAT_THREADS caps worker parallelism.
+files are written atomically (write-then-rename), with mode 0666 less the
+umask.  The one quadrature option, --min-samples, sets the fewest lattice
+nodes a kernel window may hold (a ResolutionError below it).  Exit codes:
+0 success, 2 validation error, 3 numerical failure, each with one
+machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -193,11 +195,16 @@ def _assert_finite(obj, where: str):
 
 
 def _atomic_write(path: str, text: str):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the file the mode open() would have
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -240,13 +247,12 @@ def _grid_from(args) -> extension.HalfPlaneGrid:
 
 
 def _quad_from(args) -> QuadratureSpec:
-    return QuadratureSpec(args.rule, args.truncation, args.min_samples)
+    return QuadratureSpec(args.min_samples)
 
 
 def _config_echo(args) -> dict:
     keep = ("command", "builtin", "input", "n", "seed", "nx", "x_min", "x_max",
-            "y_min", "y_max", "levels_per_octave", "rule", "truncation",
-            "min_samples", "out")
+            "y_min", "y_max", "levels_per_octave", "min_samples", "out")
     cfg = {k: getattr(args, k) for k in keep if hasattr(args, k)}
     for k in ("w0", "eps", "contour_nodes", "t", "r"):
         if hasattr(args, k):
@@ -458,10 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--y-max", dest="y_max", type=float, default=4.0)
         p.add_argument("--levels-per-octave", dest="levels_per_octave",
                        type=int, default=8)
-        p.add_argument("--rule", default="trapezoid_on_grid",
-                       choices=["trapezoid_on_grid", "gauss_hermite"])
-        p.add_argument("--truncation", type=float, default=8.0,
-                       help="window half-width in units of y")
         p.add_argument("--min-samples", dest="min_samples", type=int, default=32)
         if name == "probe":
             p.add_argument("--w0", help="base datum (builtin spec or file); default const:0")

@@ -13,11 +13,25 @@ and the complex derivatives from the fixed kernels Alpha and Beta:
     mu = F_zbar / F_z
 
 For periodic data, gamma splits into a linear part (integrated in closed
-form) plus a periodic part obtained by spectral antiderivative, and every
-convolution against the data lattice becomes one circular FFT convolution
-per kernel per level.  The vertical partials are convolved against the
-periodic part of gamma directly, so the identity U_y = V_x / 2 is checked
-between two genuinely independent quadrature routes.
+form) plus a periodic part p0 obtained by spectral antiderivative.  Every
+kernel is a combination of heat-kernel derivatives with a closed-form
+Fourier multiplier (see `kernels`), so by Poisson summation the trapezoid
+lattice sum of periodic samples f against k_y is
+
+    (1/n) sum_l fft(f)_l sum_j k^((l + j n) y / P) e^(2 pi i (l + j n)(x - a) / P)
+
+over the n lattice frequencies l and their aliases l + j n, where k^ is the
+kernel's multiplier and a the first lattice node.  One batched pass
+computes it on every level at once.  Only the aliases j = -1, 0, 1 are
+kept: the resolution guard (at least 32 lattice nodes in a window of
+half-width 8y) gives y n / P >= 2 at every level, so the first omitted
+term carries the factor exp(-pi^2 (3n/2)^2 y^2 / P^2) < e^(-88).
+
+The vertical partials are convolved against p0 and the horizontal ones
+against e^w.  Both go through the same multipliers, and on the lattice
+frequencies p0 is an exact antiderivative of e^w, so the recorded identity
+residuals see only the aliases j = -1, 1 and rounding; the real-space
+check of the engine is the point-wise lattice sum in `kernels`.
 """
 
 from __future__ import annotations
@@ -27,13 +41,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels as kq
-from ._workers import run_indexed
 from .data import SampledFunction
 from .errors import CoverageError, DomainError, ResolutionError, SingularDenominatorError
 from .kernels import (ALPHA, BETA, DEFAULT_QUADRATURE, PHI, PHI_SECOND, PSI,
                       QuadratureSpec, _V_RATE)
 
 SINGULAR_THRESHOLD = 1e-12
+# aliases j of the lattice frequencies k + j*n kept in every multiplier
+ALIASES = (-1, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -186,6 +201,23 @@ def _periodic_eval(w: SampledFunction, p0: np.ndarray, x):
     return phase @ coef
 
 
+def _cumulative_trapezoid(vals: np.ndarray, a: float, h: float):
+    """Antiderivative from a of the piecewise-linear interpolant of vals on
+    the lattice a + h*j.  Returns (nodes, at): its values at the lattice
+    nodes, and a vectorised evaluator at points inside the lattice that
+    integrates the partial cell exactly."""
+    nodes = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) * (h / 2))])
+
+    def at(t):
+        t = np.asarray(t, dtype=float)
+        j = np.clip(np.floor((t - a) / h + 1e-12).astype(int), 0, vals.size - 2)
+        d = t - (a + j * h)
+        v_t = vals[j] + (vals[j + 1] - vals[j]) * (d / h)
+        return nodes[j] + (vals[j] + v_t) * d / 2
+
+    return nodes, at
+
+
 def gamma_of(w: SampledFunction, x: float) -> complex:
     """Boundary curve value gamma(x) = integral of e^w over [0, x].
 
@@ -203,21 +235,7 @@ def gamma_of(w: SampledFunction, x: float) -> complex:
             f"gamma_of needs [{lo:.6g}, {hi:.6g}] inside [{a:.6g}, {b:.6g}]",
             missing=(lo, hi),
         )
-    ew = np.exp(w.values)
-    h = w.h
-    cum = np.concatenate([[0.0 + 0j], np.cumsum((ew[1:] + ew[:-1]) * (h / 2))])
-
-    def at(t):
-        j = int(np.floor((t - a) / h + 1e-12))
-        j = min(max(j, 0), w.n - 1)
-        t0 = a + j * h
-        if j == w.n - 1:
-            return cum[j]
-        # partial cell: trapezoid of the linear interpolant
-        frac = (t - t0) / h
-        ev_t = ew[j] + (ew[j + 1] - ew[j]) * frac
-        return cum[j] + (ew[j] + ev_t) * (t - t0) / 2
-
+    _, at = _cumulative_trapezoid(np.exp(w.values), a, w.h)
     return complex(at(x) - at(0.0))
 
 
@@ -225,87 +243,87 @@ def gamma_of(w: SampledFunction, x: float) -> complex:
 # convolution engines
 
 class _CircleEngine:
-    """All per-level lattice convolutions for periodic data.
+    """Every lattice convolution of periodic data, on all levels at once.
 
-    When the grid's x nodes coincide with the data lattice (up to a shift),
-    each convolution is a single circular FFT convolution; otherwise the
-    lattice sum runs pointwise.
+    A grid that spans one period with nx dividing n folds the frequencies
+    modulo nx and takes one length-nx inverse FFT per level; any other
+    uniform grid sums the Fourier series directly, in chunks of x nodes.
     """
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
-        self.w = w
         self.grid = grid
-        self.q = q
         self.scale, self.mhat, self.ew, self.p0 = _periodic_parts(w)
-        L = w.domain.length
-        h = L / w.n
-        self.period = L
-        aligned = (
-            abs((grid.x_max - grid.x_min) - L) < 1e-12
-            and grid.nx == w.n
-            and abs((grid.x_min - w.domain.a) / h - round((grid.x_min - w.domain.a) / h)) < 1e-9
-        )
-        self.aligned = aligned
-        nodes_at_bottom = 2 * q.R * grid.y_min * w.n / L
+        n, L = w.n, w.domain.length
+        nodes_at_bottom = 2 * kq.TRUNCATION_RADIUS * grid.y_min * n / L
         if nodes_at_bottom < q.min_samples_per_window - 1e-9:
             raise ResolutionError(
                 f"data lattice gives {nodes_at_bottom:.1f} samples per window at "
                 f"y={grid.y_min:g}; need {q.min_samples_per_window} "
                 f"(refine the datum or raise y_min)"
             )
-        if aligned:
-            self.shift = int(round((grid.x_min - w.domain.a) / h)) % w.n
-            self._fft_ew = np.fft.fft(self.ew)
-            self._fft_p0 = np.fft.fft(self.p0)
-        else:
-            self.x_nodes = grid.x
+        self.n = n
+        self.period = L
+        self.freq = np.fft.fftfreq(n, d=1.0 / n)
+        # grid nodes in periods from the first lattice node
+        self.x_rel = (grid.x - w.domain.a) / L
+        self.fold = abs((grid.x_max - grid.x_min) - L) < 1e-12 and n % grid.nx == 0
+        self._fft_ew = np.fft.fft(self.ew)
+        self._fft_p0 = np.fft.fft(self.p0)
 
-    def _conv(self, data_fft_or_vals, kern, y, pointwise_data=None):
-        R = kq.effective_radius(kern, self.q)
-        if self.aligned:
-            weights = kq.wrapped_lattice_weights(kern, y, self.w.n, self.period, R)
-            row = np.fft.ifft(data_fft_or_vals * np.fft.fft(weights))
-            if self.shift:
-                row = np.roll(row, -self.shift)
-            return row
-        out = np.empty(self.grid.nx, dtype=complex)
-        for i, x in enumerate(self.x_nodes):
-            out[i] = kq._periodic_point_sum(self.w, kern, x, y, R, pointwise_data)
-        return out
+    def _synthesize(self, terms) -> np.ndarray:
+        """(1/n) * sum over the pairs (xi, T) and over columns c of
+        T[:, c] * exp(2 pi i xi_c x_rel) at the grid's x nodes; each T is
+        (rows, n) with column c at frequency xi_c."""
+        n, nx = self.n, self.grid.nx
+        if self.fold:
+            acc = 0
+            for xi, T in terms:
+                T = T * np.exp(2j * np.pi * xi * self.x_rel[0])
+                acc = acc + T.reshape(T.shape[0], n // nx, nx).sum(axis=1)
+            return np.fft.ifft(acc, axis=-1) * (nx / n)
+        out = 0
+        chunk = self.grid.ny  # keeps each phase block at (n, ny)
+        for xi, T in terms:
+            part = [T @ np.exp(2j * np.pi * np.outer(xi, self.x_rel[i:i + chunk]))
+                    for i in range(0, nx, chunk)]
+            out = out + np.concatenate(part, axis=1)
+        return out / n
 
-    def conv_ew(self, kern, y):
-        return self._conv(self._fft_ew if self.aligned else None, kern, y, self.ew)
+    def _conv(self, spectrum: np.ndarray, kern) -> np.ndarray:
+        y_per_period = self.grid.y_levels[:, None] / self.period
+        aliased = (self.freq + j * self.n for j in ALIASES)
+        return self._synthesize(
+            (xi, spectrum * kq.multiplier(kern, xi * y_per_period)) for xi in aliased)
 
-    def conv_p0(self, kern, y):
-        return self._conv(self._fft_p0 if self.aligned else None, kern, y, self.p0)
+    def conv_ew(self, kern) -> np.ndarray:
+        return self._conv(self._fft_ew, kern)
+
+    def conv_gamma(self, kern) -> np.ndarray:
+        """Convolution of the periodic part of gamma; `scale` and `mhat`
+        carry the linear part, which extend adds in closed form."""
+        return self._conv(self._fft_p0, kern)
 
     def gamma_at_nodes(self):
-        x = self.grid.x
-        if self.aligned:
-            idx = (self.shift + np.arange(self.grid.nx)) % self.w.n
-            p0x = self.p0[idx]
-        else:
-            p0x = _periodic_eval(self.w, self.p0, x)
-        return self.scale * (self.mhat * x + p0x)
+        p0x = self._synthesize([(self.freq, self._fft_p0[None, :])])[0]
+        return self.scale * (self.mhat * self.grid.x + p0x)
 
 
 class _LineEngine:
-    """Windowed lattice sums for non-periodic data; gamma by cumulative
-    trapezoid anchored at the left end (an additive constant, immaterial
-    for the dilatation)."""
+    """Windowed lattice sums for non-periodic data, level by level; gamma by
+    cumulative trapezoid anchored at the left end (an additive constant,
+    immaterial for the dilatation)."""
+
+    # gamma has no linear part to add in closed form
+    scale = 1.0
+    mhat = 0.0
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
         self.w = w
         self.grid = grid
-        self.q = q
         self.ew = np.exp(w.values)
-        h = w.h
-        self.gamma_lattice = np.concatenate(
-            [[0.0 + 0j], np.cumsum((self.ew[1:] + self.ew[:-1]) * (h / 2))]
-        )
-        self.scale = 1.0
+        self.gamma_lattice, _ = _cumulative_trapezoid(self.ew, w.domain.a, w.h)
         y_top = grid.y_levels[-1]
-        R = q.R
+        R = kq.TRUNCATION_RADIUS
         lo = grid.x[0] - R * y_top
         hi = grid.x[-1] + R * y_top
         if lo < w.domain.a - 1e-12 or hi > w.domain.b + 1e-12:
@@ -317,7 +335,7 @@ class _LineEngine:
             )
 
     def _window_sum(self, data, kern, x, y):
-        R = kq.effective_radius(kern, self.q)
+        R = kq.TRUNCATION_RADIUS
         a = self.w.domain.a
         h = self.w.h
         j0 = max(0, int(np.ceil((x - R * y - a) / h - 1e-12)))
@@ -328,18 +346,24 @@ class _LineEngine:
         weights[0] = weights[-1] = h / 2
         return np.dot(data[j0:j1 + 1] * weights, kern_vals)
 
-    def conv_ew(self, kern, y):
-        return np.array([self._window_sum(self.ew, kern, x, y) for x in self.grid.x])
+    def _conv(self, data, kern) -> np.ndarray:
+        return np.array([[self._window_sum(data, kern, x, y) for x in self.grid.x]
+                         for y in self.grid.y_levels])
 
-    def conv_gamma(self, kern, y):
-        return np.array(
-            [self._window_sum(self.gamma_lattice, kern, x, y) for x in self.grid.x]
-        )
+    def conv_ew(self, kern) -> np.ndarray:
+        return self._conv(self.ew, kern)
+
+    def conv_gamma(self, kern) -> np.ndarray:
+        return self._conv(self.gamma_lattice, kern)
 
     def gamma_at_nodes(self):
         return np.interp(self.grid.x, self.w.x, self.gamma_lattice.real) + 1j * np.interp(
             self.grid.x, self.w.x, self.gamma_lattice.imag
         )
+
+
+def _engine(w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
+    return (_CircleEngine if w.periodic else _LineEngine)(w, grid, q)
 
 
 # ---------------------------------------------------------------------------
@@ -348,73 +372,44 @@ class _LineEngine:
 def extend(w: SampledFunction, grid: HalfPlaneGrid,
            q: QuadratureSpec = DEFAULT_QUADRATURE) -> ExtensionField:
     """Build the extension field of w with all partials on `grid`."""
-    ny, nx = grid.ny, grid.nx
-    U = np.empty((ny, nx), dtype=complex)
-    V = np.empty((ny, nx), dtype=complex)
-    U_x = np.empty((ny, nx), dtype=complex)
-    V_x = np.empty((ny, nx), dtype=complex)
-    U_y = np.empty((ny, nx), dtype=complex)
-    V_y = np.empty((ny, nx), dtype=complex)
-    F_z = np.empty((ny, nx), dtype=complex)
-    F_zbar = np.empty((ny, nx), dtype=complex)
-    vy_check = np.empty((ny, nx), dtype=complex)
-    ys = grid.y_levels
+    eng = _engine(w, grid, q)
+    s, mhat = eng.scale, eng.mhat
     x = grid.x
-
-    if w.periodic:
-        eng = _CircleEngine(w, grid, q)
-        s, mhat = eng.scale, eng.mhat
-        gamma = eng.gamma_at_nodes()
-
-        def level(j):
-            y = ys[j]
-            U[j] = s * (mhat * x + eng.conv_p0(PHI, y))
-            V[j] = s * (mhat * y + eng.conv_p0(PSI, y))
-            U_x[j] = s * eng.conv_ew(PHI, y)
-            V_x[j] = s * eng.conv_ew(PSI, y)
-            U_y[j] = (s / y) * 0.5 * eng.conv_p0(PHI_SECOND, y)
-            V_y[j] = s * (mhat + eng.conv_p0(_V_RATE, y) / y)
-            F_zbar[j] = s * eng.conv_ew(ALPHA, y)
-            F_z[j] = s * eng.conv_ew(BETA, y)
-            vy_check[j] = s * 0.5 * eng.conv_ew(PHI_SECOND, y)
-
-    else:
-        eng = _LineEngine(w, grid, q)
-        gamma = eng.gamma_at_nodes()
-
-        def level(j):
-            y = ys[j]
-            U[j] = eng.conv_gamma(PHI, y)
-            V[j] = eng.conv_gamma(PSI, y)
-            U_x[j] = eng.conv_ew(PHI, y)
-            V_x[j] = eng.conv_ew(PSI, y)
-            U_y[j] = 0.5 / y * eng.conv_gamma(PHI_SECOND, y)
-            V_y[j] = eng.conv_gamma(_V_RATE, y) / y
-            F_zbar[j] = eng.conv_ew(ALPHA, y)
-            F_z[j] = eng.conv_ew(BETA, y)
-            vy_check[j] = 0.5 * eng.conv_ew(PHI_SECOND, y)
-
-    run_indexed(level, ny)
+    y = grid.y_levels[:, None]
+    U = s * (mhat * x + eng.conv_gamma(PHI))
+    V = s * (mhat * y + eng.conv_gamma(PSI))
+    U_x = s * eng.conv_ew(PHI)
+    V_x = s * eng.conv_ew(PSI)
+    U_y = (s / y) * 0.5 * eng.conv_gamma(PHI_SECOND)
+    V_y = s * (mhat + eng.conv_gamma(_V_RATE) / y)
+    F_zbar = s * eng.conv_ew(ALPHA)
+    F_z = s * eng.conv_ew(BETA)
+    vy_check = s * 0.5 * eng.conv_ew(PHI_SECOND)
 
     residuals = {
         "uy_half_vx": float(np.max(np.abs(U_y - 0.5 * V_x))),
         "vy_identity": float(np.max(np.abs(V_y - U_x - vy_check))),
     }
-    return ExtensionField(grid, w, gamma, U, V, U_x, V_x, U_y, V_y, F_z, F_zbar,
-                          residuals)
+    return ExtensionField(grid, w, eng.gamma_at_nodes(), U, V, U_x, V_x, U_y, V_y,
+                          F_z, F_zbar, residuals)
 
 
 def _local_real_means(w: SampledFunction, grid: HalfPlaneGrid) -> np.ndarray:
     """Mean of Re w over I(x, y) = (x-y, x+y) at every grid point (periodic
-    data only; used to report the recentered denominator magnitude)."""
+    data only; used to report the recentered denominator magnitude).  Grids
+    whose x nodes are not the lattice nodes get the global mean."""
     n = w.n
     u = w.values.real
     h = w.domain.length / n
-    shift = int(round((grid.x_min - w.domain.a) / h)) % n
+    global_mean = float(np.mean(u))
+    offset = (grid.x_min - w.domain.a) / h
+    if (grid.nx != n or abs((grid.x_max - grid.x_min) - w.domain.length) >= 1e-12
+            or abs(offset - round(offset)) >= 1e-9):
+        return np.full((grid.ny, grid.nx), global_mean)
+    shift = int(round(offset)) % n
     out = np.empty((grid.ny, grid.nx))
     base = np.roll(u, -shift)
     csum = np.concatenate([[0.0], np.cumsum(np.tile(base, 3))])
-    global_mean = float(np.mean(u))
     for j, y in enumerate(grid.y_levels):
         m = int(np.floor(y / h))
         if 2 * m + 1 >= n:
@@ -436,36 +431,15 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
     |beta_y * e^(w - w_I(x,y))|.  A magnitude below 1e-12 raises
     SingularDenominatorError carrying the offending (x, y).
     """
-    ny, nx = grid.ny, grid.nx
-    num = np.empty((ny, nx), dtype=complex)
-    den = np.empty((ny, nx), dtype=complex)
+    eng = _engine(w, grid, q)
+    num = eng.conv_ew(ALPHA)
+    den = eng.conv_ew(BETA)
     ys = grid.y_levels
-
     if w.periodic:
-        eng = _CircleEngine(w, grid, q)
-
-        def level(j):
-            y = ys[j]
-            num[j] = eng.conv_ew(ALPHA, y)
-            den[j] = eng.conv_ew(BETA, y)
-
-        run_indexed(level, ny)
         wbar_re = float(np.mean(w.values.real))
-        if eng.aligned:
-            u_means = _local_real_means(w, grid)
-        else:
-            u_means = np.full((ny, nx), wbar_re)
-        denom_mag = np.exp(wbar_re - u_means) * np.abs(den)
+        denom_mag = np.exp(wbar_re - _local_real_means(w, grid)) * np.abs(den)
         periodic = abs((grid.x_max - grid.x_min) - w.domain.length) < 1e-12
     else:
-        eng = _LineEngine(w, grid, q)
-
-        def level(j):
-            y = ys[j]
-            num[j] = eng.conv_ew(ALPHA, y)
-            den[j] = eng.conv_ew(BETA, y)
-
-        run_indexed(level, ny)
         denom_mag = np.abs(den)
         periodic = False
 
@@ -526,23 +500,6 @@ def beltrami_fd_oracle(extension: ExtensionField) -> BeltramiField:
 # ---------------------------------------------------------------------------
 # classical box-kernel baseline
 
-def _interval_integral(h_vals: np.ndarray, xs: np.ndarray, lo: float, hi: float) -> float:
-    """Exact integral of the piecewise-linear interpolant of (xs, h_vals)
-    over [lo, hi] (lo <= hi, both inside the sample range)."""
-    step = xs[1] - xs[0]
-    cum = np.concatenate([[0.0], np.cumsum((h_vals[1:] + h_vals[:-1]) * (step / 2))])
-
-    def anti(t):
-        j = int(np.floor((t - xs[0]) / step + 1e-12))
-        j = min(max(j, 0), xs.size - 2)
-        t0 = xs[j]
-        frac = (t - t0) / step
-        v_t = h_vals[j] + (h_vals[j + 1] - h_vals[j]) * frac
-        return cum[j] + (h_vals[j] + v_t) * (t - t0) / 2
-
-    return anti(hi) - anti(lo)
-
-
 def classical_ba_extend(h: SampledFunction, r: float, grid: HalfPlaneGrid) -> ExtensionField:
     """Box-kernel extension baseline: U averages h over [x-y, x+y] and V is
     (r/2y) times the difference of the right and left half-window integrals.
@@ -556,10 +513,6 @@ def classical_ba_extend(h: SampledFunction, r: float, grid: HalfPlaneGrid) -> Ex
         raise DomainError("classical extension needs strictly increasing data")
     if h.periodic:
         raise DomainError("classical baseline is defined for line-interval data")
-    xs = h.x
-    ny, nx = grid.ny, grid.nx
-    U = np.empty((ny, nx), dtype=complex)
-    V = np.empty((ny, nx), dtype=complex)
     a, b = h.domain.a, h.domain.b
     ys = grid.y_levels
     gx = grid.x
@@ -570,16 +523,13 @@ def classical_ba_extend(h: SampledFunction, r: float, grid: HalfPlaneGrid) -> Ex
             f"[{a:.6g}, {b:.6g}]",
             missing=(lo_needed, hi_needed),
         )
-
-    def level(j):
-        y = ys[j]
-        for i, x in enumerate(gx):
-            left = _interval_integral(hu, xs, x - y, x)
-            right = _interval_integral(hu, xs, x, x + y)
-            U[j, i] = (left + right) / (2 * y)
-            V[j, i] = (r / (2 * y)) * (right - left)
-
-    run_indexed(level, ny)
+    _, at = _cumulative_trapezoid(hu, a, h.h)
+    y = ys[:, None]
+    mid = at(gx)
+    left = mid - at(gx - y)
+    right = at(gx + y) - mid
+    U = (left + right) / (2 * y) + 0j
+    V = (r / (2 * y)) * (right - left) + 0j
 
     F = U + 1j * V
     U_x = np.gradient(U, grid.hx, axis=1, edge_order=2)
@@ -588,7 +538,7 @@ def classical_ba_extend(h: SampledFunction, r: float, grid: HalfPlaneGrid) -> Ex
     V_y = np.gradient(V, ys, axis=0, edge_order=2)
     F_x = U_x + 1j * V_x
     F_y = U_y + 1j * V_y
-    gamma = np.interp(gx, xs, hu) + 0j
+    gamma = np.interp(gx, h.x, hu) + 0j
     return ExtensionField(grid, h, gamma, U, V, U_x, V_x, U_y, V_y,
                           0.5 * (F_x - 1j * F_y), 0.5 * (F_x + 1j * F_y),
                           identity_residuals={},

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels as kq
 from .carleson import ProfileEntry
 from .data import SampledFunction
 from .errors import CoverageError, DomainError
-from .kernels import DEFAULT_QUADRATURE, Kernel, QuadratureSpec
+from .kernels import TRUNCATION_RADIUS, Kernel
 
 
 def _dyadic_cell_widths(n: int, min_cells: int = 4) -> list[int]:
@@ -260,8 +259,7 @@ def quasisymmetry_constant(h) -> float:
 # oscillation integrals
 
 def oscillation_integral(u: SampledFunction, k: Kernel, x: float, y: float,
-                         mode: str = "power", k_exp: int = 1,
-                         q: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+                         mode: str = "power", k_exp: int = 1) -> float:
     """Kernel-weighted oscillation around the window mean u_I over
     I(x, y) = (x - y, x + y):
 
@@ -285,7 +283,7 @@ def oscillation_integral(u: SampledFunction, k: Kernel, x: float, y: float,
         rel = ((t - x + L / 2) % L) - L / 2
         mask = np.abs(rel) < y if y < L / 2 else np.ones(n, dtype=bool)
         u_I = vals[mask].mean() if np.any(mask) else vals.mean()
-        R = kq.effective_radius(k, q)
+        R = TRUNCATION_RADIUS
         m_max = int(np.ceil((R * y) / L)) + 3
         m = np.arange(-m_max, m_max + 1) * L
         offs = rel[None, :] + m[:, None]
@@ -301,7 +299,7 @@ def oscillation_integral(u: SampledFunction, k: Kernel, x: float, y: float,
         t = u.x
         mask = np.abs(t - x) < y
         u_I = vals[mask].mean()
-        R = kq.effective_radius(k, q)
+        R = TRUNCATION_RADIUS
         lo, hi = x - R * y, x + R * y
         if lo < u.domain.a - 1e-12 or hi > u.domain.b + 1e-12:
             raise CoverageError(

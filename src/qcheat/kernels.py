@@ -14,10 +14,16 @@ U_x = e^u * phi_y, V_x = e^u * psi_y, U_y = V_x / 2, and
 V_y = U_x + e^u * (phi''/2)_y.  Moments: integral of alpha is 0, of beta
 is 1, and the first moment of psi is -1 (which pins F = id for u = 0).
 
-All kernels are scaled by a_y(t) = a(t/y) / y.  Convolutions are plain
-trapezoid sums on the data lattice; periodic data are handled by summing
-the kernel over integer translates of the period (exact for period-1
-lifts), which turns the quadrature into a circular convolution.
+All kernels are scaled by a_y(t) = a(t/y) / y.  Every kernel is a fixed
+combination k = sum_m c_m phi^(m) of heat-kernel derivatives, so its
+Fourier transform is the closed-form multiplier
+
+    k^(nu) = exp(eta^2/4) * sum_m c_m eta^m,   eta = 2 pi i nu,
+
+and k_y has transform k^(nu y).  The field engines use these multipliers;
+`convolve` below is the independent real-space route: a trapezoid sum on
+the data lattice, truncated at |t| <= TRUNCATION_RADIUS * y, with periodic
+data summed over integer translates of the period.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
 
 from .data import SampledFunction
@@ -53,26 +60,28 @@ class Kernel:
 
     `evaluator` maps real s to the (complex) kernel value; `gauss_factor`
     is the polynomial P with k(s) = P(s) exp(-s^2)/sqrt(pi), used by the
-    Gauss-Hermite rule.  `truncation_radius` is the default half-width of
-    the integration window in units of s = t/y; `moment0`/`moment1` are
-    the analytic values of the zeroth and first moments.
+    Gauss-Hermite rule.  `derivatives` holds the pairs (m, c_m) with
+    k = sum_m c_m phi^(m); `moment0`/`moment1` are the analytic values of
+    the zeroth and first moments.
     """
 
     id: KernelId | str
     evaluator: Callable[[np.ndarray], np.ndarray]
     gauss_factor: Callable[[np.ndarray], np.ndarray]
-    truncation_radius: float
+    derivatives: tuple[tuple[int, complex], ...]
     moment0: complex
     moment1: complex
 
 
-PHI = Kernel(KernelId.Phi, lambda s: _gauss(s) + 0j, lambda s: np.ones_like(s) + 0j, 8.0, 1.0, 0.0)
-PSI = Kernel(KernelId.Psi, lambda s: -2.0 * s * _gauss(s) + 0j, lambda s: -2.0 * s + 0j, 8.0, 0.0, -1.0)
+PHI = Kernel(KernelId.Phi, lambda s: _gauss(s) + 0j, lambda s: np.ones_like(s) + 0j,
+             ((0, 1.0),), 1.0, 0.0)
+PSI = Kernel(KernelId.Psi, lambda s: -2.0 * s * _gauss(s) + 0j, lambda s: -2.0 * s + 0j,
+             ((1, 1.0),), 0.0, -1.0)
 PHI_SECOND = Kernel(
     KernelId.PhiSecond,
     lambda s: (4.0 * np.square(s) - 2.0) * _gauss(s) + 0j,
     lambda s: 4.0 * np.square(s) - 2.0 + 0j,
-    8.0,
+    ((2, 1.0),),
     0.0,
     0.0,
 )
@@ -80,7 +89,7 @@ ALPHA = Kernel(
     KernelId.Alpha,
     lambda s: ((0.5 - np.square(s)) - 1.5j * s) * _gauss(s),
     lambda s: (0.5 - np.square(s)) - 1.5j * s,
-    8.0,
+    ((1, 0.75j), (2, -0.25)),
     0.0,
     -0.75j,
 )
@@ -88,7 +97,7 @@ BETA = Kernel(
     KernelId.Beta,
     lambda s: ((0.5 + np.square(s)) - 0.5j * s) * _gauss(s),
     lambda s: (0.5 + np.square(s)) - 0.5j * s,
-    8.0,
+    ((0, 1.0), (1, 0.25j), (2, 0.25)),
     1.0,
     -0.25j,
 )
@@ -99,7 +108,7 @@ _V_RATE = Kernel(
     "_VRate",
     lambda s: 4.0 * s * (1.0 - np.square(s)) * _gauss(s) + 0j,
     lambda s: 4.0 * s * (1.0 - np.square(s)) + 0j,
-    8.0,
+    ((1, 1.0), (3, 0.5)),
     0.0,
     -1.0,
 )
@@ -111,6 +120,9 @@ KERNELS: dict[KernelId, Kernel] = {
     KernelId.Beta: BETA,
     KernelId.PhiSecond: PHI_SECOND,
 }
+
+# half-width of the real-space integration window, in units of s = t/y
+TRUNCATION_RADIUS = 8.0
 
 
 def eval_kernel(k: Kernel, s) -> complex | np.ndarray:
@@ -128,23 +140,28 @@ def scale(k: Kernel, y: float, t) -> complex | np.ndarray:
     return eval_kernel(k, np.asarray(t, dtype=float) / y) / y
 
 
+def multiplier(k: Kernel, nu) -> np.ndarray:
+    """Fourier transform of k at frequency nu, the integral of
+    k(s) exp(-2 pi i nu s) ds: exp(eta^2/4) * sum_m c_m eta^m with
+    eta = 2 pi i nu = i z, evaluated as real and imaginary polynomials in z."""
+    z = 2 * np.pi * np.asarray(nu, dtype=float)
+    gauss = np.exp(-np.square(z) / 4)
+    coeffs = dict(k.derivatives)
+    d = [coeffs.get(m, 0.0) * 1j ** m for m in range(max(coeffs) + 1)]
+    out = np.empty(z.shape, dtype=complex)
+    out.real = gauss * polyval(z, [c.real for c in d])
+    out.imag = gauss * polyval(z, [c.imag for c in d])
+    return out
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature parameters for the convolution engine.
+    """Quadrature parameters: the fewest lattice nodes an integration window
+    of half-width TRUNCATION_RADIUS * y may hold."""
 
-    R is the truncation multiplier: the window is [x - R*y, x + R*y]
-    (widened to the kernel's own truncation radius if larger).
-    """
-
-    rule: str = "trapezoid_on_grid"
-    R: float = 8.0
     min_samples_per_window: int = 32
 
     def __post_init__(self):
-        if self.rule not in ("trapezoid_on_grid", "gauss_hermite"):
-            raise DomainError(f"unknown quadrature rule {self.rule!r}")
-        if self.R < 6:
-            raise DomainError(f"truncation multiplier must be >= 6, got {self.R}")
         if self.min_samples_per_window < 32:
             raise DomainError(
                 f"min_samples_per_window must be >= 32, got {self.min_samples_per_window}"
@@ -154,40 +171,13 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def effective_radius(k: Kernel, q: QuadratureSpec) -> float:
-    return max(k.truncation_radius, q.R)
-
-
 # ---------------------------------------------------------------------------
-# lattice machinery
-
-def wrapped_lattice_weights(k: Kernel, y: float, n: int, period: float = 1.0,
-                            R: float = 8.0) -> np.ndarray:
-    """Trapezoid weights h * sum_m k_y(l*h + m*period) on the periodic lattice.
-
-    Index l runs over 0..n-1 and is read modulo n, so convolving data with
-    this vector circularly reproduces the full lattice sum over all integer
-    translates within R*y + 3 periods.
-    """
-    if y <= 0:
-        raise DomainError(f"need y > 0, got {y}")
-    h = period / n
-    l = np.arange(n)
-    delta = ((l * h + period / 2) % period) - period / 2
-    m_max = int(np.ceil((R * y) / period)) + 3
-    m = np.arange(-m_max, m_max + 1) * period
-    offs = delta[None, :] + m[:, None]
-    vals = k.evaluator(offs / y) / y
-    return h * vals.sum(axis=0)
-
-
-def circular_convolve(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(data ⊛ weights)_i = sum_j data_j * weights_{(i-j) mod n}."""
-    return np.fft.ifft(np.fft.fft(data) * np.fft.fft(weights))
-
+# real-space quadrature
 
 def _periodic_point_sum(w: SampledFunction, k: Kernel, x: float, y: float,
                         R: float, data: np.ndarray) -> complex:
+    """Trapezoid lattice sum h * sum_l data_l * sum_m k_y(x - t_l + m*period)
+    at one point: the real-space oracle for the spectral field engine."""
     n = w.n
     period = w.domain.length
     h = period / n
@@ -232,11 +222,7 @@ def convolve(w: SampledFunction, k: Kernel, x: float, y: float,
     """
     if y <= 0:
         raise DomainError(f"convolve requires y > 0, got {y}")
-    R = effective_radius(k, q)
-
-    if q.rule == "gauss_hermite":
-        return _gauss_hermite(w, k, x, y, q)
-
+    R = TRUNCATION_RADIUS
     if w.periodic:
         window_nodes = 2 * R * y * w.n / w.domain.length
         if window_nodes >= q.min_samples_per_window or window_nodes >= w.n:
@@ -285,6 +271,8 @@ def _refined_window_sum(w: SampledFunction, k: Kernel, x: float, y: float,
 
 def _gauss_hermite(w: SampledFunction, k: Kernel, x: float, y: float,
                    q: QuadratureSpec) -> complex:
+    """Gauss-Hermite rule on a cubic interpolant of w; an independent check
+    of the trapezoid sum in `convolve`."""
     m = max(q.min_samples_per_window, 64)
     nodes, weights = np.polynomial.hermite.hermgauss(m)
     t = x - y * nodes

@@ -194,3 +194,14 @@ def test_beltrami_reports_kernel_envelopes(tmp_path):
     rep = read_json(os.path.join(out, "beltrami.json"))
     assert rep["kernel_envelope"]["alpha"] <= 10.0
     assert rep["kernel_envelope"]["beta"] <= 10.0
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    out = str(tmp_path / "o")
+    old = os.umask(0o027)
+    try:
+        assert run(["beltrami", "--builtin", "const:0", "--out", out] + GRID_ARGS) == 0
+    finally:
+        os.umask(old)
+    for name in ("beltrami.json", "mu.csv"):
+        assert os.stat(os.path.join(out, name)).st_mode & 0o777 == 0o640

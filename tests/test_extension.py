@@ -3,7 +3,9 @@ import pytest
 
 import qcheat as qc
 from qcheat.data import Domain, SampledFunction
-from qcheat.kernels import QuadratureSpec
+from qcheat.extension import _CircleEngine, _cumulative_trapezoid
+from qcheat.kernels import (_V_RATE, DEFAULT_QUADRATURE, KERNELS, TRUNCATION_RADIUS,
+                            _periodic_point_sum)
 
 
 def grid_points(grid):
@@ -26,6 +28,21 @@ def test_gamma_of_linear_datum_closed_form():
     # integral of e^t over [0, 1] = e - 1, cumulative trapezoid on the line
     w = SampledFunction(Domain.line(0.0, 1.0), np.linspace(0, 1, 8192) + 0j)
     assert abs(qc.gamma_of(w, 1.0) - (np.e - 1)) <= 1e-8
+
+
+def test_cumulative_trapezoid_is_exact_on_linear_data():
+    # the interpolant of linear samples is the line itself, so both the
+    # lattice values and the partial cells must give the closed form
+    a, h = -2.0, 0.01
+
+    def exact(t):
+        return 3.0 * (t - a) + 0.25 * (t ** 2 - a ** 2)
+
+    t_nodes = a + h * np.arange(401)
+    nodes, at = _cumulative_trapezoid(3.0 + 0.5 * t_nodes, a, h)
+    assert np.max(np.abs(nodes - exact(t_nodes))) <= 1e-12
+    t = np.array([-2.0, -1.99731, 0.0, 0.123456, 1.9999])
+    assert np.max(np.abs(at(t) - exact(t))) <= 1e-12
 
 
 def test_gamma_of_coverage_error_off_anchor():
@@ -251,10 +268,28 @@ def test_nonaligned_grid_matches_pointwise(small_grid, sine_small):
     assert np.max(np.abs(mu_c.values - mu.values[:, ::4])) <= 1e-12
 
 
-def test_thread_count_does_not_change_results(small_grid, sine_small, monkeypatch):
-    monkeypatch.setenv("QCHEAT_THREADS", "1")
-    serial = qc.extend(sine_small, small_grid)
-    monkeypatch.setenv("QCHEAT_THREADS", "3")
-    threaded = qc.extend(sine_small, small_grid)
-    assert np.array_equal(serial.F, threaded.F)
-    assert np.array_equal(serial.U_y, threaded.U_y)
+# one-period grids (aligned, shifted, coarse, off the lattice) and a grid
+# covering part of a period
+ENGINE_GRIDS = {
+    "aligned": (0.0, 1.0, 256),
+    "shifted": (0.25, 1.25, 256),
+    "coarse": (0.0, 1.0, 64),
+    "off_lattice": (0.013, 1.013, 100),
+    "partial_period": (0.1, 0.6, 80),
+}
+
+
+@pytest.mark.parametrize("name", ENGINE_GRIDS)
+def test_spectral_engine_matches_real_space_lattice_sum(name):
+    # oracle: the point-wise trapezoid sum over the wrapped kernel in real
+    # space, for every kernel on both sequences the engine convolves
+    u = qc.random_trig(8, 0.4, 3, 256).values
+    w = qc.constant(0.0, 256).with_values(u + 0.5j * qc.random_trig(5, 0.3, 11, 256).values)
+    x_min, x_max, nx = ENGINE_GRIDS[name]
+    grid = qc.HalfPlaneGrid(x_min, x_max, nx, np.array([1 / 64, 0.2, 2.0]))
+    eng = _CircleEngine(w, grid, DEFAULT_QUADRATURE)
+    for k in list(KERNELS.values()) + [_V_RATE]:
+        for data, got in ((eng.ew, eng.conv_ew(k)), (eng.p0, eng.conv_gamma(k))):
+            want = np.array([[_periodic_point_sum(w, k, x, y, TRUNCATION_RADIUS, data)
+                              for x in grid.x] for y in grid.y_levels])
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))

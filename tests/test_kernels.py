@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcheat as qc
 from qcheat.data import Domain, SampledFunction
-from qcheat.kernels import (_V_RATE, KERNELS, QuadratureSpec, envelope_constant,
-                            numeric_moment, wrapped_lattice_weights)
+from qcheat.extension import ALIASES
+from qcheat.kernels import (_V_RATE, KERNELS, QuadratureSpec, _gauss_hermite,
+                            envelope_constant, multiplier, numeric_moment)
 
 ALL_KERNELS = list(KERNELS.values()) + [_V_RATE]
 
@@ -60,11 +62,7 @@ def test_scale_rejects_nonpositive_y(y):
 
 def test_quadrature_spec_validation():
     with pytest.raises(qc.DomainError):
-        QuadratureSpec(R=5.0)
-    with pytest.raises(qc.DomainError):
         QuadratureSpec(min_samples_per_window=16)
-    with pytest.raises(qc.DomainError):
-        QuadratureSpec(rule="simpson")
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +90,10 @@ def test_convolve_alpha_against_refined_oracle():
 
 def test_convolve_gauss_hermite_matches_trapezoid():
     w = qc.sine(0.3, 1)
-    q = QuadratureSpec("gauss_hermite", 8.0, 64)
+    q = QuadratureSpec(64)
     for k in (qc.PHI, qc.ALPHA, qc.BETA):
         a = qc.convolve(w, k, 0.123, 0.2)
-        b = qc.convolve(w, k, 0.123, 0.2, q)
+        b = _gauss_hermite(w, k, 0.123, 0.2, q)
         assert abs(a - b) <= 1e-10
 
 
@@ -129,12 +127,24 @@ def test_convolve_rejects_nonpositive_y():
         qc.convolve(qc.constant(0.0), qc.PHI, 0.0, 0.0)
 
 
-def test_wrapped_weights_reproduce_moments():
-    # lattice sum of the wrapped kernel equals the kernel's total mass
+def test_aliased_multiplier_at_zero_frequency_is_moment0():
+    # the k = 0 entry of the lattice multiplier sum_j k^(j*n*y) is the
+    # kernel's total mass
+    n = 512
     for k in ALL_KERNELS:
         for y in (0.01, 0.3, 2.0):
-            c = wrapped_lattice_weights(k, y, 512, 1.0, 8.0)
-            assert abs(c.sum() - k.moment0) <= 1e-12
+            m0 = sum(multiplier(k, j * n * y) for j in ALIASES)
+            assert abs(m0 - k.moment0) <= 1e-12
+
+
+@pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: str(k.id))
+def test_evaluator_is_the_heat_derivative_combination(k):
+    # phi^(m)(s) = (-1)^m H_m(s) phi(s) with H_m the physicists' Hermite
+    # polynomial, so the multiplier coefficients pin the real-space kernel
+    s = np.linspace(-9.0, 9.0, 2001)
+    phi = np.exp(-s ** 2) / np.sqrt(np.pi)
+    combo = sum(c * (-1) ** m * hermval(s, [0] * m + [1]) * phi for m, c in k.derivatives)
+    assert np.max(np.abs(k.evaluator(s) - combo)) <= 1e-14
 
 
 def test_off_lattice_x_matches_refined_oracle():
