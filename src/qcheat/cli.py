@@ -194,13 +194,16 @@ def _assert_finite(obj, where: str):
             raise _NonFinite(f"non-finite value at {where}")
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks):
+    """Write the strings of `chunks` to `path` through a temporary file in
+    the same directory, renamed over `path` only once every chunk is
+    written; on any failure the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # mkstemp creates 0600; give the file the mode open() would have
         umask = os.umask(0)
         os.umask(umask)
@@ -215,20 +218,38 @@ def _atomic_write(path: str, text: str):
 def write_report(path: str, report: dict):
     jsonable = _to_jsonable(report)
     _assert_finite(jsonable, "report")
-    _atomic_write(path, json.dumps(jsonable, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(jsonable, sort_keys=True, indent=2) + "\n"])
+
+
+# every float in a CSV: 17 significant digits, the bytes of f"{v:.17g}"
+_FLOAT = "%.17g"
+
+
+def _float_cells(values) -> list[str]:
+    return [_FLOAT % v for v in values.tolist()]
+
+
+def _csv_rows(lead: list[str], values: np.ndarray) -> str:
+    """One CSV row per lead cell: lead[i] followed by the entries of row i
+    of the real (len(lead), m) array `values`, formatted in one call."""
+    tail = ("," + _FLOAT) * values.shape[1] + "\n"
+    return (tail.join(lead) + tail) % tuple(values.ravel().tolist())
 
 
 def write_field_csv(path: str, grid, values: np.ndarray):
+    """Field CSV: header x,y,re,im, then one row per node, level by level;
+    streamed to disk one level at a time."""
     if not np.all(np.isfinite(values)):
         raise _NonFinite("non-finite value in field output")
-    xs = grid.x
-    lines = ["x,y,re,im"]
-    for j, y in enumerate(grid.y_levels):
-        row = values[j]
-        for i in range(xs.size):
-            v = row[i]
-            lines.append(f"{xs[i]:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    values = np.ascontiguousarray(values, dtype=complex)
+    x_cells = [x + "," for x in _float_cells(grid.x)]
+
+    def chunks():
+        yield "x,y,re,im\n"
+        for y, level in zip(_float_cells(grid.y_levels), values):
+            yield _csv_rows([x + y for x in x_cells], level.view(float).reshape(-1, 2))
+
+    _atomic_write(path, chunks())
 
 
 def _profile_json(entries):
@@ -257,6 +278,9 @@ def _config_echo(args) -> dict:
     for k in ("w0", "eps", "contour_nodes", "t", "r"):
         if hasattr(args, k):
             cfg[k] = getattr(args, k)
+    # only when given: a probe from a builtin w0 echoes no file key
+    if getattr(args, "w0_input", None) is not None:
+        cfg["w0_input"] = args.w0_input
     return cfg
 
 
@@ -368,9 +392,8 @@ def cmd_transfer(args) -> int:
 
 def cmd_probe(args) -> int:
     w1 = _lifted(load_datum(args))
-    w0_spec = args.w0 or "const:0"
-    w0 = _lifted(parse_builtin(w0_spec, args.n, args.seed)
-                 if not os.path.exists(w0_spec) else load_datum_file(w0_spec))
+    w0 = _lifted(load_datum_file(args.w0_input) if args.w0_input
+                 else parse_builtin(args.w0 or "const:0", args.n, args.seed))
     probe = analyticity.build_probe(w0, w1, args.eps, args.contour_nodes,
                                     _grid_from(args), _quad_from(args))
     cr = analyticity.cr_residual(probe)
@@ -400,11 +423,8 @@ def cmd_contract(args) -> int:
     for t in ts:
         homeo = transfer.contraction(datum, t)
         dists.append(homeo.sup_distance(ident))
-        lines = ["x,g"] + [
-            f"{x:.17g},{g:.17g}" for x, g in zip(homeo.x, homeo.g)
-        ]
         _atomic_write(os.path.join(args.out, f"contract_t{t:g}.csv"),
-                      "\n".join(lines) + "\n")
+                      ["x,g\n", _csv_rows(_float_cells(homeo.x), homeo.g[:, None])])
     report = {
         "t": ts,
         "sup_distance_to_identity": dists,
@@ -466,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
                        type=int, default=8)
         p.add_argument("--min-samples", dest="min_samples", type=int, default=32)
         if name == "probe":
-            p.add_argument("--w0", help="base datum (builtin spec or file); default const:0")
+            base = p.add_mutually_exclusive_group()
+            base.add_argument("--w0", help="base datum builtin spec; default const:0")
+            base.add_argument("--w0-input", dest="w0_input", help="base datum JSON file")
             p.add_argument("--eps", type=float, default=0.1)
             p.add_argument("--contour-nodes", dest="contour_nodes", type=int, default=64)
         if name == "contract":

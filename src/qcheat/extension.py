@@ -191,12 +191,13 @@ def _periodic_parts(w: SampledFunction):
 
 
 def _periodic_eval(w: SampledFunction, p0: np.ndarray, x):
-    """Evaluate the periodic antiderivative part at arbitrary x (Fourier sum)."""
+    """Evaluate the periodic antiderivative part at arbitrary x (Fourier sum;
+    p0 holds samples at the lattice nodes, which start at domain.a)."""
     n = w.n
     L = w.domain.length
     coef = np.fft.fft(p0) / n
     k = np.fft.fftfreq(n, d=1.0 / n)
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float) - w.domain.a
     phase = np.exp(2j * np.pi * np.outer(x, k) / L)
     return phase @ coef
 
@@ -369,28 +370,48 @@ def _engine(w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
 # ---------------------------------------------------------------------------
 # field construction
 
+def _require_finite(grid: HalfPlaneGrid, **fields):
+    """Raise ResolutionError naming the first grid node where one of the
+    (ny, nx) or (nx,) arrays in `fields` is not finite."""
+    for name, a in fields.items():
+        bad = ~np.isfinite(a)
+        if bad.any():
+            at = np.unravel_index(int(np.argmax(bad)), a.shape)
+            where = f"x = {grid.x[at[-1]]:.6g}"
+            if a.ndim == 2:
+                where += f", y = {grid.y_levels[at[0]]:.6g}"
+            raise ResolutionError(
+                f"e^w left floating range: {name} is not finite at {where}")
+
+
 def extend(w: SampledFunction, grid: HalfPlaneGrid,
            q: QuadratureSpec = DEFAULT_QUADRATURE) -> ExtensionField:
-    """Build the extension field of w with all partials on `grid`."""
-    eng = _engine(w, grid, q)
-    s, mhat = eng.scale, eng.mhat
-    x = grid.x
-    y = grid.y_levels[:, None]
-    U = s * (mhat * x + eng.conv_gamma(PHI))
-    V = s * (mhat * y + eng.conv_gamma(PSI))
-    U_x = s * eng.conv_ew(PHI)
-    V_x = s * eng.conv_ew(PSI)
-    U_y = (s / y) * 0.5 * eng.conv_gamma(PHI_SECOND)
-    V_y = s * (mhat + eng.conv_gamma(_V_RATE) / y)
-    F_zbar = s * eng.conv_ew(ALPHA)
-    F_z = s * eng.conv_ew(BETA)
-    vy_check = s * 0.5 * eng.conv_ew(PHI_SECOND)
+    """Build the extension field of w with all partials on `grid`; a field
+    that is not finite everywhere raises ResolutionError."""
+    # e^w out of floating range shows as a non-finite field, reported below
+    with np.errstate(all="ignore"):
+        eng = _engine(w, grid, q)
+        s, mhat = eng.scale, eng.mhat
+        x = grid.x
+        y = grid.y_levels[:, None]
+        U = s * (mhat * x + eng.conv_gamma(PHI))
+        V = s * (mhat * y + eng.conv_gamma(PSI))
+        U_x = s * eng.conv_ew(PHI)
+        V_x = s * eng.conv_ew(PSI)
+        U_y = (s / y) * 0.5 * eng.conv_gamma(PHI_SECOND)
+        V_y = s * (mhat + eng.conv_gamma(_V_RATE) / y)
+        F_zbar = s * eng.conv_ew(ALPHA)
+        F_z = s * eng.conv_ew(BETA)
+        vy_check = s * 0.5 * eng.conv_ew(PHI_SECOND)
+        gamma = eng.gamma_at_nodes()
+    _require_finite(grid, gamma=gamma, U=U, V=V, U_x=U_x, V_x=V_x, U_y=U_y, V_y=V_y,
+                    F_z=F_z, F_zbar=F_zbar, vy_check=vy_check)
 
     residuals = {
         "uy_half_vx": float(np.max(np.abs(U_y - 0.5 * V_x))),
         "vy_identity": float(np.max(np.abs(V_y - U_x - vy_check))),
     }
-    return ExtensionField(grid, w, eng.gamma_at_nodes(), U, V, U_x, V_x, U_y, V_y,
+    return ExtensionField(grid, w, gamma, U, V, U_x, V_x, U_y, V_y,
                           F_z, F_zbar, residuals)
 
 
@@ -429,20 +450,24 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
     mean of w), which leaves mu unchanged and keeps e^w in floating range;
     the recorded denominator magnitude is the fully recentered
     |beta_y * e^(w - w_I(x,y))|.  A magnitude below 1e-12 raises
-    SingularDenominatorError carrying the offending (x, y).
+    SingularDenominatorError carrying the offending (x, y); a mu or
+    magnitude that is not finite raises ResolutionError.
     """
-    eng = _engine(w, grid, q)
-    num = eng.conv_ew(ALPHA)
-    den = eng.conv_ew(BETA)
-    ys = grid.y_levels
-    if w.periodic:
-        wbar_re = float(np.mean(w.values.real))
-        denom_mag = np.exp(wbar_re - _local_real_means(w, grid)) * np.abs(den)
-        periodic = abs((grid.x_max - grid.x_min) - w.domain.length) < 1e-12
-    else:
-        denom_mag = np.abs(den)
-        periodic = False
+    # e^w out of floating range shows as a non-finite field, reported below
+    with np.errstate(all="ignore"):
+        eng = _engine(w, grid, q)
+        num = eng.conv_ew(ALPHA)
+        den = eng.conv_ew(BETA)
+        if w.periodic:
+            wbar_re = float(np.mean(w.values.real))
+            denom_mag = np.exp(wbar_re - _local_real_means(w, grid)) * np.abs(den)
+            periodic = abs((grid.x_max - grid.x_min) - w.domain.length) < 1e-12
+        else:
+            denom_mag = np.abs(den)
+            periodic = False
+        mu = num / den
 
+    ys = grid.y_levels
     flat = int(np.argmin(denom_mag))
     if denom_mag.flat[flat] < SINGULAR_THRESHOLD:
         jj, ii = np.unravel_index(flat, denom_mag.shape)
@@ -452,7 +477,8 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
             x=float(grid.x[ii]), y=float(ys[jj]),
             magnitude=float(denom_mag.flat[flat]),
         )
-    return BeltramiField(grid, num / den, denom_mag, periodic=periodic)
+    _require_finite(grid, mu=mu, denom_mag=denom_mag)
+    return BeltramiField(grid, mu, denom_mag, periodic=periodic)
 
 
 def beltrami_fd_oracle(extension: ExtensionField) -> BeltramiField:

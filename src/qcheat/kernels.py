@@ -34,7 +34,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.interpolate import CubicSpline
 
 from .data import SampledFunction
 from .errors import CoverageError, DomainError
@@ -193,6 +192,9 @@ def _periodic_point_sum(w: SampledFunction, k: Kernel, x: float, y: float,
 
 def _spline_evaluator(w: SampledFunction):
     """Cubic interpolant of the raw samples of w (periodic where the data are)."""
+    # imported here: scipy.interpolate costs most of the package's import time
+    from scipy.interpolate import CubicSpline
+
     if w.periodic:
         xs = np.append(w.x, w.domain.b)
         vals = np.append(w.values, w.values[0])

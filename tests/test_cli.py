@@ -1,12 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import qcheat as qc
-from qcheat.cli import run
+from qcheat.cli import _atomic_write, run, write_field_csv
 
 GRID_ARGS = ["--nx", "256", "--y-min", str(1 / 64), "--y-max", "2.0", "--n", "256"]
 
@@ -205,3 +207,139 @@ def test_outputs_follow_the_umask(tmp_path):
         os.umask(old)
     for name in ("beltrami.json", "mu.csv"):
         assert os.stat(os.path.join(out, name)).st_mode & 0o777 == 0o640
+
+
+def test_beltrami_overflow_exits_3_as_resolution(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"domain": {"line": [-8, 8]}, "n": 1025,
+                                "values_re": [800.0] * 1025}))
+    code = run(["beltrami", "--input", str(path), "--out", str(tmp_path / "o"),
+                "--nx", "64", "--x-min", "-1", "--x-max", "1",
+                "--y-min", "0.25", "--y-max", "0.5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error kind=resolution" in err and "floating range" in err
+
+
+# ---------------------------------------------------------------------------
+# probe base datum: --w0 is a builtin spec, --w0-input a file
+
+PROBE_ARGS = ["probe", "--builtin", "sine:0.5,1", "--contour-nodes", "4"] + GRID_ARGS
+
+
+def test_w0_is_never_read_as_a_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "const:0").write_text("not a datum")
+    assert run(PROBE_ARGS + ["--out", "a"]) == 0
+    assert run(PROBE_ARGS + ["--w0", "const:0", "--out", "b"]) == 0
+    default, spec = read_json("a/probe.json"), read_json("b/probe.json")
+    for key in ("cr_residual", "cauchy_error", "quotient_slope", "epsilon"):
+        assert spec[key] == default[key]
+    assert spec["config"]["w0"] == "const:0"
+
+
+def test_w0_input_reads_a_datum_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "const:0").write_text(json.dumps({
+        "domain": "circle", "n": 256, "values_re": [0.0] * 256}))
+    assert run(PROBE_ARGS + ["--w0-input", "const:0", "--out", "a"]) == 0
+    assert run(PROBE_ARGS + ["--out", "b"]) == 0
+    from_file, default = read_json("a/probe.json"), read_json("b/probe.json")
+    assert from_file["cauchy_error"] == default["cauchy_error"]
+    assert from_file["config"]["w0_input"] == "const:0"
+    assert "w0_input" not in default["config"]
+    assert run(PROBE_ARGS + ["--w0-input", "missing.json", "--out", "c"]) == 2
+    assert "cannot read datum file" in capsys.readouterr().err
+    assert run(PROBE_ARGS + ["--w0", "const:0", "--w0-input", "const:0", "--out", "d"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the field CSV writer against an independent row-by-row f-string loop
+
+def _field_csv_oracle(grid, values) -> bytes:
+    xs = grid.x
+    lines = ["x,y,re,im"]
+    for j, y in enumerate(grid.y_levels):
+        row = values[j]
+        for i in range(xs.size):
+            v = row[i]
+            lines.append(f"{xs[i]:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _reference_mu():
+    grid = qc.HalfPlaneGrid.build()
+    return grid, qc.beltrami(qc.lift(qc.random_trig(8, 0.2, 7, 2048)), grid).values
+
+
+def _part_period_field():
+    grid = qc.HalfPlaneGrid.build(x_min=0.1, x_max=0.6, nx=96, y_min=0.01, y_max=0.7)
+    rng = np.random.default_rng(3)
+    shape = (grid.ny, grid.nx)
+    return grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, 1e16, 1 / 3, -2.5e-7]
+
+
+def _special_field():
+    grid = qc.HalfPlaneGrid.build(nx=64, y_min=0.5, y_max=1.0)
+    re = np.resize(SPECIAL, grid.ny * grid.nx).reshape(grid.ny, grid.nx)
+    im = np.resize(SPECIAL[::-1], grid.ny * grid.nx).reshape(re.shape)
+    values = np.empty(re.shape, dtype=complex)
+    values.real, values.imag = re, im
+    return grid, values
+
+
+@pytest.mark.parametrize("make", [_reference_mu, _part_period_field, _special_field])
+def test_field_csv_bytes_match_the_row_loop(tmp_path, make):
+    grid, values = make()
+    path = tmp_path / "f.csv"
+    write_field_csv(str(path), grid, values)
+    assert path.read_bytes() == _field_csv_oracle(grid, values)
+
+
+def test_contract_csv_bytes_match_the_row_loop(tmp_path):
+    out = tmp_path / "o"
+    assert run(["contract", "--builtin", "sine:0.3,1", "--t", "0.5",
+                "--out", str(out)] + GRID_ARGS) == 0
+    homeo = qc.contraction(qc.sine(0.3, 1, 256), 0.5)
+    lines = ["x,g"] + [f"{x:.17g},{g:.17g}" for x, g in zip(homeo.x, homeo.g)]
+    assert (out / "contract_t0.5.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):
+    def chunks():
+        yield "x,y,re,im\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(str(tmp_path / "f.csv"), chunks())
+    assert os.listdir(tmp_path) == []
+    # an existing target keeps its bytes
+    (tmp_path / "f.csv").write_text("old\n")
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(str(tmp_path / "f.csv"), chunks())
+    assert os.listdir(tmp_path) == ["f.csv"]
+    assert (tmp_path / "f.csv").read_text() == "old\n"
+
+
+def test_cli_import_loads_no_scipy():
+    # importing the CLI loads no scipy module; the spline oracle still
+    # loads scipy.interpolate when convolve refines a coarse window
+    code = (
+        "import sys\n"
+        "import qcheat.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "import qcheat as qc\n"
+        "print(repr(qc.convolve(qc.sine(0.3, 1, 64), qc.BETA, 0.25, 0.01)))\n"
+        "print('scipy.interpolate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    loaded, value, spline = res.stdout.splitlines()
+    assert loaded == "[]"
+    assert complex(value) == qc.convolve(qc.sine(0.3, 1, 64), qc.BETA, 0.25, 0.01)
+    assert spline == "True"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,25 @@ def test_cumulative_trapezoid_is_exact_on_linear_data():
     assert np.max(np.abs(nodes - exact(t_nodes))) <= 1e-12
     t = np.array([-2.0, -1.99731, 0.0, 0.123456, 1.9999])
     assert np.max(np.abs(at(t) - exact(t))) <= 1e-12
+
+
+def test_gamma_of_on_a_shifted_period():
+    # the same samples of 0.3 sin(2 pi x) on [0.5, 1.5) and on [0, 1)
+    n = 256
+    vals = 0.3 * np.sin(2 * np.pi * (0.5 + np.arange(n) / n)) + 0j
+    shifted = SampledFunction(Domain.line(0.5, 1.5, periodic=True), vals)
+    unshifted = SampledFunction(Domain.circle(), vals)
+    grid = qc.HalfPlaneGrid.build(x_min=0.5, x_max=1.5, nx=n, y_min=1 / 64, y_max=1.0)
+    nodes = _CircleEngine(shifted, grid, DEFAULT_QUADRATURE).gamma_at_nodes()
+    for i in (1, 37, 200, 255):
+        x = float(grid.x[i])
+        got = qc.gamma_of(shifted, x) - qc.gamma_of(shifted, 0.5)
+        assert abs(got - (nodes[i] - nodes[0])) <= 1e-12
+        assert abs(got - (qc.gamma_of(unshifted, x - 0.5) - qc.gamma_of(unshifted, 0.0))) <= 1e-12
+    # between lattice nodes too
+    x = 0.6445
+    assert abs(qc.gamma_of(shifted, x) - qc.gamma_of(shifted, 0.5)
+               - qc.gamma_of(unshifted, x - 0.5)) <= 1e-12
 
 
 def test_gamma_of_coverage_error_off_anchor():
@@ -203,6 +224,17 @@ def test_line_extension_coverage_error():
                                   y_min=0.05, y_max=1.0, levels_per_octave=8)
     with pytest.raises(qc.CoverageError):
         qc.extend(w, grid)
+
+
+def test_overflowing_line_datum_raises_resolution_error():
+    # e^800 overflows: the fields would be all NaN; no RuntimeWarning escapes
+    w = SampledFunction(Domain.line(-8.0, 8.0), np.full(1025, 800.0) + 0j)
+    grid = qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=64, y_min=0.25, y_max=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for build in (qc.beltrami, qc.extend):
+            with pytest.raises(qc.ResolutionError, match="floating range"):
+                build(w, grid)
 
 
 # ---------------------------------------------------------------------------
