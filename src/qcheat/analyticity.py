@@ -18,7 +18,7 @@ import numpy as np
 from .carleson import hybrid_norm
 from .data import SampledFunction
 from .errors import DomainError, ProbeFailure, SingularDenominatorError
-from .extension import BeltramiField, HalfPlaneGrid, beltrami
+from .extension import BeltramiField, HalfPlaneGrid, _dilatation_map
 from .kernels import DEFAULT_QUADRATURE, QuadratureSpec
 
 SAFE_DENOMINATOR = 1e-6
@@ -74,15 +74,17 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
                 n_contour: int = 64, grid: HalfPlaneGrid | None = None,
                 q: QuadratureSpec = DEFAULT_QUADRATURE) -> HolomorphyProbe:
     """Build the probe, shrinking epsilon (at most 6 times) until every node
-    field has denominator magnitude >= 1e-6 everywhere."""
+    field has denominator magnitude >= 1e-6 everywhere.  Every field, here
+    and from the probe's builder, comes from one dilatation map of w0's
+    lattice and `grid`, so the multiplier tables are built once."""
     if w0.n != w1.n or w0.domain != w1.domain:
         raise DomainError("probe data must share one grid and domain")
     if grid is None:
         grid = HalfPlaneGrid.build(nx=max(64, w0.n))
+    mu_of = _dilatation_map(w0, grid, q)
 
     def make(zeta: complex) -> BeltramiField:
-        datum = w0.with_values(w0.values + zeta * w1.values)
-        return beltrami(datum, grid, q)
+        return mu_of(w0.with_values(w0.values + zeta * w1.values))
 
     eps = float(epsilon)
     last_bad = None

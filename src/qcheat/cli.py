@@ -62,15 +62,36 @@ DATUM_SCHEMA = {
             ]
         },
         "n": {"type": "integer", "minimum": 16},
-        "values_re": {"type": "array", "items": {"type": "number"}},
-        "values_im": {"type": "array", "items": {"type": "number"}},
-        "x": {"type": "array", "items": {"type": "number"}},
+        # the entries of the sample arrays are checked by _sample_errors
+        "values_re": {"type": "array"},
+        "values_im": {"type": "array"},
+        "x": {"type": "array"},
     },
 }
+_SAMPLE_ARRAYS = ("values_re", "values_im", "x")
+# what json.load makes of a JSON number; bool, a subclass of int, is not one
+_NUMBER_TYPES = {int, float}
 
 
-def _schema_error_pointer(err) -> str:
-    return "/" + "/".join(str(p) for p in err.absolute_path)
+def _sample_errors(raw) -> list:
+    """(path, message) for the first entry of each sample array that is
+    not a JSON number, in one pass over each array."""
+    out = []
+    for key in _SAMPLE_ARRAYS:
+        items = raw.get(key) if isinstance(raw, dict) else None
+        if isinstance(items, list) and not set(map(type, items)) <= _NUMBER_TYPES:
+            j = next(j for j, v in enumerate(items) if type(v) not in _NUMBER_TYPES)
+            out.append(([key, j], f"{items[j]!r} is not of type 'number'"))
+    return out
+
+
+def _floats(raw: dict, key: str) -> np.ndarray:
+    items = raw[key]
+    try:
+        return np.asarray(items, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        j = next(j for j, v in enumerate(items) if abs(v) > sys.float_info.max)
+        raise DomainError(f"datum schema violation at /{key}/{j}: values must be finite")
 
 
 def load_datum_file(path: str) -> SampledFunction:
@@ -82,25 +103,30 @@ def load_datum_file(path: str) -> SampledFunction:
     except (OSError, json.JSONDecodeError) as e:
         raise DomainError(f"cannot read datum file {path}: {e}")
     validator = jsonschema.Draft202012Validator(DATUM_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+    errors = [(list(e.absolute_path), e.message) for e in validator.iter_errors(raw)]
+    errors += _sample_errors(raw)
     if errors:
-        e = errors[0]
-        raise DomainError(f"datum schema violation at {_schema_error_pointer(e)}: {e.message}")
+        where, message = min(errors, key=lambda e: e[0])
+        pointer = "/" + "/".join(str(p) for p in where)
+        raise DomainError(f"datum schema violation at {pointer}: {message}")
     n = raw["n"]
-    re = np.asarray(raw["values_re"], dtype=float)
+    re = _floats(raw, "values_re")
     if re.size != n:
         raise DomainError(f"datum schema violation at /values_re: expected {n} entries, got {re.size}")
     if "values_im" in raw:
-        im = np.asarray(raw["values_im"], dtype=float)
+        im = _floats(raw, "values_im")
         if im.size != n:
             raise DomainError(
                 f"datum schema violation at /values_im: expected {n} entries, got {im.size}"
             )
     else:
         im = np.zeros(n)
+    for key, part in (("values_re", re), ("values_im", im)):
+        bad = ~np.isfinite(part)
+        if bad.any():
+            raise DomainError(f"datum schema violation at /{key}/{int(np.argmax(bad))}: "
+                              "values must be finite")
     vals = re + 1j * im
-    if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
-        raise DomainError("datum schema violation at /values_re: values must be finite")
     if raw["domain"] == "circle":
         dom = Domain.circle()
         implied = np.arange(n) / n
@@ -109,12 +135,12 @@ def load_datum_file(path: str) -> SampledFunction:
         dom = Domain.line(a, b)
         implied = np.linspace(a, b, n)
     if "x" in raw:
-        xs = np.asarray(raw["x"], dtype=float)
+        xs = _floats(raw, "x")
         if xs.size != n:
             raise DomainError(f"datum schema violation at /x: expected {n} entries, got {xs.size}")
         tol = 1e-9 * max(1.0, dom.length)
         dev = np.abs(xs - implied)
-        if np.max(dev) > tol:
+        if not np.all(dev <= tol):  # a NaN node fails too
             j = int(np.argmax(dev))
             raise DomainError(
                 f"datum schema violation at /x/{j}: grid is not uniform "
@@ -322,7 +348,6 @@ def cmd_beltrami(args) -> int:
 
     datum = _lifted(load_datum(args))
     mu = extension.beltrami(datum, _grid_from(args), _quad_from(args))
-    write_field_csv(os.path.join(args.out, "mu.csv"), mu.grid, mu.values)
     report = {
         "sup_norm": mu.sup_norm,
         "denom_min": mu.denom_min,
@@ -334,7 +359,9 @@ def cmd_beltrami(args) -> int:
         },
         "config": _config_echo(args),
     }
+    # the report is checked before anything is written
     write_report(os.path.join(args.out, "beltrami.json"), report)
+    write_field_csv(os.path.join(args.out, "mu.csv"), mu.grid, mu.values)
     return EXIT_OK
 
 

@@ -32,6 +32,16 @@ against e^w.  Both go through the same multipliers, and on the lattice
 frequencies p0 is an exact antiderivative of e^w, so the recorded identity
 residuals see only the aliases j = -1, 1 and rounding; the real-space
 check of the engine is the point-wise lattice sum in `kernels`.
+
+The multipliers depend on the grid and the data lattice, not on the datum,
+so the periodic engine comes in two parts.  A `_CirclePlan` holds what one
+lattice and one grid fix: the resolution guard, the frequencies, where the
+grid nodes sit, and each kernel's multiplier table (on a grid that folds,
+the aliases and the phase of the first grid node summed into one (ny, n)
+array).  The per-datum part is the FFTs of e^(w - mean w) and of p0, their
+products with the tables and the inverse transforms.  `extend` builds each
+kernel's table once for both spectra; a holomorphy probe builds one plan
+and one stacked ALPHA/BETA table for all of its fields.
 """
 
 from __future__ import annotations
@@ -166,6 +176,12 @@ class BeltramiField:
 # ---------------------------------------------------------------------------
 # gamma
 
+def _recentered(w: SampledFunction):
+    """(wbar, ew): the mean of w and the weight e^(w - wbar) on the lattice."""
+    wbar = complex(np.mean(w.values))
+    return wbar, np.exp(w.values - wbar)
+
+
 def _periodic_parts(w: SampledFunction):
     """Split gamma' = e^w into scale * (mhat + p0') with p0 periodic.
 
@@ -173,8 +189,7 @@ def _periodic_parts(w: SampledFunction):
     recentered weight e^(w - mean w) on the lattice, mhat its mean, and p0
     the spectral antiderivative of ew - mhat with p0(start of lattice) = 0.
     """
-    wbar = complex(np.mean(w.values))
-    ew = np.exp(w.values - wbar)
+    wbar, ew = _recentered(w)
     scale_const = np.exp(wbar)
     n = w.n
     L = w.domain.length
@@ -243,17 +258,21 @@ def gamma_of(w: SampledFunction, x: float) -> complex:
 # ---------------------------------------------------------------------------
 # convolution engines
 
-class _CircleEngine:
-    """Every lattice convolution of periodic data, on all levels at once.
+class _CirclePlan:
+    """The datum-independent part of the periodic engine, for one data
+    lattice and one grid: the resolution guard, the lattice frequencies,
+    the grid nodes in periods from the first lattice node, and the kernel
+    multiplier tables.
 
     A grid that spans one period with nx dividing n folds the frequencies
-    modulo nx and takes one length-nx inverse FFT per level; any other
-    uniform grid sums the Fourier series directly, in chunks of x nodes.
+    modulo nx: a kernel's table sums its aliases, each with the phase of
+    the first grid node, into one (ny, n) array, and each datum then takes
+    one length-nx inverse FFT per level.  Any other uniform grid keeps one
+    table per alias and sums the Fourier series directly, in chunks of x
+    nodes.
     """
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
-        self.grid = grid
-        self.scale, self.mhat, self.ew, self.p0 = _periodic_parts(w)
         n, L = w.n, w.domain.length
         nodes_at_bottom = 2 * kq.TRUNCATION_RADIUS * grid.y_min * n / L
         if nodes_at_bottom < q.min_samples_per_window - 1e-9:
@@ -262,66 +281,112 @@ class _CircleEngine:
                 f"y={grid.y_min:g}; need {q.min_samples_per_window} "
                 f"(refine the datum or raise y_min)"
             )
+        self.grid = grid
         self.n = n
         self.period = L
         self.freq = np.fft.fftfreq(n, d=1.0 / n)
         # grid nodes in periods from the first lattice node
         self.x_rel = (grid.x - w.domain.a) / L
         self.fold = abs((grid.x_max - grid.x_min) - L) < 1e-12 and n % grid.nx == 0
+        self._aliased = [self.freq + j * n for j in ALIASES]
+
+    def table(self, *kerns) -> np.ndarray:
+        """The multiplier tables of `kerns`, stacked on the first axis:
+        (len(kerns), ny, n) when folding, else (len(kerns), len(ALIASES),
+        ny, n)."""
+        ny, n = self.grid.ny, self.n
+        y_per_period = self.grid.y_levels[:, None] / self.period
+        if self.fold:
+            out = np.zeros((len(kerns), ny, n), dtype=complex)
+            for xi in self._aliased:
+                nu = xi * y_per_period
+                phase = np.exp(2j * np.pi * xi * self.x_rel[0])
+                for t, kern in zip(out, kerns):
+                    t += kq.multiplier(kern, nu) * phase
+            return out
+        out = np.empty((len(kerns), len(ALIASES), ny, n), dtype=complex)
+        for a, xi in enumerate(self._aliased):
+            nu = xi * y_per_period
+            for k, kern in enumerate(kerns):
+                out[k, a] = kq.multiplier(kern, nu)
+        return out
+
+    def apply(self, table: np.ndarray, spectra: np.ndarray, aliased=None) -> np.ndarray:
+        """(1/n) * sum over the columns c of table[..., c] * spectra[..., c]
+        * exp(2 pi i xi_c x_rel) at the grid's x nodes, for lattice
+        frequencies xi_c and their aliases; `spectra` holds FFTs of lattice
+        data and broadcasts against the table without its alias axis.  The
+        result has shape (..., rows, nx).  A table that does not fold has
+        one alias row per frequency array in `aliased` (default: all)."""
+        n, nx = self.n, self.grid.nx
+        if self.fold:
+            acc = np.multiply(table, spectra)
+            if n != nx:
+                acc = acc.reshape(acc.shape[:-1] + (n // nx, nx)).sum(axis=-2)
+            acc = np.fft.ifft(acc, axis=-1)
+            if n != nx:
+                acc *= nx / n
+            return acc
+        out = 0
+        chunk = self.grid.ny  # keeps each phase block at (n, ny)
+        for a, xi in enumerate(self._aliased if aliased is None else aliased):
+            T = spectra * table[..., a, :, :]
+            part = [T @ np.exp(2j * np.pi * np.outer(xi, self.x_rel[i:i + chunk]))
+                    for i in range(0, nx, chunk)]
+            out = out + np.concatenate(part, axis=-1)
+        return out / n
+
+
+class _CircleEngine:
+    """Every lattice convolution of one periodic datum, on all levels at
+    once: the FFTs of e^(w - mean w) and of p0, times a plan's tables."""
+
+    def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
+        self.plan = _CirclePlan(w, grid, q)
+        self.grid = grid
+        self.scale, self.mhat, self.ew, self.p0 = _periodic_parts(w)
         self._fft_ew = np.fft.fft(self.ew)
         self._fft_p0 = np.fft.fft(self.p0)
 
-    def _synthesize(self, terms) -> np.ndarray:
-        """(1/n) * sum over the pairs (xi, T) and over columns c of
-        T[:, c] * exp(2 pi i xi_c x_rel) at the grid's x nodes; each T is
-        (rows, n) with column c at frequency xi_c."""
-        n, nx = self.n, self.grid.nx
-        if self.fold:
-            acc = 0
-            for xi, T in terms:
-                T = T * np.exp(2j * np.pi * xi * self.x_rel[0])
-                acc = acc + T.reshape(T.shape[0], n // nx, nx).sum(axis=1)
-            return np.fft.ifft(acc, axis=-1) * (nx / n)
-        out = 0
-        chunk = self.grid.ny  # keeps each phase block at (n, ny)
-        for xi, T in terms:
-            part = [T @ np.exp(2j * np.pi * np.outer(xi, self.x_rel[i:i + chunk]))
-                    for i in range(0, nx, chunk)]
-            out = out + np.concatenate(part, axis=1)
-        return out / n
-
-    def _conv(self, spectrum: np.ndarray, kern) -> np.ndarray:
-        y_per_period = self.grid.y_levels[:, None] / self.period
-        aliased = (self.freq + j * self.n for j in ALIASES)
-        return self._synthesize(
-            (xi, spectrum * kq.multiplier(kern, xi * y_per_period)) for xi in aliased)
-
     def conv_ew(self, kern) -> np.ndarray:
-        return self._conv(self._fft_ew, kern)
+        return self.plan.apply(self.plan.table(kern)[0], self._fft_ew)
 
     def conv_gamma(self, kern) -> np.ndarray:
         """Convolution of the periodic part of gamma; `scale` and `mhat`
         carry the linear part, which extend adds in closed form."""
-        return self._conv(self._fft_p0, kern)
+        return self.plan.apply(self.plan.table(kern)[0], self._fft_p0)
+
+    def conv_both(self, kern):
+        """(conv_ew(kern), conv_gamma(kern)) from one table."""
+        spectra = np.stack([self._fft_ew, self._fft_p0])[:, None, :]
+        return tuple(self.plan.apply(self.plan.table(kern)[0], spectra))
 
     def gamma_at_nodes(self):
-        p0x = self._synthesize([(self.freq, self._fft_p0[None, :])])[0]
+        # the Fourier series of p0 itself: multiplier 1, no aliases
+        plan = self.plan
+        if plan.fold:
+            table = np.exp(2j * np.pi * plan.freq * plan.x_rel[0])[None, :]
+        else:
+            table = np.ones((1, 1, plan.n))
+        p0x = plan.apply(table, self._fft_p0, aliased=[plan.freq])[0]
         return self.scale * (self.mhat * self.grid.x + p0x)
 
 
 class _LineEngine:
     """Windowed lattice sums for non-periodic data, level by level; gamma by
     cumulative trapezoid anchored at the left end (an additive constant,
-    immaterial for the dilatation)."""
+    immaterial for the dilatation).  As on the circle, the sums run over the
+    weight recentered by the mean of w, and `scale` = exp(mean w) restores
+    it."""
 
     # gamma has no linear part to add in closed form
-    scale = 1.0
     mhat = 0.0
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
         self.w = w
         self.grid = grid
-        self.ew = np.exp(w.values)
+        self.wbar, self.ew = _recentered(w)
+        self.scale = np.exp(self.wbar)
         self.gamma_lattice, _ = _cumulative_trapezoid(self.ew, w.domain.a, w.h)
         y_top = grid.y_levels[-1]
         R = kq.TRUNCATION_RADIUS
@@ -357,10 +422,12 @@ class _LineEngine:
     def conv_gamma(self, kern) -> np.ndarray:
         return self._conv(self.gamma_lattice, kern)
 
+    def conv_both(self, kern):
+        return self.conv_ew(kern), self.conv_gamma(kern)
+
     def gamma_at_nodes(self):
-        return np.interp(self.grid.x, self.w.x, self.gamma_lattice.real) + 1j * np.interp(
-            self.grid.x, self.w.x, self.gamma_lattice.imag
-        )
+        return self.scale * (np.interp(self.grid.x, self.w.x, self.gamma_lattice.real)
+                             + 1j * np.interp(self.grid.x, self.w.x, self.gamma_lattice.imag))
 
 
 def _engine(w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
@@ -394,15 +461,17 @@ def extend(w: SampledFunction, grid: HalfPlaneGrid,
         s, mhat = eng.scale, eng.mhat
         x = grid.x
         y = grid.y_levels[:, None]
-        U = s * (mhat * x + eng.conv_gamma(PHI))
-        V = s * (mhat * y + eng.conv_gamma(PSI))
-        U_x = s * eng.conv_ew(PHI)
-        V_x = s * eng.conv_ew(PSI)
-        U_y = (s / y) * 0.5 * eng.conv_gamma(PHI_SECOND)
+        # one table per kernel, applied to e^w and to gamma alike; each pair
+        # is rebound at once, so no table or raw convolution outlives its use
+        U_x, U = eng.conv_both(PHI)
+        U_x, U = s * U_x, s * (mhat * x + U)
+        V_x, V = eng.conv_both(PSI)
+        V_x, V = s * V_x, s * (mhat * y + V)
+        vy_check, U_y = eng.conv_both(PHI_SECOND)
+        vy_check, U_y = s * 0.5 * vy_check, (s / y) * 0.5 * U_y
         V_y = s * (mhat + eng.conv_gamma(_V_RATE) / y)
         F_zbar = s * eng.conv_ew(ALPHA)
         F_z = s * eng.conv_ew(BETA)
-        vy_check = s * 0.5 * eng.conv_ew(PHI_SECOND)
         gamma = eng.gamma_at_nodes()
     _require_finite(grid, gamma=gamma, U=U, V=V, U_x=U_x, V_x=V_x, U_y=U_y, V_y=V_y,
                     F_z=F_z, F_zbar=F_zbar, vy_check=vy_check)
@@ -442,31 +511,14 @@ def _local_real_means(w: SampledFunction, grid: HalfPlaneGrid) -> np.ndarray:
     return out
 
 
-def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
-             q: QuadratureSpec = DEFAULT_QUADRATURE) -> BeltramiField:
-    """Complex dilatation mu = (e^w * alpha_y) / (e^w * beta_y) on `grid`.
-
-    The ratio is evaluated with the weight recentered by a constant (the
-    mean of w), which leaves mu unchanged and keeps e^w in floating range;
-    the recorded denominator magnitude is the fully recentered
-    |beta_y * e^(w - w_I(x,y))|.  A magnitude below 1e-12 raises
-    SingularDenominatorError carrying the offending (x, y); a mu or
-    magnitude that is not finite raises ResolutionError.
-    """
-    # e^w out of floating range shows as a non-finite field, reported below
+def _dilatation(grid: HalfPlaneGrid, num: np.ndarray, den: np.ndarray,
+                mag_factor, periodic: bool) -> BeltramiField:
+    """mu = num / den with the checks of `beltrami`, computed in place of
+    num; `mag_factor` turns |den| into the recorded denominator magnitude."""
     with np.errstate(all="ignore"):
-        eng = _engine(w, grid, q)
-        num = eng.conv_ew(ALPHA)
-        den = eng.conv_ew(BETA)
-        if w.periodic:
-            wbar_re = float(np.mean(w.values.real))
-            denom_mag = np.exp(wbar_re - _local_real_means(w, grid)) * np.abs(den)
-            periodic = abs((grid.x_max - grid.x_min) - w.domain.length) < 1e-12
-        else:
-            denom_mag = np.abs(den)
-            periodic = False
-        mu = num / den
-
+        mu = np.divide(num, den, out=num)
+        denom_mag = np.abs(den)
+        denom_mag *= mag_factor
     ys = grid.y_levels
     flat = int(np.argmin(denom_mag))
     if denom_mag.flat[flat] < SINGULAR_THRESHOLD:
@@ -479,6 +531,58 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
         )
     _require_finite(grid, mu=mu, denom_mag=denom_mag)
     return BeltramiField(grid, mu, denom_mag, periodic=periodic)
+
+
+def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
+    """The map w -> beltrami(w, grid, q) for data on the lattice of w0.
+
+    Periodic data share one plan and one stacked ALPHA/BETA table, built
+    here; each datum then costs its own FFT, the products with the two
+    tables and their inverse FFTs.  Line data build a `_LineEngine` per
+    datum.
+    """
+    if not w0.periodic:
+        def line_mu(w: SampledFunction) -> BeltramiField:
+            # e^w out of floating range shows as a non-finite field
+            with np.errstate(all="ignore"):
+                eng = _LineEngine(w, grid, q)
+                num, den = eng.conv_ew(ALPHA), eng.conv_ew(BETA)
+                mag_factor = np.exp(eng.wbar.real)  # back to |e^w * beta_y|
+            return _dilatation(grid, num, den, mag_factor, periodic=False)
+
+        return line_mu
+
+    plan = _CirclePlan(w0, grid, q)
+    table = plan.table(ALPHA, BETA)
+    periodic = abs((grid.x_max - grid.x_min) - w0.domain.length) < 1e-12
+
+    def circle_mu(w: SampledFunction) -> BeltramiField:
+        with np.errstate(all="ignore"):
+            _, ew = _recentered(w)
+            spectrum = np.fft.fft(ew)
+            # one kernel at a time, so mu can take the numerator's place
+            # without keeping a stacked (2, ny, nx) array alive per field
+            num, den = (plan.apply(t, spectrum) for t in table)
+            wbar_re = float(np.mean(w.values.real))
+            mag_factor = np.exp(wbar_re - _local_real_means(w, grid))
+        return _dilatation(grid, num, den, mag_factor, periodic)
+
+    return circle_mu
+
+
+def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
+             q: QuadratureSpec = DEFAULT_QUADRATURE) -> BeltramiField:
+    """Complex dilatation mu = (e^w * alpha_y) / (e^w * beta_y) on `grid`.
+
+    The ratio is evaluated with the weight recentered by a constant (the
+    mean of w), which leaves mu unchanged and keeps e^w in floating range.
+    For periodic data the recorded denominator magnitude is the fully
+    recentered |beta_y * e^(w - w_I(x,y))|; for line data it is
+    |beta_y * e^w| itself.  A magnitude below 1e-12 raises
+    SingularDenominatorError carrying the offending (x, y); a mu or
+    magnitude that is not finite raises ResolutionError.
+    """
+    return _dilatation_map(w, grid, q)(w)
 
 
 def beltrami_fd_oracle(extension: ExtensionField) -> BeltramiField:

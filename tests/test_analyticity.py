@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import qcheat as qc
-from qcheat import analyticity
+from qcheat import analyticity, kernels
 from qcheat.analyticity import HolomorphyProbe
+from qcheat.data import Domain, SampledFunction
 from qcheat.extension import BeltramiField
 
 
@@ -195,3 +196,56 @@ def test_cauchy_resolution_check_rebuilds_with_the_probe_quadrature(monkeypatch)
     monkeypatch.setattr(analyticity, "build_probe", spy)
     qc.cauchy_reconstruct(p, 0.001, check_resolution=True)
     assert seen == [q]
+
+
+# ---------------------------------------------------------------------------
+# one plan per probe
+
+def _plan_case(name):
+    """(w0, w1, grid): the reference grid (folding engine), a grid over part
+    of the period (direct Fourier sums) and line data (the line engine)."""
+    if name == "reference":
+        n, grid = 2048, qc.HalfPlaneGrid.build()
+    elif name == "partial_period":
+        n, grid = 256, qc.HalfPlaneGrid.build(x_min=0.1, x_max=0.6, nx=80,
+                                              y_min=1 / 32, y_max=1.0)
+    else:
+        x = np.linspace(-10.0, 10.0, 1025)
+        line = Domain.line(-10.0, 10.0)
+        grid = qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=64, y_min=0.2, y_max=1.0)
+        return (SampledFunction(line, 0.2 * np.cos(x) + 0j),
+                SampledFunction(line, np.sin(0.5 * x) + 0j), grid)
+    return qc.lift(qc.sine(0.2, 2, n)), qc.lift(qc.sine(1.0, 1, n)), grid
+
+
+@pytest.mark.parametrize("name", ["reference", "partial_period", "line"])
+def test_probe_fields_equal_independent_beltrami_calls(name):
+    w0, w1, grid = _plan_case(name)
+    p = qc.build_probe(w0, w1, 0.1, 4, grid)
+    nodes = np.concatenate([p.center_nodes, p.contour_nodes])
+    # the builder's off-node field and a quotient step share the plan too
+    extra = [0.003 + 0.001j, 0.003 + 0.001j + 0.0025]
+    fields = p.fields + [p.dilatation_at(z) for z in extra]
+    for zeta, f in zip(list(nodes) + extra, fields):
+        direct = qc.beltrami(w0.with_values(w0.values + zeta * w1.values), grid)
+        assert np.max(np.abs(f.values - direct.values)) <= 1e-14
+        assert np.max(np.abs(f.denom_mag - direct.denom_mag)) <= 1e-14 * np.max(direct.denom_mag)
+        assert f.periodic == direct.periodic
+
+
+def test_probe_builds_its_multiplier_tables_once(monkeypatch, small_grid):
+    calls = []
+    multiplier = kernels.multiplier
+
+    def counted(k, nu):
+        calls.append(k)
+        return multiplier(k, nu)
+
+    monkeypatch.setattr(kernels, "multiplier", counted)
+    w0, w1 = qc.lift(qc.sine(0.3, 1, 256)), qc.lift(qc.sine(1.0, 2, 256))
+    counts = []
+    for n_contour in (8, 16):
+        calls.clear()
+        qc.build_probe(w0, w1, 0.1, n_contour, small_grid)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

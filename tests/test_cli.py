@@ -144,6 +144,38 @@ def test_schema_violation_reports_pointer(tmp_path, capsys):
     assert "/values_re/15" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, bad", [("values_re", True), ("values_re", "0.5"),
+                                      ("values_im", False), ("values_im", None),
+                                      ("x", True), ("x", "0.25")])
+def test_non_number_sample_reports_its_pointer(tmp_path, capsys, key, bad):
+    # booleans are not numbers, numeric strings neither; the first bad entry
+    # of the array is the one reported
+    datum = {"domain": "circle", "n": 16, "values_re": [0.0] * 16,
+             "values_im": [0.0] * 16, "x": (np.arange(16) / 16).tolist()}
+    datum[key][6] = bad
+    datum[key][11] = "later"
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    code = run(["analyze", "--input", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error kind=validation" in err
+    assert f"/{key}/6: {bad!r} is not of type 'number'" in err
+
+
+@pytest.mark.parametrize("bad", [float("inf"), 10 ** 400])
+def test_non_finite_sample_reports_its_pointer(tmp_path, capsys, bad):
+    # Infinity, or an integer beyond the float range
+    path = tmp_path / "datum.json"
+    vals = [0.0] * 16
+    vals[9] = bad
+    path.write_text(json.dumps({"domain": "circle", "n": 16, "values_re": [0.0] * 16,
+                                "values_im": vals}))
+    code = run(["analyze", "--input", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "/values_im/9: values must be finite" in capsys.readouterr().err
+
+
 def test_nonuniform_grid_rejected(tmp_path, capsys):
     path = tmp_path / "datum.json"
     xs = (np.arange(16) / 16).tolist()
@@ -209,16 +241,32 @@ def test_outputs_follow_the_umask(tmp_path):
         assert os.stat(os.path.join(out, name)).st_mode & 0o777 == 0o640
 
 
-def test_beltrami_overflow_exits_3_as_resolution(tmp_path, capsys):
+def _beltrami_of_line_datum(tmp_path, values_re):
+    """Exit code of `qcheat beltrami` on 1025 line samples over [-8, 8]."""
     path = tmp_path / "datum.json"
     path.write_text(json.dumps({"domain": {"line": [-8, 8]}, "n": 1025,
-                                "values_re": [800.0] * 1025}))
-    code = run(["beltrami", "--input", str(path), "--out", str(tmp_path / "o"),
+                                "values_re": values_re}))
+    return run(["beltrami", "--input", str(path), "--out", str(tmp_path / "o"),
                 "--nx", "64", "--x-min", "-1", "--x-max", "1",
                 "--y-min", "0.25", "--y-max", "0.5"])
+
+
+def test_beltrami_overflow_exits_3_as_resolution(tmp_path, capsys):
+    code = _beltrami_of_line_datum(tmp_path, [800.0] * 1025)
     assert code == 3
     err = capsys.readouterr().err
     assert "error kind=resolution" in err and "floating range" in err
+    assert not (tmp_path / "o").exists() or not os.listdir(tmp_path / "o")
+
+
+@pytest.mark.parametrize("values_re", [
+    [-800.0] * 512 + [800.0] * 513,  # the recentered weight still reaches e^800
+    (720.0 + 0.3 * np.sin(np.linspace(-8, 8, 1025))).tolist(),  # |e^w * beta_y| overflows
+])
+def test_beltrami_out_of_range_line_datum_writes_nothing(tmp_path, capsys, values_re):
+    assert _beltrami_of_line_datum(tmp_path, values_re) == 3
+    assert "error kind=resolution" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() or not os.listdir(tmp_path / "o")
 
 
 # ---------------------------------------------------------------------------

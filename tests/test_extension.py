@@ -5,9 +5,9 @@ import pytest
 
 import qcheat as qc
 from qcheat.data import Domain, SampledFunction
-from qcheat.extension import _CircleEngine, _cumulative_trapezoid
-from qcheat.kernels import (_V_RATE, DEFAULT_QUADRATURE, KERNELS, TRUNCATION_RADIUS,
-                            _periodic_point_sum)
+from qcheat.extension import _CircleEngine, _cumulative_trapezoid, _LineEngine
+from qcheat.kernels import (_V_RATE, ALPHA, BETA, DEFAULT_QUADRATURE, KERNELS,
+                            TRUNCATION_RADIUS, _periodic_point_sum)
 
 
 def grid_points(grid):
@@ -226,15 +226,49 @@ def test_line_extension_coverage_error():
         qc.extend(w, grid)
 
 
-def test_overflowing_line_datum_raises_resolution_error():
-    # e^800 overflows: the fields would be all NaN; no RuntimeWarning escapes
-    w = SampledFunction(Domain.line(-8.0, 8.0), np.full(1025, 800.0) + 0j)
+def _assert_line_overflow(values):
+    w = SampledFunction(Domain.line(-8.0, 8.0), values + 0j)
     grid = qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=64, y_min=0.25, y_max=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for build in (qc.beltrami, qc.extend):
             with pytest.raises(qc.ResolutionError, match="floating range"):
                 build(w, grid)
+
+
+def test_overflowing_line_datum_raises_resolution_error():
+    # e^800 overflows: the fields would be all NaN; no RuntimeWarning escapes
+    _assert_line_overflow(np.full(1025, 800.0))
+
+
+def test_overflowing_recentered_line_weight_raises_resolution_error():
+    # w = -800 | +800 has mean ~0, so even the recentered weight e^(w - mean w)
+    # reaches e^800
+    x = np.linspace(-8.0, 8.0, 1025)
+    _assert_line_overflow(np.where(x < 0, -800.0, 800.0))
+
+
+def _line_datum(values, span=10.0):
+    return SampledFunction(Domain.line(-span, span), np.asarray(values) + 0j)
+
+
+def test_line_mu_is_invariant_under_a_large_offset():
+    # the line engine sums e^(w - mean w), as the circle engine does, so its
+    # mu of a datum offset by exactly 720 (e^720 overflows) is mu of the datum
+    x = np.linspace(-10.0, 10.0, 2049)
+    w720 = 720.0 + 0.3 * np.sin(x)
+    grid = qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=64, y_min=0.05, y_max=1.0)
+    mu = qc.beltrami(_line_datum(w720 - 720.0), grid)  # the subtraction is exact
+    with np.errstate(over="ignore"):  # scale = e^720, unused by mu
+        eng = _LineEngine(_line_datum(w720), grid, DEFAULT_QUADRATURE)
+    assert np.max(np.abs(eng.conv_ew(ALPHA) / eng.conv_ew(BETA) - mu.values)) <= 1e-14
+    # beltrami also records |e^w * beta_y| itself, which overflows there
+    with pytest.raises(qc.ResolutionError, match="denom_mag is not finite"):
+        qc.beltrami(_line_datum(w720), grid)
+    # below the overflow, beltrami returns the same mu
+    w709 = 709.0 + 0.3 * np.sin(x)
+    mu709 = qc.beltrami(_line_datum(w709), grid)
+    assert np.max(np.abs(mu709.values - qc.beltrami(_line_datum(w709 - 709.0), grid).values)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
