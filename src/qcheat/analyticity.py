@@ -74,7 +74,10 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
                 n_contour: int = 64, grid: HalfPlaneGrid | None = None,
                 q: QuadratureSpec = DEFAULT_QUADRATURE) -> HolomorphyProbe:
     """Build the probe, shrinking epsilon (at most 6 times) until every node
-    field has denominator magnitude >= 1e-6 everywhere.  Every field, here
+    field has denominator magnitude >= 1e-6 everywhere.  Epsilon halves
+    only on a small or vanishing denominator (SingularDenominatorError);
+    any other error, a ResolutionError among them (a denominator below the
+    engine's rounding floor, say), propagates at once.  Every field, here
     and from the probe's builder, comes from one dilatation map of w0's
     lattice and `grid`, so the multiplier tables are built once."""
     if w0.n != w1.n or w0.domain != w1.domain:

@@ -38,39 +38,38 @@ class _NonFinite(QcheatError):
 # ---------------------------------------------------------------------------
 # datum loading
 
-DATUM_SCHEMA = {
-    "type": "object",
-    "required": ["domain", "n", "values_re"],
-    "additionalProperties": False,
-    "properties": {
-        "domain": {
-            "oneOf": [
-                {"const": "circle"},
-                {
-                    "type": "object",
-                    "required": ["line"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "line": {
-                            "type": "array",
-                            "items": {"type": "number"},
-                            "minItems": 2,
-                            "maxItems": 2,
-                        }
-                    },
-                },
-            ]
-        },
-        "n": {"type": "integer", "minimum": 16},
-        # the entries of the sample arrays are checked by _sample_errors
-        "values_re": {"type": "array"},
-        "values_im": {"type": "array"},
-        "x": {"type": "array"},
-    },
-}
+_REQUIRED = ("domain", "n", "values_re")
 _SAMPLE_ARRAYS = ("values_re", "values_im", "x")
 # what json.load makes of a JSON number; bool, a subclass of int, is not one
 _NUMBER_TYPES = {int, float}
+
+
+def _structure_errors(raw) -> list:
+    """(path, message) for each way `raw` departs from the datum file's
+    shape: an object with the required keys and no others, a domain that
+    is "circle" or {"line": [a, b]}, an integer n >= 16, and sample lists."""
+    if not isinstance(raw, dict):
+        return [([], f"{raw!r} is not of type 'object'")]
+    out = [([], f"{key!r} is a required property") for key in _REQUIRED if key not in raw]
+    extra = sorted(set(raw) - set(_REQUIRED + _SAMPLE_ARRAYS))
+    if extra:
+        out.append(([], f"additional properties are not allowed ({', '.join(map(repr, extra))})"))
+    if "domain" in raw:
+        dom = raw["domain"]
+        line = dom.get("line") if isinstance(dom, dict) and list(dom) == ["line"] else None
+        if dom != "circle" and not (isinstance(line, list) and len(line) == 2
+                                    and {type(v) for v in line} <= _NUMBER_TYPES):
+            out.append((["domain"], f"{dom!r} is neither \"circle\" nor {{\"line\": [a, b]}}"))
+    if "n" in raw:
+        n = raw["n"]
+        if type(n) is not int:
+            out.append((["n"], f"{n!r} is not of type 'integer'"))
+        elif n < 16:
+            out.append((["n"], f"{n!r} is less than the minimum of 16"))
+    for key in _SAMPLE_ARRAYS:
+        if key in raw and not isinstance(raw[key], list):
+            out.append(([key], f"{raw[key]!r} is not of type 'array'"))
+    return out
 
 
 def _sample_errors(raw) -> list:
@@ -95,16 +94,12 @@ def _floats(raw: dict, key: str) -> np.ndarray:
 
 
 def load_datum_file(path: str) -> SampledFunction:
-    import jsonschema
-
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise DomainError(f"cannot read datum file {path}: {e}")
-    validator = jsonschema.Draft202012Validator(DATUM_SCHEMA)
-    errors = [(list(e.absolute_path), e.message) for e in validator.iter_errors(raw)]
-    errors += _sample_errors(raw)
+    errors = _structure_errors(raw) + _sample_errors(raw)
     if errors:
         where, message = min(errors, key=lambda e: e[0])
         pointer = "/" + "/".join(str(p) for p in where)

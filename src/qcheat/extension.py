@@ -42,6 +42,13 @@ array).  The per-datum part is the FFTs of e^(w - mean w) and of p0, their
 products with the tables and the inverse transforms.  `extend` builds each
 kernel's table once for both spectra; a holomorphy probe builds one plan
 and one stacked ALPHA/BETA table for all of its fields.
+
+Line data are summed in real space by `_LineEngine`: the trapezoid rule
+over the lattice window of half-width 8y at every node, in one vectorised
+pass per level over blocks of x nodes.  The Gaussian and the trapezoid
+weights of a block are computed once and shared by every kernel asked for,
+so `extend` makes one pass over e^w and one over gamma, and `beltrami` one
+pass for ALPHA and BETA together.
 """
 
 from __future__ import annotations
@@ -49,14 +56,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels as kq
 from .data import SampledFunction
 from .errors import CoverageError, DomainError, ResolutionError, SingularDenominatorError
-from .kernels import (ALPHA, BETA, DEFAULT_QUADRATURE, PHI, PHI_SECOND, PSI,
+from .kernels import (ALPHA, BETA, DEFAULT_QUADRATURE, PHI, PHI_SECOND, PSI, SQRT_PI,
                       QuadratureSpec, _V_RATE)
 
 SINGULAR_THRESHOLD = 1e-12
+# absolute rounding floor of a periodic convolution of e^(w - mean w), per
+# unit of its mean modulus: the inverse FFT spreads the rounding of the
+# largest terms over every node (for a circle step of height 20, |den| on
+# the low side lands on multiples of 2^-25, about 0.55 of this floor)
+FFT_ROUNDING_FLOOR = np.finfo(float).eps
 # aliases j of the lattice frequencies k + j*n kept in every multiplier
 ALIASES = (-1, 0, 1)
 
@@ -337,9 +350,27 @@ class _CirclePlan:
         return out / n
 
 
-class _CircleEngine:
+class _Engine:
+    """Single-kernel views of an engine's `convolutions`, which returns
+    two sequences of (ny, nx) arrays, one per kernel asked for."""
+
+    def conv_ew(self, kern) -> np.ndarray:
+        return self.convolutions((kern,), ())[0][0]
+
+    def conv_gamma(self, kern) -> np.ndarray:
+        return self.convolutions((), (kern,))[1][0]
+
+    def conv_both(self, kern):
+        """(conv_ew(kern), conv_gamma(kern))."""
+        on_ew, on_gamma = self.convolutions((kern,), (kern,))
+        return on_ew[0], on_gamma[0]
+
+
+class _CircleEngine(_Engine):
     """Every lattice convolution of one periodic datum, on all levels at
-    once: the FFTs of e^(w - mean w) and of p0, times a plan's tables."""
+    once: the FFTs of e^(w - mean w) and of p0, times a plan's tables.
+    The convolutions against gamma cover its periodic part p0; `scale` and
+    `mhat` carry the linear part, which extend adds in closed form."""
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
         self.plan = _CirclePlan(w, grid, q)
@@ -348,18 +379,22 @@ class _CircleEngine:
         self._fft_ew = np.fft.fft(self.ew)
         self._fft_p0 = np.fft.fft(self.p0)
 
-    def conv_ew(self, kern) -> np.ndarray:
-        return self.plan.apply(self.plan.table(kern)[0], self._fft_ew)
-
-    def conv_gamma(self, kern) -> np.ndarray:
-        """Convolution of the periodic part of gamma; `scale` and `mhat`
-        carry the linear part, which extend adds in closed form."""
-        return self.plan.apply(self.plan.table(kern)[0], self._fft_p0)
-
-    def conv_both(self, kern):
-        """(conv_ew(kern), conv_gamma(kern)) from one table."""
-        spectra = np.stack([self._fft_ew, self._fft_p0])[:, None, :]
-        return tuple(self.plan.apply(self.plan.table(kern)[0], spectra))
+    def convolutions(self, ew_kernels=(), gamma_kernels=()):
+        """The convolutions of e^(w - mean w) against each of `ew_kernels`
+        and of p0 against each of `gamma_kernels`, as two lists of (ny, nx)
+        arrays.  Each kernel's table is built once, applied to every
+        spectrum that asks for it in one pass, and dropped before the next
+        table is built."""
+        asked = (ew_kernels, gamma_kernels)
+        spectra = (self._fft_ew, self._fft_p0)
+        out = ([None] * len(ew_kernels), [None] * len(gamma_kernels))
+        for kern in dict.fromkeys(ew_kernels + gamma_kernels):
+            which = [i for i, kernels in enumerate(asked) if kern in kernels]
+            convs = self.plan.apply(self.plan.table(kern)[0],
+                                    np.stack([spectra[i] for i in which])[:, None, :])
+            for i, conv in zip(which, convs):
+                out[i][asked[i].index(kern)] = conv
+        return out
 
     def gamma_at_nodes(self):
         # the Fourier series of p0 itself: multiplier 1, no aliases
@@ -372,12 +407,27 @@ class _CircleEngine:
         return self.scale * (self.mhat * self.grid.x + p0x)
 
 
-class _LineEngine:
-    """Windowed lattice sums for non-periodic data, level by level; gamma by
-    cumulative trapezoid anchored at the left end (an additive constant,
-    immaterial for the dilatation).  As on the circle, the sums run over the
-    weight recentered by the mean of w, and `scale` = exp(mean w) restores
-    it."""
+# entries of one block of windows in the line engine: each real temporary
+# of a block holds 128 kB, each complex one 256 kB
+_BLOCK_ENTRIES = 2 ** 14
+
+
+class _LineEngine(_Engine):
+    """Windowed lattice sums for non-periodic data; gamma by cumulative
+    trapezoid anchored at the left end (an additive constant, immaterial
+    for the dilatation).  As on the circle, the sums run over the weight
+    recentered by the mean of w, and `scale` = exp(mean w) restores it.
+
+    The trapezoid sum at a node (x, y) runs over the lattice window
+    [j0, j1] of [x - R y, x + R y], with half weights at both ends.  A
+    level is summed in blocks of x nodes: every window of the level is read
+    with the length of the longest, through a sliding view of the
+    zero-padded data, and the entries past a window's own end get weight 0.
+    The Gaussian exp(-s^2) / (sqrt(pi) y) times the weights, s = (x - t)/y,
+    is computed once per block and shared by every kernel asked for; each
+    kernel's polynomial factor is evaluated per entry and its product with
+    the weighted data summed row by row.
+    """
 
     # gamma has no linear part to add in closed form
     mhat = 0.0
@@ -400,30 +450,47 @@ class _LineEngine:
                 missing=(lo, hi),
             )
 
-    def _window_sum(self, data, kern, x, y):
+    def _conv(self, data, *kernels) -> np.ndarray:
+        """The window sums of `data` against each of `kernels` on every
+        grid node, stacked: (len(kernels), ny, nx)."""
+        grid, w = self.grid, self.w
         R = kq.TRUNCATION_RADIUS
-        a = self.w.domain.a
-        h = self.w.h
-        j0 = max(0, int(np.ceil((x - R * y - a) / h - 1e-12)))
-        j1 = min(self.w.n - 1, int(np.floor((x + R * y - a) / h + 1e-12)))
-        t = a + h * np.arange(j0, j1 + 1)
-        kern_vals = kern.evaluator((x - t) / y) / y
-        weights = np.full(t.size, h)
-        weights[0] = weights[-1] = h / 2
-        return np.dot(data[j0:j1 + 1] * weights, kern_vals)
+        a, h, x = w.domain.a, w.h, grid.x
+        out = np.empty((len(kernels), grid.ny, grid.nx), dtype=complex)
+        if not kernels:
+            return out
+        for level, y in enumerate(grid.y_levels):
+            j0 = np.maximum(0, np.ceil((x - R * y - a) / h - 1e-12).astype(int))
+            j1 = np.minimum(w.n - 1, np.floor((x + R * y - a) / h + 1e-12).astype(int))
+            last = j1 - j0  # the offset of each window's last node
+            width = int(last.max()) + 1
+            windows = sliding_window_view(
+                np.concatenate([data, np.zeros(width, dtype=data.dtype)]), width)
+            k = np.arange(width)
+            # offsets from `ragged` on may lie past the end of some window
+            ragged = int(last.min()) + 1
+            rows = max(1, _BLOCK_ENTRIES // width)
+            for i in range(0, grid.nx, rows):
+                block = slice(i, i + rows)
+                start, end = j0[block], last[block]
+                s = (x[block, None] - (a + h * (start[:, None] + k))) / y
+                g = np.exp(-np.square(s))
+                g *= h / (SQRT_PI * y)
+                g[:, 0] *= 0.5
+                # a window of one node keeps its single half weight
+                g[np.arange(end.size), end] *= np.where(end > 0, 0.5, 1.0)
+                g[:, ragged:] *= k[ragged:] <= end[:, None]
+                weighted = windows[start]  # advanced indexing: a copy
+                weighted *= g
+                for m, kern in enumerate(kernels):
+                    out[m, level, block] = (kern.gauss_factor(s) * weighted).sum(axis=1)
+        return out
 
-    def _conv(self, data, kern) -> np.ndarray:
-        return np.array([[self._window_sum(data, kern, x, y) for x in self.grid.x]
-                         for y in self.grid.y_levels])
-
-    def conv_ew(self, kern) -> np.ndarray:
-        return self._conv(self.ew, kern)
-
-    def conv_gamma(self, kern) -> np.ndarray:
-        return self._conv(self.gamma_lattice, kern)
-
-    def conv_both(self, kern):
-        return self.conv_ew(kern), self.conv_gamma(kern)
+    def convolutions(self, ew_kernels=(), gamma_kernels=()):
+        """The window sums of e^(w - mean w) against each of `ew_kernels`
+        and of gamma against each of `gamma_kernels`, one pass per data
+        array, as two (len, ny, nx) stacks."""
+        return self._conv(self.ew, *ew_kernels), self._conv(self.gamma_lattice, *gamma_kernels)
 
     def gamma_at_nodes(self):
         return self.scale * (np.interp(self.grid.x, self.w.x, self.gamma_lattice.real)
@@ -461,17 +528,23 @@ def extend(w: SampledFunction, grid: HalfPlaneGrid,
         s, mhat = eng.scale, eng.mhat
         x = grid.x
         y = grid.y_levels[:, None]
-        # one table per kernel, applied to e^w and to gamma alike; each pair
-        # is rebound at once, so no table or raw convolution outlives its use
-        U_x, U = eng.conv_both(PHI)
-        U_x, U = s * U_x, s * (mhat * x + U)
-        V_x, V = eng.conv_both(PSI)
-        V_x, V = s * V_x, s * (mhat * y + V)
-        vy_check, U_y = eng.conv_both(PHI_SECOND)
-        vy_check, U_y = s * 0.5 * vy_check, (s / y) * 0.5 * U_y
-        V_y = s * (mhat + eng.conv_gamma(_V_RATE) / y)
-        F_zbar = s * eng.conv_ew(ALPHA)
-        F_z = s * eng.conv_ew(BETA)
+        # one pass per data array on the line, one table per kernel on the
+        # circle; every field is scaled in place
+        on_ew, on_gamma = eng.convolutions((PHI, PSI, PHI_SECOND, ALPHA, BETA),
+                                           (PHI, PSI, PHI_SECOND, _V_RATE))
+        U_x, V_x, vy_check, F_zbar, F_z = on_ew
+        U, V, U_y, V_y = on_gamma
+        for f in on_ew:
+            f *= s
+        vy_check *= 0.5
+        U += mhat * x
+        U *= s
+        V += mhat * y
+        V *= s
+        U_y *= (s / y) * 0.5
+        V_y /= y
+        V_y += mhat
+        V_y *= s
         gamma = eng.gamma_at_nodes()
     _require_finite(grid, gamma=gamma, U=U, V=V, U_x=U_x, V_x=V_x, U_y=U_y, V_y=V_y,
                     F_z=F_z, F_zbar=F_zbar, vy_check=vy_check)
@@ -512,22 +585,33 @@ def _local_real_means(w: SampledFunction, grid: HalfPlaneGrid) -> np.ndarray:
 
 
 def _dilatation(grid: HalfPlaneGrid, num: np.ndarray, den: np.ndarray,
-                mag_factor, periodic: bool) -> BeltramiField:
+                mag_factor, floor: float, periodic: bool) -> BeltramiField:
     """mu = num / den with the checks of `beltrami`, computed in place of
-    num; `mag_factor` turns |den| into the recorded denominator magnitude."""
+    num; `mag_factor` turns |den| into the recorded denominator magnitude,
+    and `floor` is the absolute rounding floor of den (0 where none is
+    known)."""
     with np.errstate(all="ignore"):
         mu = np.divide(num, den, out=num)
         denom_mag = np.abs(den)
         denom_mag *= mag_factor
     ys = grid.y_levels
     flat = int(np.argmin(denom_mag))
-    if denom_mag.flat[flat] < SINGULAR_THRESHOLD:
+    smallest = denom_mag.flat[flat]
+    if smallest < SINGULAR_THRESHOLD:
         jj, ii = np.unravel_index(flat, denom_mag.shape)
+        where = f"at (x, y) = ({grid.x[ii]:.6g}, {ys[jj]:.6g})"
+        # the engine cannot tell a magnitude below the threshold from zero
+        # where its rounding floor, recorded the same way, exceeds it
+        noise = floor * float(np.broadcast_to(mag_factor, denom_mag.shape)[jj, ii])
+        if noise >= SINGULAR_THRESHOLD:
+            raise ResolutionError(
+                f"dilatation denominator {smallest:.3e} {where} is below the "
+                f"engine's rounding floor {noise:.3e} (e^w spans too wide a range)")
         raise SingularDenominatorError(
-            f"dilatation denominator {denom_mag.flat[flat]:.3e} below "
-            f"{SINGULAR_THRESHOLD:g} at (x, y) = ({grid.x[ii]:.6g}, {ys[jj]:.6g})",
+            f"dilatation denominator {smallest:.3e} below "
+            f"{SINGULAR_THRESHOLD:g} {where}",
             x=float(grid.x[ii]), y=float(ys[jj]),
-            magnitude=float(denom_mag.flat[flat]),
+            magnitude=float(smallest),
         )
     _require_finite(grid, mu=mu, denom_mag=denom_mag)
     return BeltramiField(grid, mu, denom_mag, periodic=periodic)
@@ -546,9 +630,10 @@ def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec)
             # e^w out of floating range shows as a non-finite field
             with np.errstate(all="ignore"):
                 eng = _LineEngine(w, grid, q)
-                num, den = eng.conv_ew(ALPHA), eng.conv_ew(BETA)
+                num, den = eng.convolutions((ALPHA, BETA))[0]
                 mag_factor = np.exp(eng.wbar.real)  # back to |e^w * beta_y|
-            return _dilatation(grid, num, den, mag_factor, periodic=False)
+            # a window sum rounds relative to its own terms: no global floor
+            return _dilatation(grid, num, den, mag_factor, 0.0, periodic=False)
 
         return line_mu
 
@@ -565,7 +650,8 @@ def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec)
             num, den = (plan.apply(t, spectrum) for t in table)
             wbar_re = float(np.mean(w.values.real))
             mag_factor = np.exp(wbar_re - _local_real_means(w, grid))
-        return _dilatation(grid, num, den, mag_factor, periodic)
+            floor = FFT_ROUNDING_FLOOR * float(np.mean(np.abs(ew)))
+        return _dilatation(grid, num, den, mag_factor, floor, periodic)
 
     return circle_mu
 
@@ -579,8 +665,11 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
     For periodic data the recorded denominator magnitude is the fully
     recentered |beta_y * e^(w - w_I(x,y))|; for line data it is
     |beta_y * e^w| itself.  A magnitude below 1e-12 raises
-    SingularDenominatorError carrying the offending (x, y); a mu or
-    magnitude that is not finite raises ResolutionError.
+    SingularDenominatorError carrying the offending (x, y), unless the
+    periodic engine's rounding floor there (FFT_ROUNDING_FLOOR * mean
+    |e^(w - mean w)|, recorded the same way) is itself at least 1e-12: then
+    the denominator is unresolved, not vanishing, and ResolutionError is
+    raised.  A mu or magnitude that is not finite raises ResolutionError.
     """
     return _dilatation_map(w, grid, q)(w)
 

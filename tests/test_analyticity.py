@@ -155,6 +155,26 @@ def test_probe_failure_names_node(small_grid):
     assert exc.value.node is not None
 
 
+def test_probe_does_not_shrink_epsilon_on_a_resolution_error(monkeypatch, small_grid):
+    # a step of height 20 puts |den| below the engine's rounding floor: a
+    # ResolutionError, which no smaller epsilon can help, so it propagates
+    # from the first field instead of halving epsilon
+    from qcheat import extension
+    calls = []
+    real = extension._dilatation
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(extension, "_dilatation", counted)
+    w0 = qc.lift(qc.step(20.0, 256))
+    w1 = qc.lift(qc.sine(0.1, 1, 256))
+    with pytest.raises(qc.ResolutionError, match="rounding floor"):
+        qc.build_probe(w0, w1, 0.1, 8, small_grid)
+    assert len(calls) == 1
+
+
 def test_integral_type_property_of_hybrid_norm(small_grid, sine_small):
     # trapezoid average of a sampled field family stays below the max hybrid
     A = qc.beltrami(sine_small, small_grid)

@@ -163,6 +163,61 @@ def test_non_number_sample_reports_its_pointer(tmp_path, capsys, key, bad):
     assert f"/{key}/6: {bad!r} is not of type 'number'" in err
 
 
+def _circle16(**changes):
+    datum = {"domain": "circle", "n": 16, "values_re": [0.0] * 16}
+    datum.update(changes)
+    return {k: v for k, v in datum.items() if v is not None}
+
+
+@pytest.mark.parametrize("datum, pointer", [
+    ([0.0] * 16, "/"),                                    # not an object
+    (_circle16(values_re=None), "/"),                     # a required key missing
+    (_circle16(domain=None), "/"),
+    (_circle16(weights=[1.0] * 16), "/"),                 # an extra key
+    (_circle16(domain="disk"), "/domain"),
+    (_circle16(domain={"line": [0.0, 1.0, 2.0]}), "/domain"),
+    (_circle16(domain={"line": [0.0, True]}), "/domain"),
+    (_circle16(domain={"line": [0.0, "1"]}), "/domain"),
+    (_circle16(domain={"line": [0.0, 1.0], "periodic": True}), "/domain"),
+    (_circle16(domain={}), "/domain"),
+    (_circle16(n=15, values_re=[0.0] * 15), "/n"),
+    (_circle16(n=16.0), "/n"),
+    (_circle16(n=True), "/n"),
+    (_circle16(n="16"), "/n"),
+    (_circle16(values_re="0.0"), "/values_re"),
+    (_circle16(values_im={"0": 0.0}), "/values_im"),
+    (_circle16(x=0.5), "/x"),
+    # the first violation by pointer is the one reported
+    (_circle16(n=8, values_re=[0.0] * 3 + ["oops"] + [0.0] * 4), "/n"),
+    (_circle16(values_re=[0.0] * 15 + [None], x=0.5), "/values_re/15"),
+])
+def test_structure_violation_reports_its_pointer(tmp_path, capsys, datum, pointer):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    code = run(["analyze", "--input", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error kind=validation" in err
+    assert f"datum schema violation at {pointer}: " in err
+
+
+def test_loading_a_datum_file_imports_no_jsonschema(tmp_path):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"domain": {"line": [-1.0, 1.0]}, "n": 16,
+                                "values_re": np.linspace(-1, 1, 16).tolist()}))
+    code = (
+        "import sys\n"
+        "from qcheat.cli import load_datum_file\n"
+        "w = load_datum_file(sys.argv[1])\n"
+        "print(w.n, sorted(m for m in sys.modules if m.partition('.')[0] == 'jsonschema'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split() == ["16", "[]"]
+
+
 @pytest.mark.parametrize("bad", [float("inf"), 10 ** 400])
 def test_non_finite_sample_reports_its_pointer(tmp_path, capsys, bad):
     # Infinity, or an integer beyond the float range
@@ -267,6 +322,16 @@ def test_beltrami_out_of_range_line_datum_writes_nothing(tmp_path, capsys, value
     assert _beltrami_of_line_datum(tmp_path, values_re) == 3
     assert "error kind=resolution" in capsys.readouterr().err
     assert not (tmp_path / "o").exists() or not os.listdir(tmp_path / "o")
+
+
+def test_step_below_the_rounding_floor_exits_3_as_resolution(tmp_path, capsys):
+    # reference grid: |den| of a circle step of height 20 reads 0 below the
+    # FFT's rounding floor, which is no vanishing denominator
+    out = tmp_path / "o"
+    assert run(["beltrami", "--builtin", "step:20", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error kind=resolution" in err and "rounding floor" in err
+    assert not out.exists() or not os.listdir(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcheat as qc
 from qcheat.data import Domain, SampledFunction
 from qcheat.extension import _CircleEngine, _cumulative_trapezoid, _LineEngine
-from qcheat.kernels import (_V_RATE, ALPHA, BETA, DEFAULT_QUADRATURE, KERNELS,
-                            TRUNCATION_RADIUS, _periodic_point_sum)
+from qcheat.kernels import (_V_RATE, ALPHA, BETA, DEFAULT_QUADRATURE, KERNELS, PHI,
+                            PHI_SECOND, PSI, TRUNCATION_RADIUS, _periodic_point_sum)
 
 
 def grid_points(grid):
@@ -193,6 +195,15 @@ def test_singular_denominator_carries_location(small_grid):
     assert exc.value.y is not None
 
 
+@pytest.mark.parametrize("height", [20, 200])
+def test_step_below_the_fft_rounding_floor_is_a_resolution_error(height):
+    # e^(w - mean w) is e^height on one half and e^-height on the other: the
+    # inverse FFT rounds every node to about eps * e^height / 2, which swamps
+    # the low half, where |den| reads exactly 0 although it does not vanish
+    with pytest.raises(qc.ResolutionError, match="rounding floor"):
+        qc.beltrami(qc.lift(qc.step(height)), qc.HalfPlaneGrid.build())
+
+
 def test_fd_oracle_needs_fine_levels(sine_small):
     coarse = qc.HalfPlaneGrid(0.0, 1.0, 256, np.array([0.1, 0.4, 1.6]))
     field = qc.extend(sine_small, coarse)
@@ -269,6 +280,99 @@ def test_line_mu_is_invariant_under_a_large_offset():
     w709 = 709.0 + 0.3 * np.sin(x)
     mu709 = qc.beltrami(_line_datum(w709), grid)
     assert np.max(np.abs(mu709.values - qc.beltrami(_line_datum(w709 - 709.0), grid).values)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# line engine against the point-wise real-space window sum
+
+def _window_sum(w, data, kern, x, y):
+    """The trapezoid sum of data * k_y(x - t) over the lattice window of
+    [x - R y, x + R y] at one node, one kernel at a time."""
+    R = TRUNCATION_RADIUS
+    a = w.domain.a
+    h = w.h
+    j0 = max(0, int(np.ceil((x - R * y - a) / h - 1e-12)))
+    j1 = min(w.n - 1, int(np.floor((x + R * y - a) / h + 1e-12)))
+    t = a + h * np.arange(j0, j1 + 1)
+    kern_vals = kern.evaluator((x - t) / y) / y
+    weights = np.full(t.size, h)
+    weights[0] = weights[-1] = h / 2
+    return np.dot(data[j0:j1 + 1] * weights, kern_vals)
+
+
+def _window_sums(w, grid, data, kern):
+    return np.array([[_window_sum(w, data, kern, x, y) for x in grid.x]
+                     for y in grid.y_levels])
+
+
+def _smooth_line(a, b, n, seed, amp=0.3):
+    """Real random trigonometric sum on [a, b] with sup norm amp."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(a, b, n)
+    k = np.arange(1, 7)[:, None] / 3
+    u = rng.standard_normal(6) @ np.cos(k * x) + rng.standard_normal(6) @ np.sin(k * x)
+    return amp * u / np.max(np.abs(u))
+
+
+def _bench_line_case():
+    # data on [-20, 20] with n = 4097 and the benchmark's 256-wide field grid
+    # (hx/h = 0.8, 30.4 samples per window at the bottom level), every 9th level
+    w = _line_datum(_smooth_line(-20.0, 20.0, 4097, 1), span=20.0)
+    levels = qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=256,
+                                    y_min=0.02, y_max=2.0).y_levels
+    return w, qc.HalfPlaneGrid(-1.0, 1.0, 256, levels[::9])
+
+
+def _both_ends_case():
+    # the top windows of the first and the last x node end on the first and
+    # the last lattice node: -1 - 8 * 0.375 = -4 and 0.96875 + 8 * 0.375 = 3.96875
+    w = SampledFunction(Domain.line(-4.0, 3.96875), _smooth_line(-4.0, 3.96875, 1021, 2) + 0j)
+    return w, qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=64, y_min=0.05, y_max=0.375)
+
+
+def _complex_case():
+    values = _smooth_line(-6.0, 6.0, 1537, 3) + 0.5j * _smooth_line(-6.0, 6.0, 1537, 4)
+    w = SampledFunction(Domain.line(-6.0, 6.0), values)
+    return w, qc.HalfPlaneGrid.build(x_min=-0.5, x_max=0.5, nx=64, y_min=0.03, y_max=0.6)
+
+
+LINE_KERNELS = (PHI, PSI, PHI_SECOND, ALPHA, BETA, _V_RATE)
+
+
+@pytest.mark.parametrize("make", [_bench_line_case, _both_ends_case, _complex_case])
+def test_line_engine_matches_the_point_wise_window_sum(make):
+    w, grid = make()
+    eng = _LineEngine(w, grid, DEFAULT_QUADRATURE)
+    assert np.all(np.diff(grid.y_levels) > 0) and grid.ny >= 5
+    for data, stack in zip((eng.ew, eng.gamma_lattice),
+                           eng.convolutions(LINE_KERNELS, LINE_KERNELS)):
+        for kern, got in zip(LINE_KERNELS, stack):
+            want = _window_sums(w, grid, data, kern)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@given(seed=st.integers(0, 2 ** 16), amp=st.floats(0.0, 1.0), imag=st.floats(-0.5, 0.5),
+       offset=st.one_of(st.floats(-3.0, 3.0), st.floats(-700.0, 700.0)),
+       y_max=st.floats(0.1, 0.3), octaves=st.integers(1, 3), place=st.floats(0.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_line_beltrami_is_the_window_sum_ratio_or_a_typed_error(
+        seed, amp, imag, offset, y_max, octaves, place):
+    # data on [-4, 4]; a grid of width 1 whose top windows stay inside it
+    values = (offset + _smooth_line(-4.0, 4.0, 1025, seed, amp)
+              + 1j * _smooth_line(-4.0, 4.0, 1025, seed + 1, abs(imag)))
+    w = SampledFunction(Domain.line(-4.0, 4.0), values)
+    x_min = -4.0 + 8 * y_max + place * (7.0 - 16 * y_max)
+    grid = qc.HalfPlaneGrid.build(x_min=x_min, x_max=x_min + 1.0, nx=64,
+                                  y_min=y_max / 2 ** octaves, y_max=y_max,
+                                  levels_per_octave=2)
+    try:
+        mu = qc.beltrami(w, grid)
+    except qc.QcheatError:
+        return
+    assert np.all(np.isfinite(mu.values)) and np.all(np.isfinite(mu.denom_mag))
+    ew = np.exp(values - np.mean(values))
+    want = _window_sums(w, grid, ew, ALPHA) / _window_sums(w, grid, ew, BETA)
+    assert np.max(np.abs(mu.values - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
