@@ -79,7 +79,8 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
     any other error, a ResolutionError among them (a denominator below the
     engine's rounding floor, say), propagates at once.  Every field, here
     and from the probe's builder, comes from one dilatation map of w0's
-    lattice and `grid`, so the multiplier tables are built once."""
+    lattice and `grid`, so its plan (and on a folding grid the multiplier
+    tables) is built once."""
     if w0.n != w1.n or w0.domain != w1.domain:
         raise DomainError("probe data must share one grid and domain")
     if grid is None:

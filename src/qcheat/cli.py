@@ -5,7 +5,8 @@ contract | baseline.  Reports are JSON (sorted keys), fields are CSV with
 header x,y,re,im (row-major by y level then x, 17 significant digits); all
 files are written atomically (write-then-rename), with mode 0666 less the
 umask.  The one quadrature option, --min-samples, sets the fewest lattice
-nodes a kernel window may hold (a ResolutionError below it).  Exit codes:
+nodes a kernel window may hold on circle data (a ResolutionError below it);
+line data are not held to it.  Exit codes:
 0 success, 2 validation error, 3 numerical failure, each with one
 machine-parsable line on stderr.
 """
@@ -506,7 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--y-max", dest="y_max", type=float, default=4.0)
         p.add_argument("--levels-per-octave", dest="levels_per_octave",
                        type=int, default=8)
-        p.add_argument("--min-samples", dest="min_samples", type=int, default=32)
+        p.add_argument("--min-samples", dest="min_samples", type=int, default=32,
+                       help="fewest lattice nodes a kernel window of half-width 8y "
+                            "may hold, circle data only (>= 32)")
         if name == "probe":
             base = p.add_mutually_exclusive_group()
             base.add_argument("--w0", help="base datum builtin spec; default const:0")

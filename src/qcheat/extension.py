@@ -12,43 +12,33 @@ and the complex derivatives from the fixed kernels Alpha and Beta:
     F_zbar = e^w * alpha_y       F_z = e^w * beta_y
     mu = F_zbar / F_z
 
-For periodic data, gamma splits into a linear part (integrated in closed
-form) plus a periodic part p0 obtained by spectral antiderivative.  Every
-kernel is a combination of heat-kernel derivatives with a closed-form
+Every kernel is a combination of heat-kernel derivatives with a closed-form
 Fourier multiplier (see `kernels`), so by Poisson summation the trapezoid
-lattice sum of periodic samples f against k_y is
+lattice sum of n samples f with period P against k_y is
 
     (1/n) sum_l fft(f)_l sum_j k^((l + j n) y / P) e^(2 pi i (l + j n)(x - a) / P)
 
-over the n lattice frequencies l and their aliases l + j n, where k^ is the
-kernel's multiplier and a the first lattice node.  One batched pass
-computes it on every level at once.  Only the aliases j = -1, 0, 1 are
-kept: the resolution guard (at least 32 lattice nodes in a window of
-half-width 8y) gives y n / P >= 2 at every level, so the first omitted
-term carries the factor exp(-pi^2 (3n/2)^2 y^2 / P^2) < e^(-88).
+over the lattice frequencies l and their aliases l + j n, |j| <= J, where
+k^ is the kernel's multiplier and a the first lattice node.  One spectral
+engine evaluates it for all data: a `_SpectralPlan` holds what the lattice
+and the grid fix, and the datum adds its FFTs, their products with the
+multipliers and the inverse transforms (a holomorphy probe shares one plan
+over all of its fields).
 
-The vertical partials are convolved against p0 and the horizontal ones
-against e^w.  Both go through the same multipliers, and on the lattice
-frequencies p0 is an exact antiderivative of e^w, so the recorded identity
-residuals see only the aliases j = -1, 1 and rounding; the real-space
-check of the engine is the point-wise lattice sum in `kernels`.
+For circle data gamma splits into a linear part (integrated in closed form)
+plus a periodic part p0 obtained by spectral antiderivative; the vertical
+partials are convolved against p0 and the horizontal ones against e^w.  On
+the lattice frequencies p0 is an exact antiderivative of e^w, so the
+recorded identity residuals see only the aliases and rounding.
 
-The multipliers depend on the grid and the data lattice, not on the datum,
-so the periodic engine comes in two parts.  A `_CirclePlan` holds what one
-lattice and one grid fix: the resolution guard, the frequencies, where the
-grid nodes sit, and each kernel's multiplier table (on a grid that folds,
-the aliases and the phase of the first grid node summed into one (ny, n)
-array).  The per-datum part is the FFTs of e^(w - mean w) and of p0, their
-products with the tables and the inverse transforms.  `extend` builds each
-kernel's table once for both spectra; a holomorphy probe builds one plan
-and one stacked ALPHA/BETA table for all of its fields.
-
-Line data are summed in real space by `_LineEngine`: the trapezoid rule
-over the lattice window of half-width 8y at every node, in one vectorised
-pass per level over blocks of x nodes.  The Gaussian and the trapezoid
-weights of a block are computed once and shared by every kernel asked for,
-so `extend` makes one pass over e^w and one over gamma, and `beltrami` one
-pass for ALPHA and BETA together.
+Line data on [a, b] are taken as one period, of length n h, of a periodic
+lattice, and gamma (by cumulative trapezoid) is convolved itself.  The
+coverage check keeps every window of half-width 8y around a grid node
+inside [a, b], so the seam and every translate of the data lie at least
+8y from the node, where the kernels are below e^-64 of their peak: the
+periodised lattice sum is the window sum to rounding.  The real-space
+checks of the engine are the point-wise lattice sum in `kernels` and the
+window sums in the tests.
 """
 
 from __future__ import annotations
@@ -56,22 +46,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels as kq
 from .data import SampledFunction
 from .errors import CoverageError, DomainError, ResolutionError, SingularDenominatorError
-from .kernels import (ALPHA, BETA, DEFAULT_QUADRATURE, PHI, PHI_SECOND, PSI, SQRT_PI,
-                      QuadratureSpec, _V_RATE)
+from .kernels import (ALPHA, BETA, DEFAULT_QUADRATURE, PHI, PHI_SECOND, PSI, QuadratureSpec,
+                      _V_RATE)
 
 SINGULAR_THRESHOLD = 1e-12
-# absolute rounding floor of a periodic convolution of e^(w - mean w), per
+# absolute rounding floor of a spectral convolution of e^(w - mean w), per
 # unit of its mean modulus: the inverse FFT spreads the rounding of the
 # largest terms over every node (for a circle step of height 20, |den| on
 # the low side lands on multiples of 2^-25, about 0.55 of this floor)
 FFT_ROUNDING_FLOOR = np.finfo(float).eps
-# aliases j of the lattice frequencies k + j*n kept in every multiplier
-ALIASES = (-1, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -269,236 +256,250 @@ def gamma_of(w: SampledFunction, x: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# convolution engines
+# convolution engine
 
-class _CirclePlan:
-    """The datum-independent part of the periodic engine, for one data
-    lattice and one grid: the resolution guard, the lattice frequencies,
-    the grid nodes in periods from the first lattice node, and the kernel
-    multiplier tables.
+_SPLIT = 2.0 ** 27 + 1  # Dekker's splitter for doubles
+_CHUNK_ENTRIES = 2 ** 14  # FFT entries per chunk of chirp-z levels: 256 kB
+
+
+def _turns(a, b):
+    """a * b modulo 1, in [-1/2, 1/2], from the error-free product of a and
+    b (Dekker 1971): exact to rounding where a * b reaches 2^40 turns."""
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bl = b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return (p - np.round(p)) + err
+
+
+def _cis(turns):
+    return np.exp(2j * np.pi * turns)
+
+
+def _fast_len(m: int) -> int:
+    """The smallest 5-smooth integer >= m, an FFT length that pocketfft
+    transforms without a Bluestein pass of its own."""
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+class _SpectralPlan:
+    """The datum-independent part of the engine, for one data lattice and
+    one grid.  Circle data must leave `min_samples_per_window` lattice
+    nodes in a window of half-width 8 y_min, line data one; J is the
+    smallest J >= 1 whose first omitted alias carries
+    exp(-pi^2 ((J + 1/2) n y_min / P)^2) < e^-64.
 
     A grid that spans one period with nx dividing n folds the frequencies
     modulo nx: a kernel's table sums its aliases, each with the phase of
-    the first grid node, into one (ny, n) array, and each datum then takes
-    one length-nx inverse FFT per level.  Any other uniform grid keeps one
-    table per alias and sums the Fourier series directly, in chunks of x
-    nodes.
+    the first grid node, into one (ny, n) array, and a datum takes one
+    length-nx inverse FFT per level.  Every other grid takes one chirp-z
+    transform per level (Bluestein): the frequencies f = f0 + m,
+    0 <= m < (2J + 1) n, and the nodes x_rel = x0 + i d (in periods) are
+    uniform, so f x_rel = f x0 + f0 i d + (m^2 + i^2 - (m - i)^2) d / 2 and
+    the sum over m is a convolution with the chirp exp(-pi i d k^2).  The
+    plan holds the pre- and post-chirps and, per chunk of levels, the FFT
+    of the chirp filter over the band of frequencies whose Gaussian factor
+    stays above e^-64 there, every phase reduced modulo 1 by `_turns`.
     """
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
-        n, L = w.n, w.domain.length
-        nodes_at_bottom = 2 * kq.TRUNCATION_RADIUS * grid.y_min * n / L
-        if nodes_at_bottom < q.min_samples_per_window - 1e-9:
+        n, R = w.n, kq.TRUNCATION_RADIUS
+        period = w.domain.length if w.periodic else n * w.h
+        if not w.periodic:
+            y_top = grid.y_levels[-1]
+            lo = grid.x[0] - R * y_top
+            hi = grid.x[-1] + R * y_top
+            if lo < w.domain.a - 1e-12 or hi > w.domain.b + 1e-12:
+                raise CoverageError(
+                    f"grid window [{lo:.6g}, {hi:.6g}] exits data domain "
+                    f"[{w.domain.a:.6g}, {w.domain.b:.6g}] at grid point "
+                    f"x={grid.x[0] if lo < w.domain.a else grid.x[-1]:.6g}, y={y_top:.6g}",
+                    missing=(lo, hi),
+                )
+        # circle data keep the guard; line data need one node, which bounds J
+        need = q.min_samples_per_window if w.periodic else 1
+        nodes_at_bottom = 2 * R * grid.y_min * n / period
+        if nodes_at_bottom < need - 1e-9:
             raise ResolutionError(
                 f"data lattice gives {nodes_at_bottom:.1f} samples per window at "
-                f"y={grid.y_min:g}; need {q.min_samples_per_window} "
+                f"y={grid.y_min:g}; need {need} "
                 f"(refine the datum or raise y_min)"
             )
         self.grid = grid
         self.n = n
-        self.period = L
+        self.period = period
+        self.J = J = max(1, int(np.ceil(8 * period / (np.pi * n * grid.y_min) - 0.5)))
         self.freq = np.fft.fftfreq(n, d=1.0 / n)
         # grid nodes in periods from the first lattice node
-        self.x_rel = (grid.x - w.domain.a) / L
-        self.fold = abs((grid.x_max - grid.x_min) - L) < 1e-12 and n % grid.nx == 0
-        self._aliased = [self.freq + j * n for j in ALIASES]
+        self.x_rel = (grid.x - w.domain.a) / period
+        self.fold = (w.periodic and abs((grid.x_max - grid.x_min) - period) < 1e-12
+                     and n % grid.nx == 0)
+        if self.fold:
+            self._aliased = [self.freq + j * n for j in range(-J, J + 1)]
+            return
+        f0 = -(n // 2) - J * n
+        m = np.arange((2 * J + 1) * n)
+        self._slot = (f0 + m) % n
+        self._f = (f0 + m).astype(float)
+        self._half = half = grid.hx / period / 2  # d / 2, halved before any product
+        m = m.astype(float)
+        self._pre = _cis(_turns(self._f, self.x_rel[0]) + _turns(m * m, half))
+        i = np.arange(grid.nx, dtype=float)
+        self._post = _cis(_turns(f0 * i, 2 * half) + _turns(i * i, half)) / n
+        # chunks of levels, each with the band of frequencies whose Gaussian
+        # factor exp(-pi^2 nu^2) stays above e^-64 at its lowest level
+        self._chunks = []
+        i = 0
+        while i < grid.ny:
+            top = int(8 * period / (np.pi * grid.y_levels[i]))
+            band = self._band(max(0, -top - f0), min(m.size, top - f0 + 1))
+            rows = max(1, _CHUNK_ENTRIES // band[1].size)
+            self._chunks.append((slice(i, i + rows), band))
+            i += rows
 
-    def table(self, *kerns) -> np.ndarray:
-        """The multiplier tables of `kerns`, stacked on the first axis:
-        (len(kerns), ny, n) when folding, else (len(kerns), len(ALIASES),
-        ny, n)."""
+    def _band(self, lo: int, hi: int):
+        """(the slice [lo, hi) of m, the FFT of the chirp filter that sums
+        over it): the filter exp(-pi i d (k - lo)^2) at every k in
+        [lo - hi + 1, nx), on an FFT of 5-smooth length."""
+        nx = self.grid.nx
+        size = _fast_len(hi - lo + nx - 1)
+        k = np.arange(size, dtype=float)
+        k[nx:] -= size
+        k -= lo
+        return slice(lo, hi), np.fft.fft(_cis(-_turns(k * k, self._half)))
+
+    def table(self, *kerns):
+        """What `apply` takes for each of `kerns`: on a folding grid its
+        multiplier table, stacked as (len(kerns), ny, n); otherwise the
+        kernel itself, whose multipliers `apply` evaluates level by level."""
+        if not self.fold:
+            return kerns
         ny, n = self.grid.ny, self.n
         y_per_period = self.grid.y_levels[:, None] / self.period
-        if self.fold:
-            out = np.zeros((len(kerns), ny, n), dtype=complex)
-            for xi in self._aliased:
-                nu = xi * y_per_period
-                phase = np.exp(2j * np.pi * xi * self.x_rel[0])
-                for t, kern in zip(out, kerns):
-                    t += kq.multiplier(kern, nu) * phase
-            return out
-        out = np.empty((len(kerns), len(ALIASES), ny, n), dtype=complex)
-        for a, xi in enumerate(self._aliased):
+        out = np.zeros((len(kerns), ny, n), dtype=complex)
+        for xi in self._aliased:
             nu = xi * y_per_period
-            for k, kern in enumerate(kerns):
-                out[k, a] = kq.multiplier(kern, nu)
+            phase = np.exp(2j * np.pi * xi * self.x_rel[0])
+            for t, kern in zip(out, kerns):
+                t += kq.multiplier(kern, nu) * phase
         return out
 
-    def apply(self, table: np.ndarray, spectra: np.ndarray, aliased=None) -> np.ndarray:
-        """(1/n) * sum over the columns c of table[..., c] * spectra[..., c]
-        * exp(2 pi i xi_c x_rel) at the grid's x nodes, for lattice
-        frequencies xi_c and their aliases; `spectra` holds FFTs of lattice
-        data and broadcasts against the table without its alias axis.  The
-        result has shape (..., rows, nx).  A table that does not fold has
-        one alias row per frequency array in `aliased` (default: all)."""
+    def apply(self, table, spectra: np.ndarray) -> np.ndarray:
+        """(1/n) * sum over the aliased frequencies f of k^(f y / P) *
+        spectra[..., f mod n] * exp(2 pi i f x_rel) at every grid node,
+        for one entry of `table`; `spectra` holds FFTs of lattice data, and
+        the result has shape (..., ny, nx)."""
         n, nx = self.n, self.grid.nx
         if self.fold:
-            acc = np.multiply(table, spectra)
+            acc = np.multiply(table, spectra[..., None, :])
             if n != nx:
                 acc = acc.reshape(acc.shape[:-1] + (n // nx, nx)).sum(axis=-2)
             acc = np.fft.ifft(acc, axis=-1)
             if n != nx:
                 acc *= nx / n
             return acc
-        out = 0
-        chunk = self.grid.ny  # keeps each phase block at (n, ny)
-        for a, xi in enumerate(self._aliased if aliased is None else aliased):
-            T = spectra * table[..., a, :, :]
-            part = [T @ np.exp(2j * np.pi * np.outer(xi, self.x_rel[i:i + chunk]))
-                    for i in range(0, nx, chunk)]
-            out = out + np.concatenate(part, axis=-1)
-        return out / n
+        # the zero frequency is added exactly, so that the chirp-z rounds
+        # relative to the oscillating part of the data
+        weighted = spectra[..., self._slot] * self._pre
+        weighted[..., self.J * n + n // 2] = 0
+        ys = self.grid.y_levels / self.period
+        out = np.empty(spectra.shape[:-1] + (ys.size, nx), dtype=complex)
+        for levels, (band, chirp) in self._chunks:
+            nu = ys[levels, None] * self._f[band]
+            out[..., levels, :] = self._czt(weighted[..., None, band] * kq.multiplier(table, nu),
+                                            chirp)
+        out += (spectra[..., 0, None, None] / n) * kq.multiplier(table, 0.0)
+        return out
+
+    def series(self, spectrum: np.ndarray) -> np.ndarray:
+        """(1/n) * sum over the n lattice frequencies of spectrum * exp(2 pi
+        i f x_rel): the lattice data's own Fourier series at the x nodes."""
+        if self.fold:
+            return self.apply(np.exp(2j * np.pi * self.freq * self.x_rel[0])[None, :],
+                              spectrum)[0]
+        base, chirp = self._band(self.J * self.n, (self.J + 1) * self.n)
+        return self._czt(spectrum[self._slot[base]] * self._pre[base], chirp)
+
+    def _czt(self, a: np.ndarray, chirp: np.ndarray) -> np.ndarray:
+        """The sums over m in a band of a[..., m] exp(2 pi i m i d) at the
+        nodes i, times the post-chirp, for pre-chirped a and the band's
+        chirp filter."""
+        spec = np.fft.fft(a, chirp.size, axis=-1)
+        spec *= chirp
+        return np.fft.ifft(spec, axis=-1)[..., :self.grid.nx] * self._post
 
 
-class _Engine:
-    """Single-kernel views of an engine's `convolutions`, which returns
-    two sequences of (ny, nx) arrays, one per kernel asked for."""
+def _stepwise_fft(p: np.ndarray) -> np.ndarray:
+    """fft(p) from the FFT of the steps p_(l+1) - p_l, (e^(2 pi i f / n) - 1)
+    fft(p)_f, with the fall p_0 - p_(n-1) at the seam added in closed form:
+    for gamma on a line the steps are exact, and the FFT rounds relative
+    to them, not to the range of p."""
+    n = p.size
+    f = np.fft.fftfreq(n, d=1.0 / n)
+    spec = np.fft.fft(np.diff(p, append=p[-1])) + (p[0] - p[-1]) * np.exp(2j * np.pi * f / n)
+    half = np.pi * f / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spec *= np.exp(-1j * half) / (2j * np.sin(half))
+    spec[0] = p.sum()
+    return spec
 
-    def conv_ew(self, kern) -> np.ndarray:
-        return self.convolutions((kern,), ())[0][0]
 
-    def conv_gamma(self, kern) -> np.ndarray:
-        return self.convolutions((), (kern,))[1][0]
-
-    def conv_both(self, kern):
-        """(conv_ew(kern), conv_gamma(kern))."""
-        on_ew, on_gamma = self.convolutions((kern,), (kern,))
-        return on_ew[0], on_gamma[0]
-
-
-class _CircleEngine(_Engine):
-    """Every lattice convolution of one periodic datum, on all levels at
-    once: the FFTs of e^(w - mean w) and of p0, times a plan's tables.
-    The convolutions against gamma cover its periodic part p0; `scale` and
-    `mhat` carry the linear part, which extend adds in closed form."""
+class _SpectralEngine:
+    """Every lattice convolution of one datum, on all levels at once: the
+    FFTs of e^(w - mean w) and of p0, applied through a plan.  For circle
+    data p0 is the periodic part of gamma and `scale` and `mhat` carry the
+    linear part, which extend adds in closed form; for line data p0 is
+    gamma itself, by cumulative trapezoid anchored at the left end (an
+    additive constant, immaterial for the dilatation), and `mhat` = 0."""
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
-        self.plan = _CirclePlan(w, grid, q)
+        self.plan = _SpectralPlan(w, grid, q)
+        self.w = w
         self.grid = grid
-        self.scale, self.mhat, self.ew, self.p0 = _periodic_parts(w)
+        if w.periodic:
+            self.scale, self.mhat, self.ew, self.p0 = _periodic_parts(w)
+            self._fft_p0 = np.fft.fft(self.p0)
+        else:
+            wbar, self.ew = _recentered(w)
+            self.scale, self.mhat = np.exp(wbar), 0.0
+            self.p0, _ = _cumulative_trapezoid(self.ew, w.domain.a, w.h)
+            self._fft_p0 = _stepwise_fft(self.p0)
         self._fft_ew = np.fft.fft(self.ew)
-        self._fft_p0 = np.fft.fft(self.p0)
 
     def convolutions(self, ew_kernels=(), gamma_kernels=()):
         """The convolutions of e^(w - mean w) against each of `ew_kernels`
         and of p0 against each of `gamma_kernels`, as two lists of (ny, nx)
-        arrays.  Each kernel's table is built once, applied to every
-        spectrum that asks for it in one pass, and dropped before the next
-        table is built."""
+        arrays.  Each kernel is applied to every spectrum that asks for it
+        in one pass; on a folding grid its table is built once for them and
+        dropped before the next is built."""
         asked = (ew_kernels, gamma_kernels)
         spectra = (self._fft_ew, self._fft_p0)
         out = ([None] * len(ew_kernels), [None] * len(gamma_kernels))
         for kern in dict.fromkeys(ew_kernels + gamma_kernels):
             which = [i for i, kernels in enumerate(asked) if kern in kernels]
             convs = self.plan.apply(self.plan.table(kern)[0],
-                                    np.stack([spectra[i] for i in which])[:, None, :])
+                                    np.stack([spectra[i] for i in which]))
             for i, conv in zip(which, convs):
                 out[i][asked[i].index(kern)] = conv
         return out
 
     def gamma_at_nodes(self):
-        # the Fourier series of p0 itself: multiplier 1, no aliases
-        plan = self.plan
-        if plan.fold:
-            table = np.exp(2j * np.pi * plan.freq * plan.x_rel[0])[None, :]
-        else:
-            table = np.ones((1, 1, plan.n))
-        p0x = plan.apply(table, self._fft_p0, aliased=[plan.freq])[0]
-        return self.scale * (self.mhat * self.grid.x + p0x)
-
-
-# entries of one block of windows in the line engine: each real temporary
-# of a block holds 128 kB, each complex one 256 kB
-_BLOCK_ENTRIES = 2 ** 14
-
-
-class _LineEngine(_Engine):
-    """Windowed lattice sums for non-periodic data; gamma by cumulative
-    trapezoid anchored at the left end (an additive constant, immaterial
-    for the dilatation).  As on the circle, the sums run over the weight
-    recentered by the mean of w, and `scale` = exp(mean w) restores it.
-
-    The trapezoid sum at a node (x, y) runs over the lattice window
-    [j0, j1] of [x - R y, x + R y], with half weights at both ends.  A
-    level is summed in blocks of x nodes: every window of the level is read
-    with the length of the longest, through a sliding view of the
-    zero-padded data, and the entries past a window's own end get weight 0.
-    The Gaussian exp(-s^2) / (sqrt(pi) y) times the weights, s = (x - t)/y,
-    is computed once per block and shared by every kernel asked for; each
-    kernel's polynomial factor is evaluated per entry and its product with
-    the weighted data summed row by row.
-    """
-
-    # gamma has no linear part to add in closed form
-    mhat = 0.0
-
-    def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
-        self.w = w
-        self.grid = grid
-        self.wbar, self.ew = _recentered(w)
-        self.scale = np.exp(self.wbar)
-        self.gamma_lattice, _ = _cumulative_trapezoid(self.ew, w.domain.a, w.h)
-        y_top = grid.y_levels[-1]
-        R = kq.TRUNCATION_RADIUS
-        lo = grid.x[0] - R * y_top
-        hi = grid.x[-1] + R * y_top
-        if lo < w.domain.a - 1e-12 or hi > w.domain.b + 1e-12:
-            raise CoverageError(
-                f"grid window [{lo:.6g}, {hi:.6g}] exits data domain "
-                f"[{w.domain.a:.6g}, {w.domain.b:.6g}] at grid point "
-                f"x={grid.x[0] if lo < w.domain.a else grid.x[-1]:.6g}, y={y_top:.6g}",
-                missing=(lo, hi),
-            )
-
-    def _conv(self, data, *kernels) -> np.ndarray:
-        """The window sums of `data` against each of `kernels` on every
-        grid node, stacked: (len(kernels), ny, nx)."""
-        grid, w = self.grid, self.w
-        R = kq.TRUNCATION_RADIUS
-        a, h, x = w.domain.a, w.h, grid.x
-        out = np.empty((len(kernels), grid.ny, grid.nx), dtype=complex)
-        if not kernels:
-            return out
-        for level, y in enumerate(grid.y_levels):
-            j0 = np.maximum(0, np.ceil((x - R * y - a) / h - 1e-12).astype(int))
-            j1 = np.minimum(w.n - 1, np.floor((x + R * y - a) / h + 1e-12).astype(int))
-            last = j1 - j0  # the offset of each window's last node
-            width = int(last.max()) + 1
-            windows = sliding_window_view(
-                np.concatenate([data, np.zeros(width, dtype=data.dtype)]), width)
-            k = np.arange(width)
-            # offsets from `ragged` on may lie past the end of some window
-            ragged = int(last.min()) + 1
-            rows = max(1, _BLOCK_ENTRIES // width)
-            for i in range(0, grid.nx, rows):
-                block = slice(i, i + rows)
-                start, end = j0[block], last[block]
-                s = (x[block, None] - (a + h * (start[:, None] + k))) / y
-                g = np.exp(-np.square(s))
-                g *= h / (SQRT_PI * y)
-                g[:, 0] *= 0.5
-                # a window of one node keeps its single half weight
-                g[np.arange(end.size), end] *= np.where(end > 0, 0.5, 1.0)
-                g[:, ragged:] *= k[ragged:] <= end[:, None]
-                weighted = windows[start]  # advanced indexing: a copy
-                weighted *= g
-                for m, kern in enumerate(kernels):
-                    out[m, level, block] = (kern.gauss_factor(s) * weighted).sum(axis=1)
-        return out
-
-    def convolutions(self, ew_kernels=(), gamma_kernels=()):
-        """The window sums of e^(w - mean w) against each of `ew_kernels`
-        and of gamma against each of `gamma_kernels`, one pass per data
-        array, as two (len, ny, nx) stacks."""
-        return self._conv(self.ew, *ew_kernels), self._conv(self.gamma_lattice, *gamma_kernels)
-
-    def gamma_at_nodes(self):
-        return self.scale * (np.interp(self.grid.x, self.w.x, self.gamma_lattice.real)
-                             + 1j * np.interp(self.grid.x, self.w.x, self.gamma_lattice.imag))
-
-
-def _engine(w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
-    return (_CircleEngine if w.periodic else _LineEngine)(w, grid, q)
+        x = self.grid.x
+        if self.w.periodic:
+            return self.scale * (self.mhat * x + self.plan.series(self._fft_p0))
+        t = self.w.x
+        return self.scale * (np.interp(x, t, self.p0.real) + 1j * np.interp(x, t, self.p0.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +525,11 @@ def extend(w: SampledFunction, grid: HalfPlaneGrid,
     that is not finite everywhere raises ResolutionError."""
     # e^w out of floating range shows as a non-finite field, reported below
     with np.errstate(all="ignore"):
-        eng = _engine(w, grid, q)
+        eng = _SpectralEngine(w, grid, q)
         s, mhat = eng.scale, eng.mhat
         x = grid.x
         y = grid.y_levels[:, None]
-        # one pass per data array on the line, one table per kernel on the
-        # circle; every field is scaled in place
+        # each kernel's multipliers serve both spectra; fields scale in place
         on_ew, on_gamma = eng.convolutions((PHI, PSI, PHI_SECOND, ALPHA, BETA),
                                            (PHI, PSI, PHI_SECOND, _V_RATE))
         U_x, V_x, vy_check, F_zbar, F_z = on_ew
@@ -588,8 +588,7 @@ def _dilatation(grid: HalfPlaneGrid, num: np.ndarray, den: np.ndarray,
                 mag_factor, floor: float, periodic: bool) -> BeltramiField:
     """mu = num / den with the checks of `beltrami`, computed in place of
     num; `mag_factor` turns |den| into the recorded denominator magnitude,
-    and `floor` is the absolute rounding floor of den (0 where none is
-    known)."""
+    and `floor` is the absolute rounding floor of den."""
     with np.errstate(all="ignore"):
         mu = np.divide(num, den, out=num)
         denom_mag = np.abs(den)
@@ -620,28 +619,16 @@ def _dilatation(grid: HalfPlaneGrid, num: np.ndarray, den: np.ndarray,
 def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
     """The map w -> beltrami(w, grid, q) for data on the lattice of w0.
 
-    Periodic data share one plan and one stacked ALPHA/BETA table, built
-    here; each datum then costs its own FFT, the products with the two
-    tables and their inverse FFTs.  Line data build a `_LineEngine` per
-    datum.
+    Every datum shares one plan and its ALPHA/BETA entries (on a folding
+    grid the stacked table), built here; each datum then costs its own FFT,
+    the products with the multipliers and the inverse transforms.
     """
-    if not w0.periodic:
-        def line_mu(w: SampledFunction) -> BeltramiField:
-            # e^w out of floating range shows as a non-finite field
-            with np.errstate(all="ignore"):
-                eng = _LineEngine(w, grid, q)
-                num, den = eng.convolutions((ALPHA, BETA))[0]
-                mag_factor = np.exp(eng.wbar.real)  # back to |e^w * beta_y|
-            # a window sum rounds relative to its own terms: no global floor
-            return _dilatation(grid, num, den, mag_factor, 0.0, periodic=False)
-
-        return line_mu
-
-    plan = _CirclePlan(w0, grid, q)
+    plan = _SpectralPlan(w0, grid, q)
     table = plan.table(ALPHA, BETA)
-    periodic = abs((grid.x_max - grid.x_min) - w0.domain.length) < 1e-12
+    periodic = w0.periodic and abs((grid.x_max - grid.x_min) - w0.domain.length) < 1e-12
 
-    def circle_mu(w: SampledFunction) -> BeltramiField:
+    def mu_of(w: SampledFunction) -> BeltramiField:
+        # e^w out of floating range shows as a non-finite field
         with np.errstate(all="ignore"):
             _, ew = _recentered(w)
             spectrum = np.fft.fft(ew)
@@ -649,11 +636,13 @@ def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec)
             # without keeping a stacked (2, ny, nx) array alive per field
             num, den = (plan.apply(t, spectrum) for t in table)
             wbar_re = float(np.mean(w.values.real))
-            mag_factor = np.exp(wbar_re - _local_real_means(w, grid))
+            # circle data: |e^(w - w_I) * beta_y|; line data: |e^w * beta_y|
+            local = _local_real_means(w, grid) if w.periodic else 0.0
+            mag_factor = np.exp(wbar_re - local)
             floor = FFT_ROUNDING_FLOOR * float(np.mean(np.abs(ew)))
         return _dilatation(grid, num, den, mag_factor, floor, periodic)
 
-    return circle_mu
+    return mu_of
 
 
 def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
@@ -666,7 +655,7 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
     recentered |beta_y * e^(w - w_I(x,y))|; for line data it is
     |beta_y * e^w| itself.  A magnitude below 1e-12 raises
     SingularDenominatorError carrying the offending (x, y), unless the
-    periodic engine's rounding floor there (FFT_ROUNDING_FLOOR * mean
+    engine's rounding floor there (FFT_ROUNDING_FLOOR * mean
     |e^(w - mean w)|, recorded the same way) is itself at least 1e-12: then
     the denominator is unresolved, not vanishing, and ResolutionError is
     raised.  A mu or magnitude that is not finite raises ResolutionError.

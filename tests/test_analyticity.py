@@ -222,8 +222,8 @@ def test_cauchy_resolution_check_rebuilds_with_the_probe_quadrature(monkeypatch)
 # one plan per probe
 
 def _plan_case(name):
-    """(w0, w1, grid): the reference grid (folding engine), a grid over part
-    of the period (direct Fourier sums) and line data (the line engine)."""
+    """(w0, w1, grid): the reference grid (it folds), a grid over part of
+    the period and line data (both chirp-z)."""
     if name == "reference":
         n, grid = 2048, qc.HalfPlaneGrid.build()
     elif name == "partial_period":

@@ -306,6 +306,24 @@ def _beltrami_of_line_datum(tmp_path, values_re):
                 "--y-min", "0.25", "--y-max", "0.5"])
 
 
+def test_bench_line_grid_resolves(tmp_path):
+    # line data on [-20, 20] with n = 4097 under the benchmark's 256-wide
+    # line grid: 30.4 samples per window at the bottom level, below the
+    # circle data's guard of 32, which line data do not have
+    x = np.linspace(-20.0, 20.0, 4097)
+    values = 0.3 * np.sin(x / 3) * np.cos(2 * x / 3)
+    grid = qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=256, y_min=0.02, y_max=2.0)
+    mu = qc.beltrami(qc.SampledFunction(qc.Domain.line(-20.0, 20.0), values + 0j), grid)
+    assert np.all(np.isfinite(mu.values)) and np.all(np.isfinite(mu.denom_mag))
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"domain": {"line": [-20, 20]}, "n": 4097,
+                                "values_re": values.tolist()}))
+    out = tmp_path / "o"
+    assert run(["beltrami", "--input", str(path), "--out", str(out), "--nx", "256",
+                "--x-min", "-1", "--x-max", "1", "--y-min", "0.02", "--y-max", "2"]) == 0
+    assert read_json(out / "beltrami.json")["sup_norm"] == pytest.approx(mu.sup_norm, rel=1e-14)
+
+
 def test_beltrami_overflow_exits_3_as_resolution(tmp_path, capsys):
     code = _beltrami_of_line_datum(tmp_path, [800.0] * 1025)
     assert code == 3

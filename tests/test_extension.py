@@ -2,14 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcheat as qc
 from qcheat.data import Domain, SampledFunction
-from qcheat.extension import _CircleEngine, _cumulative_trapezoid, _LineEngine
+from qcheat.extension import _SpectralEngine, _cumulative_trapezoid
 from qcheat.kernels import (_V_RATE, ALPHA, BETA, DEFAULT_QUADRATURE, KERNELS, PHI,
-                            PHI_SECOND, PSI, TRUNCATION_RADIUS, _periodic_point_sum)
+                            PHI_SECOND, PSI, SQRT_PI, TRUNCATION_RADIUS, _periodic_point_sum)
 
 
 def grid_points(grid):
@@ -56,7 +57,7 @@ def test_gamma_of_on_a_shifted_period():
     shifted = SampledFunction(Domain.line(0.5, 1.5, periodic=True), vals)
     unshifted = SampledFunction(Domain.circle(), vals)
     grid = qc.HalfPlaneGrid.build(x_min=0.5, x_max=1.5, nx=n, y_min=1 / 64, y_max=1.0)
-    nodes = _CircleEngine(shifted, grid, DEFAULT_QUADRATURE).gamma_at_nodes()
+    nodes = _SpectralEngine(shifted, grid, DEFAULT_QUADRATURE).gamma_at_nodes()
     for i in (1, 37, 200, 255):
         x = float(grid.x[i])
         got = qc.gamma_of(shifted, x) - qc.gamma_of(shifted, 0.5)
@@ -237,6 +238,15 @@ def test_line_extension_coverage_error():
         qc.extend(w, grid)
 
 
+def test_line_window_without_a_lattice_node_is_a_resolution_error():
+    # line data are not held to the circle's 32 nodes per window, but the
+    # alias count grows as the windows hold fewer, and a window needs one
+    w = SampledFunction(Domain.line(-6.0, 6.0), np.zeros(257) + 0j)
+    grid = qc.HalfPlaneGrid.build(x_min=-0.5, x_max=0.5, nx=64, y_min=1e-3, y_max=0.5)
+    with pytest.raises(qc.ResolutionError, match="need 1 "):
+        qc.beltrami(w, grid)
+
+
 def _assert_line_overflow(values):
     w = SampledFunction(Domain.line(-8.0, 8.0), values + 0j)
     grid = qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=64, y_min=0.25, y_max=0.5)
@@ -264,15 +274,17 @@ def _line_datum(values, span=10.0):
 
 
 def test_line_mu_is_invariant_under_a_large_offset():
-    # the line engine sums e^(w - mean w), as the circle engine does, so its
-    # mu of a datum offset by exactly 720 (e^720 overflows) is mu of the datum
+    # the engine sums e^(w - mean w) for line data as for circle data, so
+    # its mu of a datum offset by exactly 720 (e^720 overflows) is mu of the
+    # datum
     x = np.linspace(-10.0, 10.0, 2049)
     w720 = 720.0 + 0.3 * np.sin(x)
     grid = qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=64, y_min=0.05, y_max=1.0)
     mu = qc.beltrami(_line_datum(w720 - 720.0), grid)  # the subtraction is exact
     with np.errstate(over="ignore"):  # scale = e^720, unused by mu
-        eng = _LineEngine(_line_datum(w720), grid, DEFAULT_QUADRATURE)
-    assert np.max(np.abs(eng.conv_ew(ALPHA) / eng.conv_ew(BETA) - mu.values)) <= 1e-14
+        eng = _SpectralEngine(_line_datum(w720), grid, DEFAULT_QUADRATURE)
+    num, den = eng.convolutions((ALPHA, BETA))[0]
+    assert np.max(np.abs(num / den - mu.values)) <= 1e-14
     # beltrami also records |e^w * beta_y| itself, which overflows there
     with pytest.raises(qc.ResolutionError, match="denom_mag is not finite"):
         qc.beltrami(_line_datum(w720), grid)
@@ -283,7 +295,7 @@ def test_line_mu_is_invariant_under_a_large_offset():
 
 
 # ---------------------------------------------------------------------------
-# line engine against the point-wise real-space window sum
+# the spectral line route against two real-space window sums
 
 def _window_sum(w, data, kern, x, y):
     """The trapezoid sum of data * k_y(x - t) over the lattice window of
@@ -298,6 +310,44 @@ def _window_sum(w, data, kern, x, y):
     weights = np.full(t.size, h)
     weights[0] = weights[-1] = h / 2
     return np.dot(data[j0:j1 + 1] * weights, kern_vals)
+
+
+def _block_window_sums(w, grid, data, kernels, block_entries=2 ** 14):
+    """The same window sums on every node for each of `kernels`, stacked
+    as (len(kernels), ny, nx), one level at a time in blocks of x nodes:
+    every window of a level is read with the length of the longest through
+    a sliding view of the zero-padded data, entries past a window's own end
+    get weight 0, and the Gaussian times the trapezoid weights is computed
+    once per block and shared by every kernel."""
+    R = TRUNCATION_RADIUS
+    a, h, x = w.domain.a, w.h, grid.x
+    out = np.empty((len(kernels), grid.ny, grid.nx), dtype=complex)
+    for level, y in enumerate(grid.y_levels):
+        j0 = np.maximum(0, np.ceil((x - R * y - a) / h - 1e-12).astype(int))
+        j1 = np.minimum(w.n - 1, np.floor((x + R * y - a) / h + 1e-12).astype(int))
+        last = j1 - j0  # the offset of each window's last node
+        width = int(last.max()) + 1
+        windows = sliding_window_view(
+            np.concatenate([data, np.zeros(width, dtype=data.dtype)]), width)
+        k = np.arange(width)
+        # offsets from `ragged` on may lie past the end of some window
+        ragged = int(last.min()) + 1
+        rows = max(1, block_entries // width)
+        for i in range(0, grid.nx, rows):
+            block = slice(i, i + rows)
+            start, end = j0[block], last[block]
+            s = (x[block, None] - (a + h * (start[:, None] + k))) / y
+            g = np.exp(-np.square(s))
+            g *= h / (SQRT_PI * y)
+            g[:, 0] *= 0.5
+            # a window of one node keeps its single half weight
+            g[np.arange(end.size), end] *= np.where(end > 0, 0.5, 1.0)
+            g[:, ragged:] *= k[ragged:] <= end[:, None]
+            weighted = windows[start]  # advanced indexing: a copy
+            weighted *= g
+            for m, kern in enumerate(kernels):
+                out[m, level, block] = (kern.gauss_factor(s) * weighted).sum(axis=1)
+    return out
 
 
 def _window_sums(w, grid, data, kern):
@@ -341,14 +391,71 @@ LINE_KERNELS = (PHI, PSI, PHI_SECOND, ALPHA, BETA, _V_RATE)
 
 @pytest.mark.parametrize("make", [_bench_line_case, _both_ends_case, _complex_case])
 def test_line_engine_matches_the_point_wise_window_sum(make):
+    # line data are one period of length n h on the spectral plan; every
+    # window stays inside [a, b], so the seam is invisible to rounding
     w, grid = make()
-    eng = _LineEngine(w, grid, DEFAULT_QUADRATURE)
+    eng = _SpectralEngine(w, grid, DEFAULT_QUADRATURE)
+    assert not eng.plan.fold
     assert np.all(np.diff(grid.y_levels) > 0) and grid.ny >= 5
-    for data, stack in zip((eng.ew, eng.gamma_lattice),
-                           eng.convolutions(LINE_KERNELS, LINE_KERNELS)):
-        for kern, got in zip(LINE_KERNELS, stack):
+    for data, stack in zip((eng.ew, eng.p0), eng.convolutions(LINE_KERNELS, LINE_KERNELS)):
+        blocks = _block_window_sums(w, grid, data, LINE_KERNELS)
+        for kern, got, block in zip(LINE_KERNELS, stack, blocks):
             want = _window_sums(w, grid, data, kern)
-            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+            bound = 1e-14 * max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= bound
+            assert np.max(np.abs(got - block)) <= bound
+
+
+def _longdouble_window_sum(w, data, kern, x, y):
+    """`_window_sum` in np.longdouble, for data in np.longdouble."""
+    R = TRUNCATION_RADIUS
+    j0 = max(0, int(np.ceil((x - R * y - w.domain.a) / w.h - 1e-12)))
+    j1 = min(w.n - 1, int(np.floor((x + R * y - w.domain.a) / w.h + 1e-12)))
+    a = np.longdouble(w.domain.a)
+    h = (np.longdouble(w.domain.b) - a) / (w.n - 1)
+    t = a + h * np.arange(j0, j1 + 1)
+    y = np.longdouble(y)
+    weights = np.full(t.size, h)
+    weights[0] = weights[-1] = h / 2
+    return np.sum(data[j0:j1 + 1] * weights * kern.evaluator((np.longdouble(x) - t) / y)) / y
+
+
+def _line_extend_errors(w, grid, field, cols):
+    """The largest errors of the line field's V, U_y and V_y at the nodes
+    of the columns `cols` against window sums in np.longdouble, with the
+    weight and gamma computed in np.longdouble too."""
+    vals = w.values.astype(np.clongdouble)
+    wbar = np.mean(vals)
+    ew = np.exp(vals - wbar)
+    h = (np.longdouble(w.domain.b) - np.longdouble(w.domain.a)) / (w.n - 1)
+    gamma = np.concatenate([[0], np.cumsum((ew[1:] + ew[:-1]) * (h / 2))])
+    scale = np.exp(wbar)
+    err = {"V": 0.0, "U_y": 0.0, "V_y": 0.0}
+    for j, y in enumerate(grid.y_levels):
+        for i in cols:
+            conv = {kern: scale * _longdouble_window_sum(w, gamma, kern, grid.x[i], y)
+                    for kern in (PSI, PHI_SECOND, _V_RATE)}
+            want = {"V": conv[PSI], "U_y": conv[PHI_SECOND] / (2 * np.longdouble(y)),
+                    "V_y": conv[_V_RATE] / np.longdouble(y)}
+            for name, v in want.items():
+                err[name] = max(err[name], float(abs(getattr(field, name)[j, i] - v)))
+    return err
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble is no wider than double here")
+def test_line_extend_matches_a_longdouble_window_sum():
+    # V, U_y and V_y convolve gamma (up to ~21 here) against kernels of mean
+    # zero, and U_y and V_y then divide by y down to 0.0186.  At these 105
+    # nodes the real-space window sums in double erred by up to 7.1e-15,
+    # 1.9e-13 and 2.7e-13; the bounds are three times those.
+    w, grid = _bench_line_case()
+    cols = np.linspace(0, grid.nx - 1, 15).astype(int)
+    assert grid.ny * cols.size >= 100
+    err = _line_extend_errors(w, grid, qc.extend(w, grid), cols)
+    assert err["V"] <= 3 * 7.1e-15
+    assert err["U_y"] <= 3 * 1.9e-13
+    assert err["V_y"] <= 3 * 2.7e-13
 
 
 @given(seed=st.integers(0, 2 ** 16), amp=st.floats(0.0, 1.0), imag=st.floats(-0.5, 0.5),
@@ -438,14 +545,15 @@ def test_nonaligned_grid_matches_pointwise(small_grid, sine_small):
     assert np.max(np.abs(mu_c.values - mu.values[:, ::4])) <= 1e-12
 
 
-# one-period grids (aligned, shifted, coarse, off the lattice) and a grid
-# covering part of a period
+# one-period grids that fold (aligned, shifted, coarse) and that do not
+# (off the lattice, nx not dividing n), and a grid covering part of a period
 ENGINE_GRIDS = {
     "aligned": (0.0, 1.0, 256),
     "shifted": (0.25, 1.25, 256),
     "coarse": (0.0, 1.0, 64),
     "off_lattice": (0.013, 1.013, 100),
     "partial_period": (0.1, 0.6, 80),
+    "nx_not_dividing_n": (0.0, 1.0, 200),
 }
 
 
@@ -457,9 +565,10 @@ def test_spectral_engine_matches_real_space_lattice_sum(name):
     w = qc.constant(0.0, 256).with_values(u + 0.5j * qc.random_trig(5, 0.3, 11, 256).values)
     x_min, x_max, nx = ENGINE_GRIDS[name]
     grid = qc.HalfPlaneGrid(x_min, x_max, nx, np.array([1 / 64, 0.2, 2.0]))
-    eng = _CircleEngine(w, grid, DEFAULT_QUADRATURE)
-    for k in list(KERNELS.values()) + [_V_RATE]:
-        for data, got in ((eng.ew, eng.conv_ew(k)), (eng.p0, eng.conv_gamma(k))):
+    eng = _SpectralEngine(w, grid, DEFAULT_QUADRATURE)
+    kernels = tuple(KERNELS.values()) + (_V_RATE,)
+    for k, conv_ew, conv_p0 in zip(kernels, *eng.convolutions(kernels, kernels)):
+        for data, got in ((eng.ew, conv_ew), (eng.p0, conv_p0)):
             want = np.array([[_periodic_point_sum(w, k, x, y, TRUNCATION_RADIUS, data)
                               for x in grid.x] for y in grid.y_levels])
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
