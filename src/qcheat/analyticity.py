@@ -135,8 +135,9 @@ def _contour_average(p: HolomorphyProbe, weight_fn) -> np.ndarray:
     discretization of a contour integral with d(tau) = 2*pi*i*tau/n."""
     taus = p.contour_nodes
     acc = np.zeros_like(p.fields[0].values)
+    term = np.empty_like(acc)
     for tau, f in zip(taus, p.contour_fields):
-        acc = acc + f.values * weight_fn(tau)
+        acc += np.multiply(f.values, weight_fn(tau), out=term)
     return acc / taus.size
 
 

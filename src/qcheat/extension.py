@@ -23,7 +23,8 @@ k^ is the kernel's multiplier and a the first lattice node.  One spectral
 engine evaluates it for all data: a `_SpectralPlan` holds what the lattice
 and the grid fix, and the datum adds its FFTs, their products with the
 multipliers and the inverse transforms (a holomorphy probe shares one plan
-over all of its fields).
+over all of its fields).  Both of the plan's routes follow one band rule: a
+level sums only the aliases whose Gaussian factor it leaves above e^-64.
 
 For circle data gamma splits into a linear part (integrated in closed form)
 plus a periodic part p0 obtained by spectral antiderivative; the vertical
@@ -300,17 +301,19 @@ class _SpectralPlan:
     smallest J >= 1 whose first omitted alias carries
     exp(-pi^2 ((J + 1/2) n y_min / P)^2) < e^-64.
 
-    A grid that spans one period with nx dividing n folds the frequencies
-    modulo nx: a kernel's table sums its aliases, each with the phase of
-    the first grid node, into one (ny, n) array, and a datum takes one
-    length-nx inverse FFT per level.  Every other grid takes one chirp-z
-    transform per level (Bluestein): the frequencies f = f0 + m,
-    0 <= m < (2J + 1) n, and the nodes x_rel = x0 + i d (in periods) are
-    uniform, so f x_rel = f x0 + f0 i d + (m^2 + i^2 - (m - i)^2) d / 2 and
-    the sum over m is a convolution with the chirp exp(-pi i d k^2).  The
-    plan holds the pre- and post-chirps and, per chunk of levels, the FFT
-    of the chirp filter over the band of frequencies whose Gaussian factor
-    stays above e^-64 there, every phase reduced modulo 1 by `_turns`.
+    The aliased frequencies f = f0 + m, 0 <= m < (2J + 1) n, are
+    contiguous, and both routes sum, per chunk of levels, only the band of
+    them whose Gaussian factor stays above e^-64 at the chunk's lowest
+    level.  A grid that spans one period with nx dividing n folds the
+    frequencies modulo nx: a kernel's table adds its band's multipliers,
+    each with the phase of the first grid node, into the n slots f mod n of
+    one (ny, n) array, and a datum takes one length-nx inverse FFT per
+    level.  Every other grid takes one chirp-z transform per level
+    (Bluestein): the nodes x_rel = x0 + i d (in periods) are uniform, so
+    f x_rel = f x0 + f0 i d + (m^2 + i^2 - (m - i)^2) d / 2 and the sum
+    over m is a convolution with the chirp exp(-pi i d k^2).  The plan
+    holds the pre- and post-chirps and, per chunk, the FFT of the chirp
+    filter over the band, every phase reduced modulo 1 by `_turns`.
     """
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
@@ -345,54 +348,69 @@ class _SpectralPlan:
         self.x_rel = (grid.x - w.domain.a) / period
         self.fold = (w.periodic and abs((grid.x_max - grid.x_min) - period) < 1e-12
                      and n % grid.nx == 0)
-        if self.fold:
-            self._aliased = [self.freq + j * n for j in range(-J, J + 1)]
-            return
-        f0 = -(n // 2) - J * n
+        # the aliased frequencies f = f0 + m, 0 <= m < (2J + 1) n, ascending
+        self._f0 = f0 = -(n // 2) - J * n
         m = np.arange((2 * J + 1) * n)
-        self._slot = (f0 + m) % n
         self._f = (f0 + m).astype(float)
-        self._half = half = grid.hx / period / 2  # d / 2, halved before any product
-        m = m.astype(float)
-        self._pre = _cis(_turns(self._f, self.x_rel[0]) + _turns(m * m, half))
-        i = np.arange(grid.nx, dtype=float)
-        self._post = _cis(_turns(f0 * i, 2 * half) + _turns(i * i, half)) / n
-        # chunks of levels, each with the band of frequencies whose Gaussian
-        # factor exp(-pi^2 nu^2) stays above e^-64 at its lowest level
+        if not self.fold:
+            self._slot = (f0 + m) % n
+            self._half = half = grid.hx / period / 2  # d / 2, halved before any product
+            m = m.astype(float)
+            self._pre = _cis(_turns(self._f, self.x_rel[0]) + _turns(m * m, half))
+            i = np.arange(grid.nx, dtype=float)
+            self._post = _cis(_turns(f0 * i, 2 * half) + _turns(i * i, half)) / n
+        # chunks of levels, each with the band of m whose Gaussian factor
+        # exp(-pi^2 nu^2) stays above e^-64 at its lowest level and, off a
+        # folding grid, the FFT of the band's chirp filter; a chunk holds
+        # about _CHUNK_ENTRIES table entries or chirp-z FFT entries
         self._chunks = []
         i = 0
         while i < grid.ny:
             top = int(8 * period / (np.pi * grid.y_levels[i]))
-            band = self._band(max(0, -top - f0), min(m.size, top - f0 + 1))
-            rows = max(1, _CHUNK_ENTRIES // band[1].size)
-            self._chunks.append((slice(i, i + rows), band))
+            band = slice(max(0, -top - f0), min(self._f.size, top - f0 + 1))
+            chirp = None if self.fold else self._chirp(band)
+            rows = max(1, _CHUNK_ENTRIES // (band.stop - band.start if self.fold else chirp.size))
+            self._chunks.append((slice(i, i + rows), band, chirp))
             i += rows
 
-    def _band(self, lo: int, hi: int):
-        """(the slice [lo, hi) of m, the FFT of the chirp filter that sums
-        over it): the filter exp(-pi i d (k - lo)^2) at every k in
-        [lo - hi + 1, nx), on an FFT of 5-smooth length."""
+    def _chirp(self, band: slice) -> np.ndarray:
+        """The FFT of the chirp filter that sums over the band [lo, hi) of
+        m: the filter exp(-pi i d (k - lo)^2) at every k in [lo - hi + 1,
+        nx), on an FFT of 5-smooth length."""
         nx = self.grid.nx
-        size = _fast_len(hi - lo + nx - 1)
+        size = _fast_len(band.stop - band.start + nx - 1)
         k = np.arange(size, dtype=float)
         k[nx:] -= size
-        k -= lo
-        return slice(lo, hi), np.fft.fft(_cis(-_turns(k * k, self._half)))
+        k -= band.start
+        return np.fft.fft(_cis(-_turns(k * k, self._half)))
 
     def table(self, *kerns):
         """What `apply` takes for each of `kerns`: on a folding grid its
         multiplier table, stacked as (len(kerns), ny, n); otherwise the
-        kernel itself, whose multipliers `apply` evaluates level by level."""
+        kernel itself, whose multipliers `apply` evaluates level by level.
+
+        A table entry sums the multipliers of the aliases f of its lattice
+        frequency, each with the phase of the first grid node, in ascending
+        f; a level takes only the aliases in its chunk's band.  The band's
+        frequencies are contiguous, so they fall into the slots f mod n in
+        runs that end where f crosses a multiple of n."""
         if not self.fold:
             return kerns
-        ny, n = self.grid.ny, self.n
-        y_per_period = self.grid.y_levels[:, None] / self.period
-        out = np.zeros((len(kerns), ny, n), dtype=complex)
-        for xi in self._aliased:
-            nu = xi * y_per_period
-            phase = np.exp(2j * np.pi * xi * self.x_rel[0])
+        n, ys = self.n, self.grid.y_levels / self.period
+        out = np.zeros((len(kerns), self.grid.ny, n), dtype=complex)
+        for levels, band, _ in self._chunks:
+            f = self._f[band]
+            phase = np.exp(2j * np.pi * f * self.x_rel[0])
+            nu = ys[levels, None] * f
             for t, kern in zip(out, kerns):
-                t += kq.multiplier(kern, nu) * phase
+                mult = kq.multiplier(kern, nu)
+                mult *= phase
+                lo = band.start
+                while lo < band.stop:
+                    slot = (self._f0 + lo) % n
+                    hi = min(band.stop, lo + n - slot)
+                    t[levels, slot:slot + hi - lo] += mult[:, lo - band.start:hi - band.start]
+                    lo = hi
         return out
 
     def apply(self, table, spectra: np.ndarray) -> np.ndarray:
@@ -415,7 +433,7 @@ class _SpectralPlan:
         weighted[..., self.J * n + n // 2] = 0
         ys = self.grid.y_levels / self.period
         out = np.empty(spectra.shape[:-1] + (ys.size, nx), dtype=complex)
-        for levels, (band, chirp) in self._chunks:
+        for levels, band, chirp in self._chunks:
             nu = ys[levels, None] * self._f[band]
             out[..., levels, :] = self._czt(weighted[..., None, band] * kq.multiplier(table, nu),
                                             chirp)
@@ -428,8 +446,8 @@ class _SpectralPlan:
         if self.fold:
             return self.apply(np.exp(2j * np.pi * self.freq * self.x_rel[0])[None, :],
                               spectrum)[0]
-        base, chirp = self._band(self.J * self.n, (self.J + 1) * self.n)
-        return self._czt(spectrum[self._slot[base]] * self._pre[base], chirp)
+        base = slice(self.J * self.n, (self.J + 1) * self.n)
+        return self._czt(spectrum[self._slot[base]] * self._pre[base], self._chirp(base))
 
     def _czt(self, a: np.ndarray, chirp: np.ndarray) -> np.ndarray:
         """The sums over m in a band of a[..., m] exp(2 pi i m i d) at the
@@ -557,31 +575,45 @@ def extend(w: SampledFunction, grid: HalfPlaneGrid,
                           F_z, F_zbar, residuals)
 
 
-def _local_real_means(w: SampledFunction, grid: HalfPlaneGrid) -> np.ndarray:
-    """Mean of Re w over I(x, y) = (x-y, x+y) at every grid point (periodic
-    data only; used to report the recentered denominator magnitude).  Grids
-    whose x nodes are not the lattice nodes get the global mean."""
-    n = w.n
-    u = w.values.real
-    h = w.domain.length / n
-    global_mean = float(np.mean(u))
-    offset = (grid.x_min - w.domain.a) / h
-    if (grid.nx != n or abs((grid.x_max - grid.x_min) - w.domain.length) >= 1e-12
+def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
+    """The map u -> e^(mean u - mean of u over I(x, y) = (x - y, x + y)) at
+    the grid points, for real data u on the lattice of periodic w0: the
+    factor that turns |e^(w - mean w) * beta_y| into the recorded magnitude
+    |e^(w - w_I) * beta_y|, u = Re w.  The windows are fixed here; a datum
+    costs one cumulative sum, read in contiguous slices on the levels whose
+    window is shorter than the period.  On every other level, and on every
+    level of a grid whose x nodes are not the lattice nodes, w_I is the
+    global mean and the factor is exactly 1."""
+    n = w0.n
+    h = w0.domain.length / n
+    offset = (grid.x_min - w0.domain.a) / h
+    if (grid.nx != n or abs((grid.x_max - grid.x_min) - w0.domain.length) >= 1e-12
             or abs(offset - round(offset)) >= 1e-9):
-        return np.full((grid.ny, grid.nx), global_mean)
+        half_widths = []
+    else:
+        # the lowest levels: m grows with y
+        half_widths = [int(m) for m in np.floor(grid.y_levels / h) if 2 * m + 1 < n]
     shift = int(round(offset)) % n
-    out = np.empty((grid.ny, grid.nx))
-    base = np.roll(u, -shift)
-    csum = np.concatenate([[0.0], np.cumsum(np.tile(base, 3))])
-    for j, y in enumerate(grid.y_levels):
-        m = int(np.floor(y / h))
-        if 2 * m + 1 >= n:
-            out[j] = global_mean  # window covers the whole period
-            continue
-        width = 2 * m + 1
-        i = np.arange(grid.nx) + n  # center copy
-        out[j] = (csum[i + m + 1] - csum[i - m]) / width
-    return out
+
+    def factor(u: np.ndarray) -> np.ndarray:
+        # a full-size array, although only the window levels need one: with
+        # a (levels, nx) array instead, each field of a probe left a hole in
+        # the glibc heap (+30 MB of peak RSS over 21 reference-grid fields)
+        out = np.ones((grid.ny, grid.nx))
+        if half_widths:
+            # the window of grid node i, lattice node i + shift, read in the
+            # middle of three periods from a cumulative sum with a leading 0
+            csum = np.concatenate([[0.0], np.cumsum(np.tile(np.roll(u, -shift), 3))])
+            for row, m in zip(out, half_widths):
+                np.subtract(csum[n + m + 1:n + m + 1 + grid.nx], csum[n - m:n - m + grid.nx],
+                            out=row)
+                row /= 2 * m + 1
+            local = out[:len(half_widths)]
+            np.subtract(float(np.mean(u)), local, out=local)
+            np.exp(local, out=local)
+        return out
+
+    return factor
 
 
 def _dilatation(grid: HalfPlaneGrid, num: np.ndarray, den: np.ndarray,
@@ -619,13 +651,16 @@ def _dilatation(grid: HalfPlaneGrid, num: np.ndarray, den: np.ndarray,
 def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
     """The map w -> beltrami(w, grid, q) for data on the lattice of w0.
 
-    Every datum shares one plan and its ALPHA/BETA entries (on a folding
-    grid the stacked table), built here; each datum then costs its own FFT,
-    the products with the multipliers and the inverse transforms.
+    Every datum shares what the grid fixes, built here: one plan and its
+    ALPHA/BETA entries (on a folding grid the stacked table) and, for
+    circle data, the windows of the local means of Re w; each datum then
+    costs its own FFT, the products with the multipliers, the inverse
+    transforms and one cumulative sum of Re w.
     """
     plan = _SpectralPlan(w0, grid, q)
     table = plan.table(ALPHA, BETA)
     periodic = w0.periodic and abs((grid.x_max - grid.x_min) - w0.domain.length) < 1e-12
+    circle_factor = _magnitude_factor(w0, grid) if w0.periodic else None
 
     def mu_of(w: SampledFunction) -> BeltramiField:
         # e^w out of floating range shows as a non-finite field
@@ -635,10 +670,9 @@ def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec)
             # one kernel at a time, so mu can take the numerator's place
             # without keeping a stacked (2, ny, nx) array alive per field
             num, den = (plan.apply(t, spectrum) for t in table)
-            wbar_re = float(np.mean(w.values.real))
             # circle data: |e^(w - w_I) * beta_y|; line data: |e^w * beta_y|
-            local = _local_real_means(w, grid) if w.periodic else 0.0
-            mag_factor = np.exp(wbar_re - local)
+            u = w.values.real
+            mag_factor = circle_factor(u) if circle_factor else np.exp(float(np.mean(u)))
             floor = FFT_ROUNDING_FLOOR * float(np.mean(np.abs(ew)))
         return _dilatation(grid, num, den, mag_factor, floor, periodic)
 

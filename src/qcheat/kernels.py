@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .data import SampledFunction
 from .errors import CoverageError, DomainError
@@ -139,6 +138,15 @@ def scale(k: Kernel, y: float, t) -> complex | np.ndarray:
     return eval_kernel(k, np.asarray(t, dtype=float) / y) / y
 
 
+def _horner(z: np.ndarray, coeffs) -> np.ndarray:
+    """sum_m coeffs[m] z^m by Horner's rule, in numpy polyval's order of
+    operations (so with its rounding)."""
+    acc = coeffs[-1] + z * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * z
+    return acc
+
+
 def multiplier(k: Kernel, nu) -> np.ndarray:
     """Fourier transform of k at frequency nu, the integral of
     k(s) exp(-2 pi i nu s) ds: exp(eta^2/4) * sum_m c_m eta^m with
@@ -148,8 +156,8 @@ def multiplier(k: Kernel, nu) -> np.ndarray:
     coeffs = dict(k.derivatives)
     d = [coeffs.get(m, 0.0) * 1j ** m for m in range(max(coeffs) + 1)]
     out = np.empty(z.shape, dtype=complex)
-    out.real = gauss * polyval(z, [c.real for c in d])
-    out.imag = gauss * polyval(z, [c.imag for c in d])
+    out.real = gauss * _horner(z, [c.real for c in d])
+    out.imag = gauss * _horner(z, [c.imag for c in d])
     return out
 
 

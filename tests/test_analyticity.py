@@ -102,6 +102,16 @@ def test_cauchy_error_decreases_with_contour_size(sine_probe):
     assert err_fine <= err_coarse + 1e-14
 
 
+def test_contour_average_accumulates_like_the_plain_sum(sine_probe):
+    # the in-place accumulation adds the same terms in the same order
+    _, p = sine_probe
+    for zeta0 in (0.0, 0.003 - 0.001j):
+        want = np.zeros_like(p.fields[0].values)
+        for tau, f in zip(p.contour_nodes, p.contour_fields):
+            want = want + f.values * (tau / (tau - zeta0) ** 2)
+        assert np.array_equal(qc.contour_derivative(p, zeta0), want / p.contour_nodes.size)
+
+
 def test_quotient_convergence_is_linear(sine_probe):
     _, p = sine_probe
     steps = [0.01, 0.005, 0.0025]

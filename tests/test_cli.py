@@ -474,3 +474,18 @@ def test_cli_import_loads_no_scipy():
     assert loaded == "[]"
     assert complex(value) == qc.convolve(qc.sine(0.3, 1, 64), qc.BETA, 0.25, 0.01)
     assert spline == "True"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # the multipliers evaluate their polynomials inline; numpy loads
+    # numpy.polynomial lazily, for the Gauss-Hermite check only
+    code = (
+        "import sys\n"
+        "import qcheat.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "[]"

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import qcheat as qc
 from qcheat.data import Domain, SampledFunction
-from qcheat.extension import _SpectralEngine, _cumulative_trapezoid
+from qcheat import kernels as kq
+from qcheat.extension import _SpectralEngine, _SpectralPlan, _cumulative_trapezoid
 from qcheat.kernels import (_V_RATE, ALPHA, BETA, DEFAULT_QUADRATURE, KERNELS, PHI,
                             PHI_SECOND, PSI, SQRT_PI, TRUNCATION_RADIUS, _periodic_point_sum)
 
@@ -572,3 +573,125 @@ def test_spectral_engine_matches_real_space_lattice_sum(name):
             want = np.array([[_periodic_point_sum(w, k, x, y, TRUNCATION_RADIUS, data)
                               for x in grid.x] for y in grid.y_levels])
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+# ---------------------------------------------------------------------------
+# the banded folding tables against every alias
+
+def _alias_table(plan, *kerns):
+    """The folding route's tables summed alias by alias, every alias
+    |j| <= J on every level: the oracle for the banded `_SpectralPlan.table`."""
+    if not plan.fold:
+        return kerns
+    n = plan.n
+    y_per_period = plan.grid.y_levels[:, None] / plan.period
+    out = np.zeros((len(kerns), plan.grid.ny, n), dtype=complex)
+    for j in range(-plan.J, plan.J + 1):
+        xi = plan.freq + j * n
+        nu = xi * y_per_period
+        phase = np.exp(2j * np.pi * xi * plan.x_rel[0])
+        for t, kern in zip(out, kerns):
+            t += kq.multiplier(kern, nu) * phase
+    return out
+
+
+def _edge_size(kern):
+    """sum |c_m| 16^m: where 2 pi |nu| = |z| > 16 the Gaussian factor
+    exp(-z^2/4) is below e^-64 and falls faster than |z|^m grows, so
+    |k^(nu)| < e^-64 times this."""
+    return sum(abs(c) * 16.0 ** m for m, c in kern.derivatives)
+
+
+FOLDING_GRIDS = {name: ENGINE_GRIDS[name] for name in ("aligned", "shifted", "coarse")}
+FOLDING_GRIDS["coarse_shifted"] = (0.5, 1.5, 128)  # nx | n, nx < n, off x = 0
+
+
+def _folding_case(name, small_grid):
+    if name == "reference":
+        return qc.random_trig(8, 0.4, 3, 2048), qc.HalfPlaneGrid.build()
+    u = qc.random_trig(8, 0.4, 3, 256).values
+    w = qc.constant(0.0, 256).with_values(u + 0.5j * qc.random_trig(5, 0.3, 11, 256).values)
+    x_min, x_max, nx = FOLDING_GRIDS[name]
+    return w, qc.HalfPlaneGrid(x_min, x_max, nx, small_grid.y_levels)
+
+
+@pytest.mark.parametrize("name", ["reference", *FOLDING_GRIDS])
+def test_banded_tables_drop_only_entries_below_e64(name, small_grid):
+    # every alias outside a level's band has a Gaussian factor below e^-64,
+    # so an entry moves by less than e^-64 times the kernel's polynomial at
+    # the band edge (e.g. 69 for BETA, 2.1e3 for _V_RATE)
+    w, grid = _folding_case(name, small_grid)
+    plan = _SpectralPlan(w, grid, DEFAULT_QUADRATURE)
+    assert plan.fold
+    kernels = tuple(KERNELS.values()) + (_V_RATE,)
+    for kern, got, want in zip(kernels, plan.table(*kernels), _alias_table(plan, *kernels)):
+        assert np.max(np.abs(got - want)) < np.exp(-64.0) * _edge_size(kern)
+    # the bands hold a small share of the (2J + 1) n aliases of each level
+    evaluated = sum((band.stop - band.start) * len(range(grid.ny)[levels])
+                    for levels, band, _ in plan._chunks)
+    assert evaluated <= 0.5 * grid.ny * (2 * plan.J + 1) * plan.n
+
+
+@pytest.mark.parametrize("name", FOLDING_GRIDS)
+def test_banded_tables_give_the_alias_table_fields(name, small_grid, monkeypatch):
+    w, grid = _folding_case(name, small_grid)
+    mu, field = qc.beltrami(w, grid), qc.extend(w, grid)
+    monkeypatch.setattr(_SpectralPlan, "table", _alias_table)
+    want_mu, want_field = qc.beltrami(w, grid), qc.extend(w, grid)
+    pairs = [(mu.values, want_mu.values)] + [
+        (getattr(field, k), getattr(want_field, k))
+        for k in ("gamma", "U", "V", "U_x", "V_x", "U_y", "V_y", "F_z", "F_zbar")]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+    assert np.array_equal(mu.denom_mag, want_mu.denom_mag)
+
+
+# ---------------------------------------------------------------------------
+# the recorded denominator magnitude against per-level window means
+
+def _local_real_means(w, grid):
+    """Mean of Re w over I(x, y) = (x-y, x+y) at every grid point, one level
+    at a time (periodic data); grids whose x nodes are not the lattice nodes
+    get the global mean, and so do levels whose window covers the period."""
+    n = w.n
+    u = w.values.real
+    h = w.domain.length / n
+    global_mean = float(np.mean(u))
+    offset = (grid.x_min - w.domain.a) / h
+    if (grid.nx != n or abs((grid.x_max - grid.x_min) - w.domain.length) >= 1e-12
+            or abs(offset - round(offset)) >= 1e-9):
+        return np.full((grid.ny, grid.nx), global_mean)
+    shift = int(round(offset)) % n
+    out = np.empty((grid.ny, grid.nx))
+    csum = np.concatenate([[0.0], np.cumsum(np.tile(np.roll(u, -shift), 3))])
+    for j, y in enumerate(grid.y_levels):
+        m = int(np.floor(y / h))
+        if 2 * m + 1 >= n:
+            out[j] = global_mean
+            continue
+        i = np.arange(grid.nx) + n  # center copy
+        out[j] = (csum[i + m + 1] - csum[i - m]) / (2 * m + 1)
+    return out
+
+
+@pytest.mark.parametrize("name", ["reference", "shifted", "upper_windows_cover", "off_lattice"])
+def test_denom_mag_is_the_per_level_window_mean_magnitude(name, small_grid):
+    w = qc.random_trig(8, 0.4, 3, 256)
+    w = w.with_values(w.values + 0.3j * qc.sine(1.0, 2, 256).values)
+    if name == "reference":
+        w, grid = qc.sawtooth(0.5, 2048), qc.HalfPlaneGrid.build()
+    elif name == "upper_windows_cover":
+        # windows from y = 1/2 on hold all 256 lattice nodes
+        grid = qc.HalfPlaneGrid.build(nx=256, y_min=1 / 8, y_max=4.0)
+        assert np.sum(2 * np.floor(grid.y_levels * 256) + 1 >= 256) >= grid.ny // 2
+    else:
+        x_min, x_max, nx = ENGINE_GRIDS[name]
+        grid = qc.HalfPlaneGrid(x_min, x_max, nx, small_grid.y_levels)
+    plan = _SpectralPlan(w, grid, DEFAULT_QUADRATURE)
+    den = plan.apply(plan.table(BETA)[0], np.fft.fft(np.exp(w.values - np.mean(w.values))))
+    local = _local_real_means(w, grid)
+    want = np.abs(den) * np.exp(float(np.mean(w.values.real)) - local)
+    assert np.array_equal(qc.beltrami(w, grid).denom_mag, want)
+    # the local means differ from the global one where they apply
+    assert (name == "off_lattice") == bool(np.all(local == np.mean(w.values.real)))
+

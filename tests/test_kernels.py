@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermval
+from numpy.polynomial.polynomial import polyval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,6 +135,23 @@ def test_aliased_multiplier_at_zero_frequency_is_moment0():
         for y in (0.01, 0.3, 2.0):
             m0 = sum(multiplier(k, j * n * y) for j in (-1, 0, 1))
             assert abs(m0 - k.moment0) <= 1e-12
+
+
+@pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: str(k.id))
+def test_multiplier_is_bit_identical_to_numpy_polyval(k):
+    # the inline Horner rule keeps numpy.polynomial off the import path and
+    # does polyval's operations in its order
+    coeffs = dict(k.derivatives)
+    d = [coeffs.get(m, 0.0) * 1j ** m for m in range(max(coeffs) + 1)]
+    for nu in (np.linspace(-12.0, 12.0, 4002).reshape(3, -1), np.array(0.0), np.array(-0.3)):
+        z = 2 * np.pi * nu
+        gauss = np.exp(-np.square(z) / 4)
+        want = np.empty(z.shape, dtype=complex)
+        want.real = gauss * polyval(z, [c.real for c in d])
+        want.imag = gauss * polyval(z, [c.imag for c in d])
+        got = multiplier(k, nu)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: str(k.id))
