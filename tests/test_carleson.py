@@ -83,6 +83,43 @@ def test_report_carries_cutoff_and_argmax(small_grid, sine_small):
     assert rep.convention == "box-halfplane"
 
 
+
+def test_halfplane_norm_of_line_field_against_box_loop():
+    # a field that is not periodic: boxes stay inside [x_min, x_max], at
+    # widths nx, nx // 2, ... down to 4 cells and half-step starts
+    from qcheat.carleson import _logy_weights
+
+    grid = qc.HalfPlaneGrid.build(x_min=0.1, x_max=0.6, nx=200, y_min=1 / 64, y_max=2.0)
+    rng = np.random.default_rng(5)
+    shape = (grid.ny, grid.nx)
+    vals = 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    vals[:, 150:] *= 3.0  # the sup sits at the right end, away from x = 0
+    rep = qc.carleson_norm_halfplane(BeltramiField(grid, vals, periodic=False))
+
+    dens = np.abs(vals) ** 2
+    best, where, per_width = -1.0, None, []
+    c = grid.nx
+    while c >= 4:
+        L = c * grid.hx
+        gw = _logy_weights(grid.y_levels, L)
+        sups = []
+        for s in range(0, grid.nx - c + 1, max(c // 2, 1)):
+            v = float(gw @ dens[:, s:s + c].sum(axis=1)) * grid.hx / L
+            sups.append(v)
+            if v > best:
+                best, where = v, (grid.x_min + s * grid.hx, L)
+        per_width.append((L, max(sups)))
+        c //= 2
+    assert rep.norm == pytest.approx(best, rel=1e-12)
+    assert (rep.argmax["x_start"], rep.argmax["width"]) == pytest.approx(where, rel=1e-12)
+    assert len(rep.profile) == len(per_width)
+    running = 0.0
+    for entry, (L, v) in zip(reversed(rep.profile), sorted(per_width)):
+        running = max(running, v)
+        assert entry.scale == pytest.approx(L, rel=1e-12)
+        assert entry.value == pytest.approx(running, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # disk sectors
 
@@ -140,3 +177,50 @@ def test_sector_validation():
         qc.Sector(0.5, -1.0)
     s = qc.Sector(0.5, np.pi)
     assert s.h == 0.5
+
+
+def test_disk_norm_against_sector_loop(small_grid):
+    # sectors at dyadic heights and 64 centers, membership by angular
+    # distance; the centers at and near theta = 0 take columns on both sides
+    from qcheat.carleson import _logy_weights
+
+    rng = np.random.default_rng(9)
+    nu = _disk_field(small_grid, lambda th, r: 0.1 * (rng.standard_normal(th.size) + 1j * rng.standard_normal(th.size)))
+    vals = nu.values.copy()
+    vals[:, :6] *= 4.0  # mass straddling theta = 0
+    vals[:, -6:] *= 4.0
+    nu = BeltramiField(nu.grid, vals, periodic=True)
+    rep = qc.carleson_norm_disk(nu)
+
+    disk = nu.grid
+    ys, radii, thetas = disk.y_levels, disk.radii, disk.thetas
+    dtheta = 2 * np.pi / thetas.size
+    gdens = 2 * np.pi * radii ** 2 / (1.0 - radii ** 2) * ys
+    dens = np.abs(vals) ** 2
+    best, where, wrapped, per_height = -1.0, None, 0, []
+    h = 1.0
+    while h >= (1.0 - radii[0]) / 2:
+        y_top = np.inf if h >= 1.0 else -np.log1p(-h) / (2 * np.pi)
+        weights = _logy_weights(ys, min(y_top, ys[-1] * 2)) * gdens
+        sups = []
+        for k in range(64):
+            theta0 = 2 * np.pi * k / 64
+            dist = np.abs((thetas - theta0 + np.pi) % (2 * np.pi) - np.pi)
+            cols = np.flatnonzero(dist <= np.pi * h * (1 + 1e-12))
+            if h < 1.0 and cols.size and cols.min() == 0 and cols.max() == thetas.size - 1:
+                wrapped += 1
+            v = float(weights @ dens[:, cols].sum(axis=1)) * dtheta / h
+            sups.append(v)
+            if v > best:
+                best, where = v, (h, theta0)
+        per_height.append((h, max(sups)))
+        h /= 2
+    assert wrapped > 0
+    assert rep.norm == pytest.approx(best, rel=1e-12)
+    assert (rep.argmax["h"], rep.argmax["theta0"]) == pytest.approx(where)
+    assert len(rep.profile) == len(per_height)
+    running = 0.0
+    for entry, (h, v) in zip(reversed(rep.profile), sorted(per_height)):
+        running = max(running, v)
+        assert entry.scale == h
+        assert entry.value == pytest.approx(running, rel=1e-12)

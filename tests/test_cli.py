@@ -71,6 +71,21 @@ def test_carleson_report_keys(tmp_path):
     assert rep["hybrid_norm"] >= rep["sup_norm"]
 
 
+
+def test_transfer_report_keys(tmp_path):
+    out = str(tmp_path / "o")
+    assert run(["transfer", "--builtin", "sine:0.3,1", "--out", out] + GRID_ARGS) == 0
+    rep = read_json(os.path.join(out, "transfer.json"))
+    assert set(rep) == {"bmo_u", "bmo_lift", "sup_halfplane", "sup_disk", "halfplane",
+                        "disk", "hybrid_ratio", "config"}
+    for side in ("halfplane", "disk"):
+        assert set(rep[side]) == {"sup_norm", "carleson_norm", "hybrid_norm",
+                                  "carleson_profile", "cutoff"}
+        assert rep[side]["hybrid_norm"] >= rep[side]["sup_norm"]
+    assert set(rep["config"]) == {"command", "builtin", "input", "n", "seed", "nx", "x_min",
+                                  "x_max", "y_min", "y_max", "levels_per_octave",
+                                  "min_samples", "out"}
+
 def test_probe_subcommand(tmp_path):
     out = str(tmp_path / "o")
     assert run(["probe", "--builtin", "sine:1,1", "--eps", "0.1",

@@ -188,6 +188,58 @@ def test_doubling_against_exhaustive_scan():
     assert est >= 0.9 * oracle
 
 
+
+# naive scans over the estimator family on line data: widths n, n // 2, ...
+# down to 4 cells at half-step starts, and same-center pairs (I, 2I) with
+# 2I inside the domain, centers every max(r // 2, 1) cells
+
+
+def _line_weight(n):
+    xs = np.linspace(0.0, 1.0, n)
+    w = np.exp(0.4 * np.sin(5 * xs) + 0.3 * np.cos(17 * xs ** 2))
+    return SampledFunction(Domain.line(0.0, 1.0), w + 0j), w
+
+
+def naive_line_a_infty(w):
+    n = w.size
+    best = 1.0
+    c = n
+    while c >= 4:
+        for s in range(0, n - c + 1, max(c // 2, 1)):
+            seg = w[s:s + c]
+            best = max(best, float(np.mean(seg) / np.exp(np.mean(np.log(seg)))))
+        c //= 2
+    return best
+
+
+def naive_line_doubling(w):
+    n = w.size
+
+    def mass(i0, i1):  # trapezoid mass over cells [i0, i1]
+        seg = w[i0:i1 + 1]
+        return float(np.sum(seg) - (seg[0] + seg[-1]) / 2)
+
+    best = 1.0
+    r = 1
+    while 4 * r <= n - 1:
+        for x in range(2 * r, n - 2 * r, max(r // 2, 1)):
+            best = max(best, mass(x - 2 * r, x + 2 * r) / mass(x - r, x + r))
+        r *= 2
+    return best
+
+
+@pytest.mark.parametrize("n", [257, 512, 1000])
+def test_a_infty_on_line_against_naive_family_scan(n):
+    omega, w = _line_weight(n)
+    assert qc.a_infty_constant(omega) == pytest.approx(naive_line_a_infty(w), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [257, 512, 1000])
+def test_doubling_on_line_against_naive_family_scan(n):
+    omega, w = _line_weight(n)
+    assert qc.doubling_constant(omega) == pytest.approx(naive_line_doubling(w), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # John-Nirenberg
 
