@@ -5,7 +5,9 @@ sup over boxes I x (0, |I|) of the box mass divided by |I|; on the disk the
 density is |nu|^2 / (1 - |z|^2) dx dy and the norm is the sup over boundary
 sectors of the sector mass divided by the sector height.  Grids cut the
 integrals off at their smallest y level (equivalently the outermost radius),
-and every report carries the cutoff actually used.
+and every report carries the cutoff actually used.  The boxes are the
+`funcspace` interval family on the x cells; boxes and sectors share its
+window sums and profile lookup.
 
 The hybrid norm of a field is sup|mu| + sqrt(carleson norm), the natural
 size measure for dilatation fields with Carleson control.
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import funcspace
 from .errors import DomainError
 from .extension import BeltramiField, HalfPlaneGrid
+from .funcspace import (ProfileEntry, _cumulative_profile, _dyadic_cell_widths,
+                        _profile_at_scales, _starts, _window_sums)
 
 
 @dataclass(frozen=True)
@@ -35,13 +38,6 @@ class Sector:
             raise DomainError(f"sector height must lie in (0, 1], got {self.h}")
         if not (0 <= self.theta0 < 2 * np.pi):
             raise DomainError(f"sector angle must lie in [0, 2*pi), got {self.theta0}")
-
-
-@dataclass(frozen=True)
-class ProfileEntry:
-    scale: float
-    value: float
-    resolution_limited: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,28 +92,18 @@ def carleson_norm_halfplane(mu: BeltramiField) -> CarlesonReport:
     dens = np.abs(mu.values) ** 2
     periodic = mu.periodic
 
-    widths = funcspace._dyadic_cell_widths(nx)
+    widths = _dyadic_cell_widths(nx)
     if not widths:
         raise DomainError("empty box family: grid has fewer than 4 x cells")
-
-    if periodic:
-        pref = np.concatenate([np.zeros((ys.size, 1)), np.cumsum(np.tile(dens, (1, 2)), axis=1)], axis=1)
-    else:
-        pref = np.concatenate([np.zeros((ys.size, 1)), np.cumsum(dens, axis=1)], axis=1)
+    row_sums = _window_sums(dens, 2 if periodic else 1)
 
     best = -1.0
     argmax = {}
     per_width = []
     for c in widths:
         L = c * hx
-        step = max(c // 2, 1)
-        if periodic:
-            starts = np.arange(0, nx, step)
-        else:
-            starts = np.arange(0, nx - c + 1, step)
-        if starts.size == 0:
-            continue
-        rowint = (pref[:, starts + c] - pref[:, starts]) * hx
+        starts = _starts(c, nx, periodic)
+        rowint = row_sums(starts, starts + c) * hx
         gw = _logy_weights(ys, L)
         vals = (gw @ rowint) / L
         k = int(np.argmax(vals))
@@ -133,41 +119,10 @@ def carleson_norm_halfplane(mu: BeltramiField) -> CarlesonReport:
     return CarlesonReport(best, argmax, profile, mu.sup_norm, float(ys[0]), "box-halfplane")
 
 
-def _cumulative_profile(per_scale: list[tuple[float, float, bool]]) -> list[ProfileEntry]:
-    """per_scale holds (scale, sup at that scale, limited); the profile value
-    at t is the sup over family scales <= t, so accumulate ascending."""
-    running = 0.0
-    out = []
-    for scale, val, limited in sorted(per_scale):
-        running = max(running, val)
-        out.append(ProfileEntry(scale, running, limited))
-    return list(reversed(out))
-
-
 def vanishing_profile_halfplane(mu: BeltramiField, scales) -> list[ProfileEntry]:
     """For each scale t (descending), sup over boxes of width <= t."""
     report = carleson_norm_halfplane(mu)
     return _profile_at_scales(report.profile, scales, float(mu.grid.y_levels[0]))
-
-
-def _profile_at_scales(profile: list[ProfileEntry], scales, cutoff: float) -> list[ProfileEntry]:
-    scales = np.asarray(scales, dtype=float)
-    if scales.size == 0 or np.any(scales <= 0):
-        raise DomainError("scales must be positive")
-    if np.any(np.diff(scales) > 0):
-        raise DomainError("scales must be sorted descending")
-    fam_scales = np.array([p.scale for p in profile])  # descending
-    fam_vals = np.array([p.value for p in profile])
-    out = []
-    for t in scales:
-        mask = fam_scales <= t * (1 + 1e-12)
-        if np.any(mask):
-            val = float(fam_vals[mask][0])  # profiles are cumulative sups
-            limited = bool(profile[int(np.argmax(mask))].resolution_limited)
-        else:
-            val, limited = 0.0, True
-        out.append(ProfileEntry(float(t), val, limited or t < cutoff))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +146,7 @@ def carleson_norm_disk(nu: BeltramiField, n_theta0: int = 64) -> CarlesonReport:
     # the log-y trapezoid
     gdens = 2 * np.pi * radii ** 2 / (1.0 - radii ** 2) * ys
 
-    pref = np.concatenate([np.zeros((ys.size, 1)), np.cumsum(np.tile(dens, (1, 2)), axis=1)], axis=1)
+    col_sums = _window_sums(dens, 2)
     theta0s = 2 * np.pi * np.arange(n_theta0) / n_theta0
 
     hs = []
@@ -215,8 +170,7 @@ def carleson_norm_disk(nu: BeltramiField, n_theta0: int = 64) -> CarlesonReport:
         i1 = np.floor((theta0s + half) / dtheta + 1e-12).astype(int)
         i0m = np.mod(i0, ntheta)
         counts = np.clip(i1 - i0 + 1, 0, ntheta)
-        colsum = pref[:, i0m + counts] - pref[:, i0m]
-        vals = (weights @ colsum) * dtheta / h
+        vals = (weights @ col_sums(i0m, i0m + counts)) * dtheta / h
         k = int(np.argmax(vals))
         per_scale.append((h, float(vals[k]), bool(np.count_nonzero(gw) < 2)))
         if vals[k] > best:

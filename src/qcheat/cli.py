@@ -295,11 +295,9 @@ def _quad_from(args) -> QuadratureSpec:
 
 def _config_echo(args) -> dict:
     keep = ("command", "builtin", "input", "n", "seed", "nx", "x_min", "x_max",
-            "y_min", "y_max", "levels_per_octave", "min_samples", "out")
+            "y_min", "y_max", "levels_per_octave", "min_samples", "out",
+            "w0", "eps", "contour_nodes", "t", "r")
     cfg = {k: getattr(args, k) for k in keep if hasattr(args, k)}
-    for k in ("w0", "eps", "contour_nodes", "t", "r"):
-        if hasattr(args, k):
-            cfg[k] = getattr(args, k)
     # only when given: a probe from a builtin w0 echoes no file key
     if getattr(args, "w0_input", None) is not None:
         cfg["w0_input"] = args.w0_input
@@ -361,19 +359,21 @@ def cmd_beltrami(args) -> int:
     return EXIT_OK
 
 
-def cmd_carleson(args) -> int:
-    datum = _lifted(load_datum(args))
-    mu = extension.beltrami(datum, _grid_from(args), _quad_from(args))
-    rep = carleson.carleson_norm_halfplane(mu)
-    report = {
+def _carleson_json(rep: carleson.CarlesonReport) -> dict:
+    return {
         "sup_norm": rep.sup_norm,
         "carleson_norm": rep.norm,
         "carleson_profile": _profile_json(rep.profile),
         "hybrid_norm": rep.hybrid_norm,
-        "argmax": rep.argmax,
         "cutoff": rep.cutoff,
-        "config": _config_echo(args),
     }
+
+
+def cmd_carleson(args) -> int:
+    datum = _lifted(load_datum(args))
+    mu = extension.beltrami(datum, _grid_from(args), _quad_from(args))
+    rep = carleson.carleson_norm_halfplane(mu)
+    report = {**_carleson_json(rep), "argmax": rep.argmax, "config": _config_echo(args)}
     write_report(os.path.join(args.out, "carleson.json"), report)
     return EXIT_OK
 
@@ -392,20 +392,8 @@ def cmd_transfer(args) -> int:
         "bmo_lift": funcspace.bmo_norm(lifted),
         "sup_halfplane": mu.sup_norm,
         "sup_disk": nu.sup_norm,
-        "halfplane": {
-            "sup_norm": hp.sup_norm,
-            "carleson_norm": hp.norm,
-            "hybrid_norm": hp.hybrid_norm,
-            "carleson_profile": _profile_json(hp.profile),
-            "cutoff": hp.cutoff,
-        },
-        "disk": {
-            "sup_norm": dk.sup_norm,
-            "carleson_norm": dk.norm,
-            "hybrid_norm": dk.hybrid_norm,
-            "carleson_profile": _profile_json(dk.profile),
-            "cutoff": dk.cutoff,
-        },
+        "halfplane": _carleson_json(hp),
+        "disk": _carleson_json(dk),
         "hybrid_ratio": dk.hybrid_norm / hp.hybrid_norm if hp.hybrid_norm > 0 else 1.0,
         "config": _config_echo(args),
     }

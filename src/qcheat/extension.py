@@ -585,7 +585,7 @@ def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
     level of a grid whose x nodes are not the lattice nodes, w_I is the
     global mean and the factor is exactly 1."""
     n = w0.n
-    h = w0.domain.length / n
+    h = w0.h
     offset = (grid.x_min - w0.domain.a) / h
     if (grid.nx != n or abs((grid.x_max - grid.x_min) - w0.domain.length) >= 1e-12
             or abs(offset - round(offset)) >= 1e-9):

@@ -7,6 +7,8 @@ All interval estimators run over the same family: dyadic widths from the
 full domain down to 4 grid cells, translated by half-steps (with wraparound
 on periodic domains).  The sup over this family is within a bounded factor
 of the sup over all intervals; exhaustive scans serve as the test oracle.
+The family, the window sums and the "sup over family scales <= t" profile
+lookup also serve the Carleson boxes and sectors of `carleson`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleson import ProfileEntry
 from .data import SampledFunction
 from .errors import CoverageError, DomainError
 from .kernels import TRUNCATION_RADIUS, Kernel
@@ -37,6 +38,27 @@ def _starts(c: int, n: int, periodic: bool) -> np.ndarray:
     return np.arange(0, n - c + 1, step)
 
 
+def _window_sums(vals: np.ndarray, copies: int = 1, lead: int = 0):
+    """Sums of vals along its last axis over index windows [start, stop),
+    read on `copies` periods of vals laid end to end from `lead` periods
+    before index 0.  One cumulative sum serves every window: the returned
+    map takes index arrays (start, stop)."""
+    off = lead * vals.shape[-1]
+    ext = np.tile(vals, (1,) * (vals.ndim - 1) + (copies,))
+    pref = np.concatenate([np.zeros(vals.shape[:-1] + (1,)), np.cumsum(ext, axis=-1)], axis=-1)
+    # windows index the leading axis of the transpose: cheap on 1-D data,
+    # and 2-D sums come back column-major, as `pref[:, idx]` gives them, so
+    # the Carleson quadratures' matrix products keep their summation order
+    pref_t = pref.T
+
+    def sums(start, stop):
+        if off:
+            start, stop = start + off, stop + off
+        return (pref_t[stop] - pref_t[start]).T
+
+    return sums
+
+
 def _windows(vals: np.ndarray, c: int, starts: np.ndarray, periodic: bool) -> np.ndarray:
     if periodic:
         ext = np.concatenate([vals, vals[:c]])
@@ -49,6 +71,49 @@ def interval_family(f: SampledFunction):
     """(cells, starts) pairs of the estimator family for f's grid."""
     n = f.n
     return [(c, _starts(c, n, f.periodic)) for c in _dyadic_cell_widths(n)]
+
+
+# ---------------------------------------------------------------------------
+# profiles over a family of scales
+
+@dataclass(frozen=True)
+class ProfileEntry:
+    scale: float
+    value: float
+    resolution_limited: bool = False
+
+
+def _cumulative_profile(per_scale: list[tuple[float, float, bool]]) -> list[ProfileEntry]:
+    """per_scale holds (scale, sup at that scale, limited); the profile value
+    at t is the sup over family scales <= t, so accumulate ascending."""
+    running = 0.0
+    out = []
+    for scale, val, limited in sorted(per_scale):
+        running = max(running, val)
+        out.append(ProfileEntry(scale, running, limited))
+    return list(reversed(out))
+
+
+def _profile_at_scales(profile: list[ProfileEntry], scales, cutoff: float) -> list[ProfileEntry]:
+    """The cumulative profile read at descending scales: a scale below the
+    smallest family scale, or below `cutoff`, is resolution-limited."""
+    scales = np.asarray(scales, dtype=float)
+    if scales.size == 0 or np.any(scales <= 0):
+        raise DomainError("scales must be positive")
+    if np.any(np.diff(scales) > 0):
+        raise DomainError("scales must be sorted descending")
+    fam_scales = np.array([p.scale for p in profile])  # descending
+    fam_vals = np.array([p.value for p in profile])
+    out = []
+    for t in scales:
+        mask = fam_scales <= t * (1 + 1e-12)
+        if np.any(mask):
+            val = float(fam_vals[mask][0])  # profiles are cumulative sups
+            limited = profile[int(np.argmax(mask))].resolution_limited
+        else:
+            val, limited = 0.0, True
+        out.append(ProfileEntry(float(t), val, bool(limited or t < cutoff)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -72,23 +137,11 @@ def bmo_norm(f: SampledFunction) -> float:
 
 def vmo_profile(f: SampledFunction, scales) -> list[ProfileEntry]:
     """For each scale t (descending), the sup of mean oscillation over
-    family intervals of length <= t.  Scales below 4 grid cells carry a
-    resolution warning on their entry."""
-    scales = np.asarray(scales, dtype=float)
-    if scales.size == 0 or np.any(scales <= 0):
-        raise DomainError("scales must be positive")
-    if np.any(np.diff(scales) > 0):
-        raise DomainError("scales must be sorted descending")
-    per_width = _oscillation_by_width(f)
-    h = f.domain.length / f.n if f.periodic else f.h
-    lengths = np.array([c * h for c, _ in per_width])
-    vals = np.array([v for _, v in per_width])
-    out = []
-    for t in scales:
-        mask = lengths <= t * (1 + 1e-12)
-        val = float(vals[mask].max()) if np.any(mask) else 0.0
-        out.append(ProfileEntry(float(t), val, bool(t < 4 * h * (1 - 1e-12))))
-    return out
+    family intervals of length <= t.  Scales below 4 grid cells, and scales
+    below the smallest family interval, carry a resolution warning on their
+    entry."""
+    per_width = [(c * f.h, v, False) for c, v in _oscillation_by_width(f)]
+    return _profile_at_scales(_cumulative_profile(per_width), scales, 4 * f.h * (1 - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +159,16 @@ def _require_weight(omega: SampledFunction) -> np.ndarray:
 def a_infty_constant(omega: SampledFunction) -> float:
     """Sup over the interval family of arithmetic mean / geometric mean."""
     w = _require_weight(omega)
-    logw = np.log(w)
     n = omega.n
     per = omega.periodic
-    pref_w = np.concatenate([[0.0], np.cumsum(np.concatenate([w, w]) if per else w)])
-    pref_l = np.concatenate([[0.0], np.cumsum(np.concatenate([logw, logw]) if per else logw)])
+    copies = 2 if per else 1
+    sum_w = _window_sums(w, copies)
+    sum_l = _window_sums(np.log(w), copies)
     best = 1.0
     for c in _dyadic_cell_widths(n):
         starts = _starts(c, n, per)
-        am = (pref_w[starts + c] - pref_w[starts]) / c
-        gm = np.exp((pref_l[starts + c] - pref_l[starts]) / c)
+        am = sum_w(starts, starts + c) / c
+        gm = np.exp(sum_l(starts, starts + c) / c)
         best = max(best, float(np.max(am / gm)))
     return best
 
@@ -127,34 +180,23 @@ def doubling_constant(omega: SampledFunction) -> float:
     n = omega.n
     per = omega.periodic
     if per:
-        ext = np.tile(w, 3)
-        base = n  # center copy offset
-        pref = np.concatenate([[0.0], np.cumsum(ext)])
-
-        def mass(i0, i1):
-            return (pref[i1 + 1] - pref[i0]) - (ext[i0] + ext[i1]) / 2
+        # pairs reach at most half a period past either end; `ends`, two
+        # periods long, reads each index in [-2n, 2n) as its node mod n
+        sums, ends = _window_sums(w, copies=3, lead=1), np.tile(w, 2)
     else:
-        pref = np.concatenate([[0.0], np.cumsum(w)])
-        base = 0
+        sums, ends = _window_sums(w), w
 
-        def mass(i0, i1):
-            return (pref[i1 + 1] - pref[i0]) - (w[i0] + w[i1]) / 2
+    def mass(i0, i1):
+        return sums(i0, i1 + 1) - (ends[i0] + ends[i1]) / 2
 
     best = 1.0
     r = 1
     while 4 * r <= (n if per else n - 1):
         step = max(r // 2, 1)
-        if per:
-            centers = np.arange(0, n, step) + base
-        else:
-            centers = np.arange(2 * r, n - 2 * r, step)
-            if centers.size == 0:
-                r *= 2
-                continue
+        centers = np.arange(0, n, step) if per else np.arange(2 * r, n - 2 * r, step)
         m1 = mass(centers - r, centers + r)
         m2 = mass(centers - 2 * r, centers + 2 * r)
-        ratios = m2 / m1
-        best = max(best, float(np.max(ratios)))
+        best = max(best, float(np.max(m2 / m1)))
         r *= 2
     return best
 
@@ -185,7 +227,7 @@ def john_nirenberg_profile(f: SampledFunction, J: tuple[float, float], lambdas) 
     start, length = J
     if length <= 0:
         raise DomainError("interval length must be positive")
-    h = f.domain.length / f.n if f.periodic else f.h
+    h = f.h
     i0 = int(np.round((start - f.domain.a) / h))
     c = max(1, int(np.round(length / h)))
     if f.periodic:
@@ -328,9 +370,8 @@ class AnalyzerReport:
 def analyze(f: SampledFunction, scales=None, lambdas=None) -> AnalyzerReport:
     """Full estimator report for a datum; the A-infinity and doubling
     constants are those of the weight e^(Re f)."""
-    h = f.domain.length / f.n if f.periodic else f.h
     if scales is None:
-        scales = [c * h for c in _dyadic_cell_widths(f.n)]
+        scales = [c * f.h for c in _dyadic_cell_widths(f.n)]
     if lambdas is None:
         peak = float(np.max(np.abs(f.values - f.values.mean())))
         top = max(peak, 1e-6)

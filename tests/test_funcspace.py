@@ -95,6 +95,18 @@ def test_vmo_profile_resolution_warning():
     assert prof[1].resolution_limited
 
 
+
+@pytest.mark.parametrize("n, t", [(100, 0.045), (3000, 0.0015)])
+def test_vmo_profile_flags_scales_below_the_smallest_interval(n, t):
+    # the halving stops above 4 cells (100 -> ... -> 6, 3000 -> ... -> 5),
+    # so t sits above 4 cells yet below every family interval
+    u = qc.sine(0.3, 1, n)
+    smallest = min(c for c in (n >> k for k in range(12)) if c >= 4) / n
+    assert 4 / n < t < smallest
+    (entry,) = qc.vmo_profile(u, [t])
+    assert entry.value == 0.0
+    assert entry.resolution_limited
+
 def test_vmo_profile_rejects_bad_scales():
     with pytest.raises(qc.DomainError):
         qc.vmo_profile(qc.sine(0.3, 1), [0.1, 0.5])
