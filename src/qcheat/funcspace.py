@@ -47,8 +47,9 @@ def _window_sums(vals: np.ndarray, copies: int = 1, lead: int = 0):
     ext = np.tile(vals, (1,) * (vals.ndim - 1) + (copies,))
     pref = np.concatenate([np.zeros(vals.shape[:-1] + (1,)), np.cumsum(ext, axis=-1)], axis=-1)
     # windows index the leading axis of the transpose: cheap on 1-D data,
-    # and 2-D sums come back column-major, as `pref[:, idx]` gives them, so
-    # the Carleson quadratures' matrix products keep their summation order
+    # and 2-D sums come back column-major, as `pref[:, idx]` would give
+    # them, which fixes the summation order of the Carleson quadratures'
+    # matrix products
     pref_t = pref.T
 
     def sums(start, stop):
