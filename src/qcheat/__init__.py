@@ -11,7 +11,7 @@ from .data import Domain, SampledFunction, constant, random_trig, sawtooth, sine
 from .errors import (CoverageError, DomainError, ProbeFailure, QcheatError,
                      ResolutionError, SingularDenominatorError)
 from .kernels import (ALPHA, BETA, KERNELS, PHI, PHI_SECOND, PSI, Kernel,
-                      KernelId, QuadratureSpec, convolve, eval_kernel, scale)
+                      KernelId, convolve, eval_kernel, scale)
 from .extension import (BeltramiField, ExtensionField, HalfPlaneGrid,
                         beltrami, beltrami_fd_oracle, classical_ba_extend,
                         extend, gamma_of)

@@ -19,7 +19,6 @@ from .carleson import hybrid_norm
 from .data import SampledFunction
 from .errors import DomainError, ProbeFailure, SingularDenominatorError
 from .extension import BeltramiField, HalfPlaneGrid, _dilatation_map
-from .kernels import DEFAULT_QUADRATURE, QuadratureSpec
 
 SAFE_DENOMINATOR = 1e-6
 
@@ -31,8 +30,7 @@ class HolomorphyProbe:
     `center_nodes` holds [0, delta, -delta, i*delta, -i*delta] and
     `contour_nodes` the points on |zeta| = 2*epsilon; `fields` aligns with
     the concatenation of the two.  `builder` recomputes the field at any
-    zeta so quotient tests can take extra samples; `q` is the quadrature
-    the fields were built with.
+    zeta so quotient tests can take extra samples.
     """
 
     w0: SampledFunction
@@ -42,7 +40,6 @@ class HolomorphyProbe:
     contour_nodes: np.ndarray
     fields: list = field(repr=False)
     builder: object = field(repr=False, default=None)
-    q: QuadratureSpec = field(repr=False, default=DEFAULT_QUADRATURE)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -53,9 +50,6 @@ class HolomorphyProbe:
     @property
     def delta(self) -> float:
         return self.epsilon / 8.0
-
-    def field_at_center(self, which: int) -> BeltramiField:
-        return self.fields[which]
 
     @property
     def contour_fields(self) -> list:
@@ -71,8 +65,7 @@ class HolomorphyProbe:
 
 
 def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
-                n_contour: int = 64, grid: HalfPlaneGrid | None = None,
-                q: QuadratureSpec = DEFAULT_QUADRATURE) -> HolomorphyProbe:
+                n_contour: int = 64, grid: HalfPlaneGrid | None = None) -> HolomorphyProbe:
     """Build the probe, shrinking epsilon (at most 6 times) until every node
     field has denominator magnitude >= 1e-6 everywhere.  Epsilon halves
     only on a small or vanishing denominator (SingularDenominatorError);
@@ -85,7 +78,7 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
         raise DomainError("probe data must share one grid and domain")
     if grid is None:
         grid = HalfPlaneGrid.build(nx=max(64, w0.n))
-    mu_of = _dilatation_map(w0, grid, q)
+    mu_of = _dilatation_map(w0, grid)
 
     def make(zeta: complex) -> BeltramiField:
         return mu_of(w0.with_values(w0.values + zeta * w1.values))
@@ -110,7 +103,7 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
                 break
             fields.append(f)
         if ok:
-            return HolomorphyProbe(w0, w1, eps, centers, contour, fields, builder=make, q=q)
+            return HolomorphyProbe(w0, w1, eps, centers, contour, fields, builder=make)
         eps /= 2.0
     raise ProbeFailure(
         f"no safe evaluation disk after 6 retries; last singular node zeta = {last_bad}",
@@ -157,7 +150,7 @@ def cauchy_reconstruct(p: HolomorphyProbe, zeta0: complex,
     err = hybrid_norm(diff)
     if check_resolution:
         doubled = build_probe(p.w0, p.w1, p.epsilon, 2 * p.contour_nodes.size,
-                              direct.grid, p.q)
+                              direct.grid)
         _, err2 = cauchy_reconstruct(doubled, zeta0)
         if err2 > err and err > 1e-14:
             from .errors import ResolutionError

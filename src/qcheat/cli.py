@@ -4,9 +4,10 @@ Subcommands: analyze | extend | beltrami | carleson | transfer | probe |
 contract | baseline.  Reports are JSON (sorted keys), fields are CSV with
 header x,y,re,im (row-major by y level then x, 17 significant digits); all
 files are written atomically (write-then-rename), with mode 0666 less the
-umask.  The one quadrature option, --min-samples, sets the fewest lattice
-nodes a kernel window may hold on circle data (a ResolutionError below it);
-line data are not held to it.  Exit codes:
+umask.  The window policy is fixed, not an option: on circle data a kernel
+window of half-width 8y at the grid's lowest level must hold 32 lattice
+nodes, on line data one; a grid that leaves fewer is a resolution error.
+Exit codes:
 0 success, 2 validation error, 3 numerical failure, each with one
 machine-parsable line on stderr.
 """
@@ -25,7 +26,6 @@ from . import analyticity, carleson, data, extension, funcspace, transfer
 from .data import Domain, SampledFunction
 from .errors import (CoverageError, DomainError, ProbeFailure, QcheatError,
                      ResolutionError, SingularDenominatorError)
-from .kernels import QuadratureSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -289,13 +289,9 @@ def _grid_from(args) -> extension.HalfPlaneGrid:
     )
 
 
-def _quad_from(args) -> QuadratureSpec:
-    return QuadratureSpec(args.min_samples)
-
-
 def _config_echo(args) -> dict:
     keep = ("command", "builtin", "input", "n", "seed", "nx", "x_min", "x_max",
-            "y_min", "y_max", "levels_per_octave", "min_samples", "out",
+            "y_min", "y_max", "levels_per_octave", "out",
             "w0", "eps", "contour_nodes", "t", "r")
     cfg = {k: getattr(args, k) for k in keep if hasattr(args, k)}
     # only when given: a probe from a builtin w0 echoes no file key
@@ -325,7 +321,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_extend(args) -> int:
     datum = _lifted(load_datum(args))
-    field = extension.extend(datum, _grid_from(args), _quad_from(args))
+    field = extension.extend(datum, _grid_from(args))
     write_field_csv(os.path.join(args.out, "field.csv"), field.grid, field.F)
     report = {
         "residual_uy_half_vx": field.identity_residuals.get("uy_half_vx"),
@@ -341,7 +337,7 @@ def cmd_beltrami(args) -> int:
     from .kernels import ALPHA, BETA, envelope_constant
 
     datum = _lifted(load_datum(args))
-    mu = extension.beltrami(datum, _grid_from(args), _quad_from(args))
+    mu = extension.beltrami(datum, _grid_from(args))
     report = {
         "sup_norm": mu.sup_norm,
         "denom_min": mu.denom_min,
@@ -371,7 +367,7 @@ def _carleson_json(rep: carleson.CarlesonReport) -> dict:
 
 def cmd_carleson(args) -> int:
     datum = _lifted(load_datum(args))
-    mu = extension.beltrami(datum, _grid_from(args), _quad_from(args))
+    mu = extension.beltrami(datum, _grid_from(args))
     rep = carleson.carleson_norm_halfplane(mu)
     report = {**_carleson_json(rep), "argmax": rep.argmax, "config": _config_echo(args)}
     write_report(os.path.join(args.out, "carleson.json"), report)
@@ -383,7 +379,7 @@ def cmd_transfer(args) -> int:
     if datum.domain.kind != "circle":
         raise DomainError("transfer needs circle data")
     lifted = transfer.lift(datum)
-    mu = extension.beltrami(lifted, _grid_from(args), _quad_from(args))
+    mu = extension.beltrami(lifted, _grid_from(args))
     nu = transfer.push_to_disk(mu)
     hp = carleson.carleson_norm_halfplane(mu)
     dk = carleson.carleson_norm_disk(nu)
@@ -406,7 +402,7 @@ def cmd_probe(args) -> int:
     w0 = _lifted(load_datum_file(args.w0_input) if args.w0_input
                  else parse_builtin(args.w0 or "const:0", args.n, args.seed))
     probe = analyticity.build_probe(w0, w1, args.eps, args.contour_nodes,
-                                    _grid_from(args), _quad_from(args))
+                                    _grid_from(args))
     cr = analyticity.cr_residual(probe)
     _, cauchy_err = analyticity.cauchy_reconstruct(probe, 0.0)
     steps = [probe.epsilon / 10, probe.epsilon / 20, probe.epsilon / 40]
@@ -495,9 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--y-max", dest="y_max", type=float, default=4.0)
         p.add_argument("--levels-per-octave", dest="levels_per_octave",
                        type=int, default=8)
-        p.add_argument("--min-samples", dest="min_samples", type=int, default=32,
-                       help="fewest lattice nodes a kernel window of half-width 8y "
-                            "may hold, circle data only (>= 32)")
         if name == "probe":
             base = p.add_mutually_exclusive_group()
             base.add_argument("--w0", help="base datum builtin spec; default const:0")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CoverageError, DomainError
 
 MIN_SAMPLES = 16
 
@@ -46,6 +46,28 @@ class Domain:
     @property
     def length(self) -> float:
         return self.b - self.a
+
+    def require_covers(self, lo: float, hi: float, what: str = "window"):
+        """Raise CoverageError unless [lo, hi] lies inside [a, b] within
+        1e-12; periodic domains cover every window.  `missing` is the part
+        of [lo, hi] outside [a, b], its left part when it exits on both
+        sides (the message names both)."""
+        if self.periodic:
+            return
+        a, b = self.a, self.b
+        parts = []
+        if lo < a - 1e-12:
+            parts.append((lo, min(a, hi)))
+        if hi > b + 1e-12:
+            parts.append((max(b, lo), hi))
+        if not parts:
+            return
+        ranges = " and ".join(f"[{p:.6g}, {q:.6g}]" for p, q in parts)
+        raise CoverageError(
+            f"{what} [{lo:.6g}, {hi:.6g}] exits domain [{a:.6g}, {b:.6g}]; "
+            f"missing range {ranges}",
+            missing=parts[0],
+        )
 
     def __post_init__(self):
         if self.kind not in ("circle", "line"):

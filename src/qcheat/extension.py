@@ -33,7 +33,8 @@ the lattice frequencies p0 is an exact antiderivative of e^w, so the
 recorded identity residuals see only the aliases and rounding.
 
 Line data on [a, b] are taken as one period, of length n h, of a periodic
-lattice, and gamma (by cumulative trapezoid) is convolved itself.  The
+lattice, and gamma (by cumulative trapezoid, anchored at 0 as in
+`gamma_of`, so [a, b] must contain 0) is convolved itself.  The
 coverage check keeps every window of half-width 8y around a grid node
 inside [a, b], so the seam and every translate of the data lie at least
 8y from the node, where the kernels are below e^-64 of their peak: the
@@ -50,9 +51,9 @@ import numpy as np
 
 from . import kernels as kq
 from .data import SampledFunction
-from .errors import CoverageError, DomainError, ResolutionError, SingularDenominatorError
-from .kernels import (ALPHA, BETA, DEFAULT_QUADRATURE, PHI, PHI_SECOND, PSI, QuadratureSpec,
-                      _V_RATE)
+from .errors import DomainError, ResolutionError, SingularDenominatorError
+from .funcspace import _window_sums
+from .kernels import ALPHA, BETA, PHI, PHI_SECOND, PSI, _V_RATE
 
 SINGULAR_THRESHOLD = 1e-12
 # absolute rounding floor of a spectral convolution of e^(w - mean w), per
@@ -111,6 +112,10 @@ class HalfPlaneGrid:
     @property
     def y_min(self) -> float:
         return float(self.y_levels[0])
+
+    def spans_period(self, period: float) -> bool:
+        """Whether the x nodes cover exactly one period of length `period`."""
+        return abs((self.x_max - self.x_min) - period) < 1e-12
 
 
 @dataclass(frozen=True)
@@ -245,14 +250,8 @@ def gamma_of(w: SampledFunction, x: float) -> complex:
         scale_const, mhat, _, p0 = _periodic_parts(w)
         px = _periodic_eval(w, p0, [x, 0.0])
         return complex(scale_const * (mhat * x + px[0] - px[1]))
-    a, b = w.domain.a, w.domain.b
-    lo, hi = min(0.0, x), max(0.0, x)
-    if lo < a - 1e-12 or hi > b + 1e-12:
-        raise CoverageError(
-            f"gamma_of needs [{lo:.6g}, {hi:.6g}] inside [{a:.6g}, {b:.6g}]",
-            missing=(lo, hi),
-        )
-    _, at = _cumulative_trapezoid(np.exp(w.values), a, w.h)
+    w.domain.require_covers(min(0.0, x), max(0.0, x), "gamma interval from 0")
+    _, at = _cumulative_trapezoid(np.exp(w.values), w.domain.a, w.h)
     return complex(at(x) - at(0.0))
 
 
@@ -296,7 +295,7 @@ def _fast_len(m: int) -> int:
 
 class _SpectralPlan:
     """The datum-independent part of the engine, for one data lattice and
-    one grid.  Circle data must leave `min_samples_per_window` lattice
+    one grid.  Circle data must leave MIN_SAMPLES_PER_WINDOW lattice
     nodes in a window of half-width 8 y_min, line data one; J is the
     smallest J >= 1 whose first omitted alias carries
     exp(-pi^2 ((J + 1/2) n y_min / P)^2) < e^-64.
@@ -316,22 +315,13 @@ class _SpectralPlan:
     filter over the band, every phase reduced modulo 1 by `_turns`.
     """
 
-    def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
+    def __init__(self, w: SampledFunction, grid: HalfPlaneGrid):
         n, R = w.n, kq.TRUNCATION_RADIUS
         period = w.domain.length if w.periodic else n * w.h
-        if not w.periodic:
-            y_top = grid.y_levels[-1]
-            lo = grid.x[0] - R * y_top
-            hi = grid.x[-1] + R * y_top
-            if lo < w.domain.a - 1e-12 or hi > w.domain.b + 1e-12:
-                raise CoverageError(
-                    f"grid window [{lo:.6g}, {hi:.6g}] exits data domain "
-                    f"[{w.domain.a:.6g}, {w.domain.b:.6g}] at grid point "
-                    f"x={grid.x[0] if lo < w.domain.a else grid.x[-1]:.6g}, y={y_top:.6g}",
-                    missing=(lo, hi),
-                )
+        y_top = grid.y_levels[-1]
+        w.domain.require_covers(grid.x[0] - R * y_top, grid.x[-1] + R * y_top, "grid window")
         # circle data keep the guard; line data need one node, which bounds J
-        need = q.min_samples_per_window if w.periodic else 1
+        need = kq.MIN_SAMPLES_PER_WINDOW if w.periodic else 1
         nodes_at_bottom = 2 * R * grid.y_min * n / period
         if nodes_at_bottom < need - 1e-9:
             raise ResolutionError(
@@ -346,8 +336,7 @@ class _SpectralPlan:
         self.freq = np.fft.fftfreq(n, d=1.0 / n)
         # grid nodes in periods from the first lattice node
         self.x_rel = (grid.x - w.domain.a) / period
-        self.fold = (w.periodic and abs((grid.x_max - grid.x_min) - period) < 1e-12
-                     and n % grid.nx == 0)
+        self.fold = w.periodic and grid.spans_period(period) and n % grid.nx == 0
         # the aliased frequencies f = f0 + m, 0 <= m < (2J + 1) n, ascending
         self._f0 = f0 = -(n // 2) - J * n
         m = np.arange((2 * J + 1) * n)
@@ -478,20 +467,24 @@ class _SpectralEngine:
     FFTs of e^(w - mean w) and of p0, applied through a plan.  For circle
     data p0 is the periodic part of gamma and `scale` and `mhat` carry the
     linear part, which extend adds in closed form; for line data p0 is
-    gamma itself, by cumulative trapezoid anchored at the left end (an
-    additive constant, immaterial for the dilatation), and `mhat` = 0."""
+    gamma by cumulative trapezoid from the left end, `anchor` its value at
+    0, which extend subtracts in closed form, and `mhat` = 0."""
 
-    def __init__(self, w: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
-        self.plan = _SpectralPlan(w, grid, q)
+    def __init__(self, w: SampledFunction, grid: HalfPlaneGrid):
+        self.plan = _SpectralPlan(w, grid)
         self.w = w
         self.grid = grid
         if w.periodic:
             self.scale, self.mhat, self.ew, self.p0 = _periodic_parts(w)
+            self.anchor = 0.0
             self._fft_p0 = np.fft.fft(self.p0)
         else:
+            w.domain.require_covers(min(0.0, grid.x[0]), max(0.0, grid.x[-1]),
+                                    "gamma interval from 0")
             wbar, self.ew = _recentered(w)
             self.scale, self.mhat = np.exp(wbar), 0.0
-            self.p0, _ = _cumulative_trapezoid(self.ew, w.domain.a, w.h)
+            self.p0, self._p0_at = _cumulative_trapezoid(self.ew, w.domain.a, w.h)
+            self.anchor = complex(self._p0_at(0.0))
             self._fft_p0 = _stepwise_fft(self.p0)
         self._fft_ew = np.fft.fft(self.ew)
 
@@ -516,8 +509,7 @@ class _SpectralEngine:
         x = self.grid.x
         if self.w.periodic:
             return self.scale * (self.mhat * x + self.plan.series(self._fft_p0))
-        t = self.w.x
-        return self.scale * (np.interp(x, t, self.p0.real) + 1j * np.interp(x, t, self.p0.imag))
+        return self.scale * (self._p0_at(x) - self.anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +529,12 @@ def _require_finite(grid: HalfPlaneGrid, **fields):
                 f"e^w left floating range: {name} is not finite at {where}")
 
 
-def extend(w: SampledFunction, grid: HalfPlaneGrid,
-           q: QuadratureSpec = DEFAULT_QUADRATURE) -> ExtensionField:
+def extend(w: SampledFunction, grid: HalfPlaneGrid) -> ExtensionField:
     """Build the extension field of w with all partials on `grid`; a field
     that is not finite everywhere raises ResolutionError."""
     # e^w out of floating range shows as a non-finite field, reported below
     with np.errstate(all="ignore"):
-        eng = _SpectralEngine(w, grid, q)
+        eng = _SpectralEngine(w, grid)
         s, mhat = eng.scale, eng.mhat
         x = grid.x
         y = grid.y_levels[:, None]
@@ -555,7 +546,7 @@ def extend(w: SampledFunction, grid: HalfPlaneGrid,
         for f in on_ew:
             f *= s
         vy_check *= 0.5
-        U += mhat * x
+        U += mhat * x - eng.anchor
         U *= s
         V += mhat * y
         V *= s
@@ -580,20 +571,21 @@ def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
     the grid points, for real data u on the lattice of periodic w0: the
     factor that turns |e^(w - mean w) * beta_y| into the recorded magnitude
     |e^(w - w_I) * beta_y|, u = Re w.  The windows are fixed here; a datum
-    costs one cumulative sum, read in contiguous slices on the levels whose
-    window is shorter than the period.  On every other level, and on every
-    level of a grid whose x nodes are not the lattice nodes, w_I is the
-    global mean and the factor is exactly 1."""
+    costs one cumulative sum (`funcspace._window_sums`), read on the levels
+    whose window is shorter than the period.  On every other level, and on
+    every level of a grid whose x nodes are not the lattice nodes, w_I is
+    the global mean and the factor is exactly 1."""
     n = w0.n
     h = w0.h
     offset = (grid.x_min - w0.domain.a) / h
-    if (grid.nx != n or abs((grid.x_max - grid.x_min) - w0.domain.length) >= 1e-12
+    if (grid.nx != n or not grid.spans_period(w0.domain.length)
             or abs(offset - round(offset)) >= 1e-9):
         half_widths = []
     else:
         # the lowest levels: m grows with y
         half_widths = [int(m) for m in np.floor(grid.y_levels / h) if 2 * m + 1 < n]
     shift = int(round(offset)) % n
+    nodes = np.arange(grid.nx)
 
     def factor(u: np.ndarray) -> np.ndarray:
         # a full-size array, although only the window levels need one: with
@@ -602,11 +594,10 @@ def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
         out = np.ones((grid.ny, grid.nx))
         if half_widths:
             # the window of grid node i, lattice node i + shift, read in the
-            # middle of three periods from a cumulative sum with a leading 0
-            csum = np.concatenate([[0.0], np.cumsum(np.tile(np.roll(u, -shift), 3))])
+            # middle of three periods
+            sums = _window_sums(np.roll(u, -shift), copies=3, lead=1)
             for row, m in zip(out, half_widths):
-                np.subtract(csum[n + m + 1:n + m + 1 + grid.nx], csum[n - m:n - m + grid.nx],
-                            out=row)
+                row[:] = sums(nodes - m, nodes + m + 1)
                 row /= 2 * m + 1
             local = out[:len(half_widths)]
             np.subtract(float(np.mean(u)), local, out=local)
@@ -648,8 +639,8 @@ def _dilatation(grid: HalfPlaneGrid, num: np.ndarray, den: np.ndarray,
     return BeltramiField(grid, mu, denom_mag, periodic=periodic)
 
 
-def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec):
-    """The map w -> beltrami(w, grid, q) for data on the lattice of w0.
+def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid):
+    """The map w -> beltrami(w, grid) for data on the lattice of w0.
 
     Every datum shares what the grid fixes, built here: one plan and its
     ALPHA/BETA entries (on a folding grid the stacked table) and, for
@@ -657,9 +648,9 @@ def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec)
     costs its own FFT, the products with the multipliers, the inverse
     transforms and one cumulative sum of Re w.
     """
-    plan = _SpectralPlan(w0, grid, q)
+    plan = _SpectralPlan(w0, grid)
     table = plan.table(ALPHA, BETA)
-    periodic = w0.periodic and abs((grid.x_max - grid.x_min) - w0.domain.length) < 1e-12
+    periodic = w0.periodic and grid.spans_period(w0.domain.length)
     circle_factor = _magnitude_factor(w0, grid) if w0.periodic else None
 
     def mu_of(w: SampledFunction) -> BeltramiField:
@@ -679,8 +670,7 @@ def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid, q: QuadratureSpec)
     return mu_of
 
 
-def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
-             q: QuadratureSpec = DEFAULT_QUADRATURE) -> BeltramiField:
+def beltrami(w: SampledFunction, grid: HalfPlaneGrid) -> BeltramiField:
     """Complex dilatation mu = (e^w * alpha_y) / (e^w * beta_y) on `grid`.
 
     The ratio is evaluated with the weight recentered by a constant (the
@@ -694,7 +684,7 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid,
     the denominator is unresolved, not vanishing, and ResolutionError is
     raised.  A mu or magnitude that is not finite raises ResolutionError.
     """
-    return _dilatation_map(w, grid, q)(w)
+    return _dilatation_map(w, grid)(w)
 
 
 def beltrami_fd_oracle(extension: ExtensionField) -> BeltramiField:
@@ -715,7 +705,7 @@ def beltrami_fd_oracle(extension: ExtensionField) -> BeltramiField:
         )
     F = extension.F
     hx = grid.hx
-    if extension.periodic and abs((grid.x_max - grid.x_min) - extension.datum.domain.length) < 1e-12:
+    if extension.periodic and grid.spans_period(extension.datum.domain.length):
         # F is periodic only up to the period mass of gamma: F(x+1) = F(x) + mass
         scale_const, mhat, _, _ = _periodic_parts(extension.datum)
         mass = scale_const * mhat * extension.datum.domain.length
@@ -755,17 +745,10 @@ def classical_ba_extend(h: SampledFunction, r: float, grid: HalfPlaneGrid) -> Ex
         raise DomainError("classical extension needs strictly increasing data")
     if h.periodic:
         raise DomainError("classical baseline is defined for line-interval data")
-    a, b = h.domain.a, h.domain.b
     ys = grid.y_levels
     gx = grid.x
-    lo_needed, hi_needed = gx[0] - ys[-1], gx[-1] + ys[-1]
-    if lo_needed < a - 1e-12 or hi_needed > b + 1e-12:
-        raise CoverageError(
-            f"windows [{lo_needed:.6g}, {hi_needed:.6g}] exit data domain "
-            f"[{a:.6g}, {b:.6g}]",
-            missing=(lo_needed, hi_needed),
-        )
-    _, at = _cumulative_trapezoid(hu, a, h.h)
+    h.domain.require_covers(gx[0] - ys[-1], gx[-1] + ys[-1], "box windows")
+    _, at = _cumulative_trapezoid(hu, h.domain.a, h.h)
     y = ys[:, None]
     mid = at(gx)
     left = mid - at(gx - y)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SampledFunction
-from .errors import CoverageError, DomainError
+from .errors import DomainError
 from .kernels import TRUNCATION_RADIUS, Kernel
 
 
@@ -141,7 +141,11 @@ def vmo_profile(f: SampledFunction, scales) -> list[ProfileEntry]:
     family intervals of length <= t.  Scales below 4 grid cells, and scales
     below the smallest family interval, carry a resolution warning on their
     entry."""
-    per_width = [(c * f.h, v, False) for c, v in _oscillation_by_width(f)]
+    return _vmo_profile(f, _oscillation_by_width(f), scales)
+
+
+def _vmo_profile(f: SampledFunction, by_width, scales) -> list[ProfileEntry]:
+    per_width = [(c * f.h, v, False) for c, v in by_width]
     return _profile_at_scales(_cumulative_profile(per_width), scales, 4 * f.h * (1 - 1e-12))
 
 
@@ -222,6 +226,10 @@ def john_nirenberg_profile(f: SampledFunction, J: tuple[float, float], lambdas) 
     exceedances; C0 is then the smallest constant making the envelope
     dominate every sampled bin.
     """
+    return _john_nirenberg(f, J, lambdas, bmo_norm(f))
+
+
+def _john_nirenberg(f: SampledFunction, J, lambdas, norm: float) -> JNProfile:
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(lambdas <= 0) or np.any(np.diff(lambdas) <= 0):
         raise DomainError("lambda values must be positive ascending")
@@ -241,7 +249,6 @@ def john_nirenberg_profile(f: SampledFunction, J: tuple[float, float], lambdas) 
     dev = np.abs(seg - seg.mean())
     exceed = np.array([np.count_nonzero(dev >= lam) / c for lam in lambdas])
 
-    norm = bmo_norm(f)
     nz = exceed > 0
     if norm > 0 and np.count_nonzero(nz) >= 2:
         A = np.stack([np.ones(np.count_nonzero(nz)), -lambdas[nz] / norm], axis=1)
@@ -315,6 +322,8 @@ def oscillation_integral(u: SampledFunction, k: Kernel, x: float, y: float,
         raise DomainError(f"unknown mode {mode!r}")
     if mode == "power" and k_exp < 1:
         raise DomainError("power mode needs k_exp >= 1")
+    R = TRUNCATION_RADIUS
+    u.domain.require_covers(x - R * y, x + R * y)
     vals = u.values
     n = u.n
     a = u.domain.a
@@ -326,30 +335,15 @@ def oscillation_integral(u: SampledFunction, k: Kernel, x: float, y: float,
         rel = ((t - x + L / 2) % L) - L / 2
         mask = np.abs(rel) < y if y < L / 2 else np.ones(n, dtype=bool)
         u_I = vals[mask].mean() if np.any(mask) else vals.mean()
-        R = TRUNCATION_RADIUS
         m_max = int(np.ceil((R * y) / L)) + 3
         m = np.arange(-m_max, m_max + 1) * L
         offs = rel[None, :] + m[:, None]
         kern = np.abs(k.evaluator(-offs / y) / y).sum(axis=0)
     else:
         hh = u.h
-        if x - y < u.domain.a - 1e-12 or x + y > u.domain.b + 1e-12:
-            raise CoverageError(
-                f"interval ({x - y:.6g}, {x + y:.6g}) exits domain "
-                f"[{u.domain.a:.6g}, {u.domain.b:.6g}]",
-                missing=(x - y, x + y),
-            )
         t = u.x
         mask = np.abs(t - x) < y
         u_I = vals[mask].mean()
-        R = TRUNCATION_RADIUS
-        lo, hi = x - R * y, x + R * y
-        if lo < u.domain.a - 1e-12 or hi > u.domain.b + 1e-12:
-            raise CoverageError(
-                f"window [{lo:.6g}, {hi:.6g}] exits domain "
-                f"[{u.domain.a:.6g}, {u.domain.b:.6g}]",
-                missing=(lo, hi),
-            )
         kern = np.abs(k.evaluator((x - t) / y) / y)
     dev = np.abs(vals - u_I)
     g = dev ** k_exp if mode == "power" else np.exp(dev)
@@ -370,7 +364,9 @@ class AnalyzerReport:
 
 def analyze(f: SampledFunction, scales=None, lambdas=None) -> AnalyzerReport:
     """Full estimator report for a datum; the A-infinity and doubling
-    constants are those of the weight e^(Re f)."""
+    constants are those of the weight e^(Re f).  The BMO norm, the VMO
+    profile and the John-Nirenberg envelope share one pass over the
+    interval family."""
     if scales is None:
         scales = [c * f.h for c in _dyadic_cell_widths(f.n)]
     if lambdas is None:
@@ -378,10 +374,12 @@ def analyze(f: SampledFunction, scales=None, lambdas=None) -> AnalyzerReport:
         top = max(peak, 1e-6)
         lambdas = np.linspace(top / 16, top * 1.25, 20)
     weight = f.with_values(np.exp(f.values.real) + 0j)
-    jn = john_nirenberg_profile(f, (f.domain.a, f.domain.length), lambdas)
+    by_width = _oscillation_by_width(f)
+    norm = max(v for _, v in by_width)
+    jn = _john_nirenberg(f, (f.domain.a, f.domain.length), lambdas, norm)
     return AnalyzerReport(
-        bmo_norm=bmo_norm(f),
-        vmo_profile=vmo_profile(f, scales),
+        bmo_norm=norm,
+        vmo_profile=_vmo_profile(f, by_width, scales),
         a_infty_constant=max(1.0, a_infty_constant(weight)),
         doubling_constant=max(1.0, doubling_constant(weight)),
         jn_fit=(jn.c0_hat, jn.cjn_hat),

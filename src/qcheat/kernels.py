@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .data import SampledFunction
-from .errors import CoverageError, DomainError
+from .errors import DomainError
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -121,6 +121,9 @@ KERNELS: dict[KernelId, Kernel] = {
 
 # half-width of the real-space integration window, in units of s = t/y
 TRUNCATION_RADIUS = 8.0
+# the fewest lattice nodes a window of circle data may hold: the spectral
+# engine's resolution gate, and the node count of `convolve`'s refined window
+MIN_SAMPLES_PER_WINDOW = 32
 
 
 def eval_kernel(k: Kernel, s) -> complex | np.ndarray:
@@ -159,23 +162,6 @@ def multiplier(k: Kernel, nu) -> np.ndarray:
     out.real = gauss * _horner(z, [c.real for c in d])
     out.imag = gauss * _horner(z, [c.imag for c in d])
     return out
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature parameters: the fewest lattice nodes an integration window
-    of half-width TRUNCATION_RADIUS * y may hold."""
-
-    min_samples_per_window: int = 32
-
-    def __post_init__(self):
-        if self.min_samples_per_window < 32:
-            raise DomainError(
-                f"min_samples_per_window must be >= 32, got {self.min_samples_per_window}"
-            )
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -221,40 +207,32 @@ def _spline_evaluator(w: SampledFunction):
     return lambda t: re(np.asarray(t, dtype=float)) + 1j * im(np.asarray(t, dtype=float))
 
 
-def convolve(w: SampledFunction, k: Kernel, x: float, y: float,
-             q: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
-    """Numeric (e^w * k_y)(x); deterministic for fixed inputs and spec.
+def convolve(w: SampledFunction, k: Kernel, x: float, y: float) -> complex:
+    """Numeric (e^w * k_y)(x); deterministic for fixed inputs.
 
     Periodic data wrap; line data must cover the truncated window, else
     a CoverageError names the missing range.  If the window holds fewer
-    lattice nodes than `min_samples_per_window`, the window is re-sampled
-    on a finer uniform grid through a cubic interpolant of w.
+    than MIN_SAMPLES_PER_WINDOW lattice nodes, it is re-sampled on that
+    many uniform cells through a cubic interpolant of w.
     """
     if y <= 0:
         raise DomainError(f"convolve requires y > 0, got {y}")
     R = TRUNCATION_RADIUS
+    lo, hi = x - R * y, x + R * y
+    w.domain.require_covers(lo, hi)
     if w.periodic:
         window_nodes = 2 * R * y * w.n / w.domain.length
-        if window_nodes >= q.min_samples_per_window or window_nodes >= w.n:
+        if window_nodes >= MIN_SAMPLES_PER_WINDOW or window_nodes >= w.n:
             data = np.exp(w.values)
             return _periodic_point_sum(w, k, x, y, R, data)
-        return _refined_window_sum(w, k, x, y, R, q.min_samples_per_window)
+        return _refined_window_sum(w, k, x, y)
 
-    lo, hi = x - R * y, x + R * y
-    a, b = w.domain.a, w.domain.b
-    if lo < a - 1e-12 or hi > b + 1e-12:
-        missing = (lo, a) if lo < a else (b, hi)
-        raise CoverageError(
-            f"window [{lo:.6g}, {hi:.6g}] exits domain [{a:.6g}, {b:.6g}]; "
-            f"missing range [{missing[0]:.6g}, {missing[1]:.6g}]",
-            missing=missing,
-        )
-    h = w.h
+    a, h = w.domain.a, w.h
     j0 = int(np.ceil((lo - a) / h - 1e-12))
     j1 = int(np.floor((hi - a) / h + 1e-12))
     count = j1 - j0 + 1
-    if count < q.min_samples_per_window:
-        return _refined_window_sum(w, k, x, y, R, q.min_samples_per_window)
+    if count < MIN_SAMPLES_PER_WINDOW:
+        return _refined_window_sum(w, k, x, y)
     t = a + h * np.arange(j0, j1 + 1)
     kern = k.evaluator((x - t) / y) / y
     vals = np.exp(w.values[j0:j1 + 1]) * kern
@@ -263,37 +241,22 @@ def convolve(w: SampledFunction, k: Kernel, x: float, y: float,
     return complex(np.dot(vals, weights))
 
 
-def _refined_window_sum(w: SampledFunction, k: Kernel, x: float, y: float,
-                        R: float, n_min: int) -> complex:
+def _refined_window_sum(w: SampledFunction, k: Kernel, x: float, y: float) -> complex:
+    """Trapezoid sum over the window [x - R y, x + R y], which `convolve`
+    has checked, on MIN_SAMPLES_PER_WINDOW cells of a cubic interpolant."""
     ev = _spline_evaluator(w)
-    m = max(n_min, 32)
-    t = np.linspace(x - R * y, x + R * y, m + 1)
-    if not w.periodic:
-        a, b = w.domain.a, w.domain.b
-        if t[0] < a - 1e-12 or t[-1] > b + 1e-12:
-            raise CoverageError(
-                f"window [{t[0]:.6g}, {t[-1]:.6g}] exits domain [{a:.6g}, {b:.6g}]",
-                missing=(t[0], t[-1]),
-            )
+    R = TRUNCATION_RADIUS
+    t = np.linspace(x - R * y, x + R * y, MIN_SAMPLES_PER_WINDOW + 1)
     vals = np.exp(ev(t)) * (k.evaluator((x - t) / y) / y)
     return complex(np.trapezoid(vals, t))
 
 
-def _gauss_hermite(w: SampledFunction, k: Kernel, x: float, y: float,
-                   q: QuadratureSpec) -> complex:
-    """Gauss-Hermite rule on a cubic interpolant of w; an independent check
-    of the trapezoid sum in `convolve`."""
-    m = max(q.min_samples_per_window, 64)
-    nodes, weights = np.polynomial.hermite.hermgauss(m)
+def _gauss_hermite(w: SampledFunction, k: Kernel, x: float, y: float) -> complex:
+    """64-node Gauss-Hermite rule on a cubic interpolant of w; an
+    independent check of the trapezoid sum in `convolve`."""
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
     t = x - y * nodes
-    if not w.periodic:
-        a, b = w.domain.a, w.domain.b
-        if t.min() < a - 1e-12 or t.max() > b + 1e-12:
-            raise CoverageError(
-                f"Gauss-Hermite window [{t.min():.6g}, {t.max():.6g}] exits "
-                f"domain [{a:.6g}, {b:.6g}]",
-                missing=(float(t.min()), float(t.max())),
-            )
+    w.domain.require_covers(float(t.min()), float(t.max()), "Gauss-Hermite window")
     ev = _spline_evaluator(w)
     integrand = np.exp(ev(t)) * k.gauss_factor(nodes)
     return complex(np.dot(weights, integrand) / SQRT_PI)

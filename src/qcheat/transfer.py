@@ -91,7 +91,7 @@ class DiskGrid:
 
     @staticmethod
     def from_halfplane(grid: HalfPlaneGrid) -> "DiskGrid":
-        if abs((grid.x_max - grid.x_min) - 1.0) > 1e-12:
+        if not grid.spans_period(1.0):
             raise DomainError("disk grid needs a one-period half-plane grid")
         return DiskGrid(2 * np.pi * grid.x, grid.y_levels)
 

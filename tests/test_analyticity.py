@@ -209,23 +209,22 @@ def test_cauchy_resolution_check_passes_on_converged_contour(sine_probe):
     assert err <= 1e-6
 
 
-def test_cauchy_resolution_check_rebuilds_with_the_probe_quadrature(monkeypatch):
+def test_cauchy_resolution_check_rebuilds_on_the_probe_grid(monkeypatch):
     grid = qc.HalfPlaneGrid.build(nx=256, y_min=1 / 32, y_max=2.0, levels_per_octave=4)
-    q = qc.QuadratureSpec(min_samples_per_window=48)
     w0 = qc.lift(qc.constant(0.0, 256))
-    p = qc.build_probe(w0, qc.lift(qc.sine(0.5, 1, 256)), 0.05, 8, grid, q)
-    assert p.q == q
+    p = qc.build_probe(w0, qc.lift(qc.sine(0.5, 1, 256)), 0.05, 8, grid)
     seen = []
     build = analyticity.build_probe
 
     def spy(*args, **kwargs):
         probe = build(*args, **kwargs)
-        seen.append(probe.q)
+        seen.append((probe.fields[0].grid, probe.contour_nodes.size))
         return probe
 
     monkeypatch.setattr(analyticity, "build_probe", spy)
     qc.cauchy_reconstruct(p, 0.001, check_resolution=True)
-    assert seen == [q]
+    assert len(seen) == 1
+    assert seen[0][0] is grid and seen[0][1] == 16
 
 
 # ---------------------------------------------------------------------------

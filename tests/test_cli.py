@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import qcheat as qc
-from qcheat.cli import _atomic_write, run, write_field_csv
+from qcheat.cli import _atomic_write, build_parser, run, write_field_csv
 
 GRID_ARGS = ["--nx", "256", "--y-min", str(1 / 64), "--y-max", "2.0", "--n", "256"]
 
@@ -83,8 +85,7 @@ def test_transfer_report_keys(tmp_path):
                                   "carleson_profile", "cutoff"}
         assert rep[side]["hybrid_norm"] >= rep[side]["sup_norm"]
     assert set(rep["config"]) == {"command", "builtin", "input", "n", "seed", "nx", "x_min",
-                                  "x_max", "y_min", "y_max", "levels_per_octave",
-                                  "min_samples", "out"}
+                                  "x_max", "y_min", "y_max", "levels_per_octave", "out"}
 
 def test_probe_subcommand(tmp_path):
     out = str(tmp_path / "o")
@@ -134,6 +135,34 @@ def test_unknown_builtin_exits_2(tmp_path, capsys):
 
 def test_unknown_flag_exits_2(tmp_path):
     assert run(["beltrami", "--frobnicate", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("y_min,code", [(1 / 128, 0), (0.0075, 3)])
+def test_circle_windows_need_32_nodes(tmp_path, capsys, y_min, code):
+    # 256 nodes per period: a window of half-width 8y holds 4096 y nodes
+    args = ["beltrami", "--builtin", "sine:0.3,1", "--n", "256", "--nx", "256",
+            "--y-min", str(y_min), "--y-max", "2.0", "--out", str(tmp_path)]
+    assert run(args) == code
+    if code:
+        assert "error kind=resolution" in capsys.readouterr().err
+
+
+def _readme_cli_section():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = fh.read()
+    start = text.index("\n## CLI\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else None]
+
+
+def test_readme_documents_every_cli_option():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in sub.choices.values() for a in p._actions
+               for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _readme_cli_section()))
+    assert options - documented == set()
+    assert documented - options == set()
 
 
 def test_singular_datum_exits_3(tmp_path, capsys):

@@ -62,3 +62,65 @@ def test_sine_and_constant_builders():
     assert s.values.real[16] == pytest.approx(0.5 * np.sin(2 * np.pi * 2 * 16 / 128))
     c = qc.constant(1 - 2j, 64)
     assert np.all(c.values == 1 - 2j)
+
+
+# ---------------------------------------------------------------------------
+# coverage: every route that reads line data in a window keeps one rule
+
+def _line(a, b, n=257, values=None):
+    vals = np.zeros(n) if values is None else values
+    return SampledFunction(Domain.line(a, b), vals + 0j)
+
+
+def _gauss_hermite_reach(x, y):
+    nodes, _ = np.polynomial.hermite.hermgauss(64)
+    return x - y * nodes.max()
+
+
+def _coverage_cases():
+    """(route, data domain, the range of its window outside the domain)."""
+    from qcheat.kernels import _gauss_hermite
+
+    half = qc.HalfPlaneGrid.build(x_min=0.0, x_max=0.5, nx=64, y_min=1 / 32, y_max=1 / 8)
+    box = qc.HalfPlaneGrid.build(x_min=0.0, x_max=0.5, nx=64, y_min=1 / 32, y_max=0.75)
+    far = qc.HalfPlaneGrid.build(x_min=2.0, x_max=3.0, nx=64, y_min=1 / 32, y_max=1 / 16)
+    identity = _line(-1.0, 1.0, 4097, np.linspace(-1.0, 1.0, 4097))
+    return {
+        # window [0.375, 1.375] of (x, y) = (0.875, 1/16)
+        "convolve": (lambda: qc.convolve(_line(0.0, 1.0), qc.PHI, 0.875, 1 / 16),
+                     (0.0, 1.0), (1.0, 1.375)),
+        "gauss_hermite": (lambda: _gauss_hermite(_line(0.0, 1.0), qc.PHI, 0.125, 1 / 16),
+                          (0.0, 1.0), (_gauss_hermite_reach(0.125, 1 / 16), 0.0)),
+        # [0, 0.75] from the anchor 0
+        "gamma_of": (lambda: qc.gamma_of(_line(0.5, 1.0), 0.75), (0.5, 1.0), (0.0, 0.5)),
+        # grid windows [-1, 0.4921875 + 1]
+        "extend": (lambda: qc.extend(_line(-1.0, 1.0), half), (-1.0, 1.0), (1.0, 1.4921875)),
+        "beltrami": (lambda: qc.beltrami(_line(-1.0, 1.0), half), (-1.0, 1.0), (1.0, 1.4921875)),
+        # the windows lie inside [0.5, 4.5], the anchor 0 of gamma does not
+        "extend_anchor": (lambda: qc.extend(_line(0.5, 4.5), far), (0.5, 4.5), (0.0, 0.5)),
+        "oscillation_integral": (
+            lambda: qc.oscillation_integral(_line(0.0, 1.0), qc.PHI, 0.875, 1 / 16),
+            (0.0, 1.0), (1.0, 1.375)),
+        # box windows [0 - 0.75, 0.4921875 + 0.75]
+        "classical_ba_extend": (lambda: qc.classical_ba_extend(identity, 2.0, box),
+                                (-1.0, 1.0), (1.0, 1.2421875)),
+    }
+
+
+@pytest.mark.parametrize("route", list(_coverage_cases()))
+def test_coverage_error_names_the_range_outside_the_domain(route):
+    call, (a, b), missing = _coverage_cases()[route]
+    with pytest.raises(qc.CoverageError) as exc:
+        call()
+    assert exc.value.missing == missing
+    message = str(exc.value)
+    assert f"domain [{a:.6g}, {b:.6g}]" in message
+    assert f"missing range [{missing[0]:.6g}, {missing[1]:.6g}]" in message
+
+
+def test_coverage_error_on_both_sides_names_both_ranges():
+    with pytest.raises(qc.CoverageError) as exc:
+        _line(0.0, 1.0).domain.require_covers(-0.25, 1.5)
+    assert exc.value.missing == (-0.25, 0.0)
+    assert "missing range [-0.25, 0] and [1, 1.5]" in str(exc.value)
+    Domain.circle().require_covers(-3.0, 7.0)  # periodic domains cover every window

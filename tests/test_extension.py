@@ -10,8 +10,8 @@ import qcheat as qc
 from qcheat.data import Domain, SampledFunction
 from qcheat import kernels as kq
 from qcheat.extension import _SpectralEngine, _SpectralPlan, _cumulative_trapezoid
-from qcheat.kernels import (_V_RATE, ALPHA, BETA, DEFAULT_QUADRATURE, KERNELS, PHI,
-                            PHI_SECOND, PSI, SQRT_PI, TRUNCATION_RADIUS, _periodic_point_sum)
+from qcheat.kernels import (_V_RATE, ALPHA, BETA, KERNELS, PHI, PHI_SECOND, PSI, SQRT_PI,
+                            TRUNCATION_RADIUS, _periodic_point_sum)
 
 
 def grid_points(grid):
@@ -58,7 +58,7 @@ def test_gamma_of_on_a_shifted_period():
     shifted = SampledFunction(Domain.line(0.5, 1.5, periodic=True), vals)
     unshifted = SampledFunction(Domain.circle(), vals)
     grid = qc.HalfPlaneGrid.build(x_min=0.5, x_max=1.5, nx=n, y_min=1 / 64, y_max=1.0)
-    nodes = _SpectralEngine(shifted, grid, DEFAULT_QUADRATURE).gamma_at_nodes()
+    nodes = _SpectralEngine(shifted, grid).gamma_at_nodes()
     for i in (1, 37, 200, 255):
         x = float(grid.x[i])
         got = qc.gamma_of(shifted, x) - qc.gamma_of(shifted, 0.5)
@@ -227,8 +227,21 @@ def test_line_extension_identity():
     grid = qc.HalfPlaneGrid.build(x_min=-0.5, x_max=0.5, nx=64,
                                   y_min=0.05, y_max=0.5, levels_per_octave=8)
     field = qc.extend(w, grid)
-    expected = grid_points(grid) - (-6.0)  # gamma anchored at the left end
-    assert np.max(np.abs(field.F - expected)) <= 1e-6
+    # gamma is anchored at 0, as in gamma_of: F = x + iy (to 5.5e-15)
+    assert np.max(np.abs(field.F - grid_points(grid))) <= 1e-12
+
+
+def test_line_extension_gamma_is_gamma_of_between_lattice_nodes():
+    n = 1025
+    x = np.linspace(-4.0, 4.0, n)
+    # the field recenters the weight by exp(mean w), gamma_of does not:
+    # they agree to rounding (1.0e-14 measured)
+    w = SampledFunction(Domain.line(-4.0, 4.0), 0.5 + 0.3 * np.sin(3 * x) + 0.2j * np.cos(x))
+    grid = qc.HalfPlaneGrid.build(x_min=-0.503, x_max=0.497, nx=100, y_min=0.05, y_max=0.375)
+    assert not np.any(np.isclose((grid.x + 4.0) / w.h % 1, 0.0, atol=1e-6))
+    field = qc.extend(w, grid)
+    want = np.array([qc.gamma_of(w, float(t)) for t in grid.x])
+    assert np.max(np.abs(field.gamma - want)) <= 1e-13
 
 
 def test_line_extension_coverage_error():
@@ -283,7 +296,7 @@ def test_line_mu_is_invariant_under_a_large_offset():
     grid = qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=64, y_min=0.05, y_max=1.0)
     mu = qc.beltrami(_line_datum(w720 - 720.0), grid)  # the subtraction is exact
     with np.errstate(over="ignore"):  # scale = e^720, unused by mu
-        eng = _SpectralEngine(_line_datum(w720), grid, DEFAULT_QUADRATURE)
+        eng = _SpectralEngine(_line_datum(w720), grid)
     num, den = eng.convolutions((ALPHA, BETA))[0]
     assert np.max(np.abs(num / den - mu.values)) <= 1e-14
     # beltrami also records |e^w * beta_y| itself, which overflows there
@@ -395,7 +408,7 @@ def test_line_engine_matches_the_point_wise_window_sum(make):
     # line data are one period of length n h on the spectral plan; every
     # window stays inside [a, b], so the seam is invisible to rounding
     w, grid = make()
-    eng = _SpectralEngine(w, grid, DEFAULT_QUADRATURE)
+    eng = _SpectralEngine(w, grid)
     assert not eng.plan.fold
     assert np.all(np.diff(grid.y_levels) > 0) and grid.ny >= 5
     for data, stack in zip((eng.ew, eng.p0), eng.convolutions(LINE_KERNELS, LINE_KERNELS)):
@@ -566,7 +579,7 @@ def test_spectral_engine_matches_real_space_lattice_sum(name):
     w = qc.constant(0.0, 256).with_values(u + 0.5j * qc.random_trig(5, 0.3, 11, 256).values)
     x_min, x_max, nx = ENGINE_GRIDS[name]
     grid = qc.HalfPlaneGrid(x_min, x_max, nx, np.array([1 / 64, 0.2, 2.0]))
-    eng = _SpectralEngine(w, grid, DEFAULT_QUADRATURE)
+    eng = _SpectralEngine(w, grid)
     kernels = tuple(KERNELS.values()) + (_V_RATE,)
     for k, conv_ew, conv_p0 in zip(kernels, *eng.convolutions(kernels, kernels)):
         for data, got in ((eng.ew, conv_ew), (eng.p0, conv_p0)):
@@ -621,7 +634,7 @@ def test_banded_tables_drop_only_entries_below_e64(name, small_grid):
     # so an entry moves by less than e^-64 times the kernel's polynomial at
     # the band edge (e.g. 69 for BETA, 2.1e3 for _V_RATE)
     w, grid = _folding_case(name, small_grid)
-    plan = _SpectralPlan(w, grid, DEFAULT_QUADRATURE)
+    plan = _SpectralPlan(w, grid)
     assert plan.fold
     kernels = tuple(KERNELS.values()) + (_V_RATE,)
     for kern, got, want in zip(kernels, plan.table(*kernels), _alias_table(plan, *kernels)):
@@ -687,7 +700,7 @@ def test_denom_mag_is_the_per_level_window_mean_magnitude(name, small_grid):
     else:
         x_min, x_max, nx = ENGINE_GRIDS[name]
         grid = qc.HalfPlaneGrid(x_min, x_max, nx, small_grid.y_levels)
-    plan = _SpectralPlan(w, grid, DEFAULT_QUADRATURE)
+    plan = _SpectralPlan(w, grid)
     den = plan.apply(plan.table(BETA)[0], np.fft.fft(np.exp(w.values - np.mean(w.values))))
     local = _local_real_means(w, grid)
     want = np.abs(den) * np.exp(float(np.mean(w.values.real)) - local)

@@ -358,3 +358,28 @@ def test_oscillation_integral_coverage_error_on_line():
     u = SampledFunction(Domain.line(0.0, 1.0), np.zeros(64) + 0j)
     with pytest.raises(qc.CoverageError):
         qc.oscillation_integral(u, qc.PHI, 0.5, 0.7, "power", 1)
+
+
+# ---------------------------------------------------------------------------
+# report assembly
+
+@pytest.mark.parametrize("datum", [qc.sine(0.3, 1, 512),
+                                   SampledFunction(Domain.line(-4.0, 4.0),
+                                                   np.sin(np.linspace(-4.0, 4.0, 513)) + 0j)])
+def test_analyze_takes_one_oscillation_pass(datum, monkeypatch):
+    from qcheat import funcspace
+
+    want_bmo = qc.bmo_norm(datum)
+    want_vmo = qc.vmo_profile(datum, [c * datum.h for c in funcspace._dyadic_cell_widths(datum.n)])
+    calls = []
+    by_width = funcspace._oscillation_by_width
+
+    def spy(f):
+        calls.append(f)
+        return by_width(f)
+
+    monkeypatch.setattr(funcspace, "_oscillation_by_width", spy)
+    rep = qc.analyze(datum)
+    assert len(calls) == 1
+    assert rep.bmo_norm == want_bmo
+    assert rep.vmo_profile == want_vmo

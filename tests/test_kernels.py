@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import qcheat as qc
 from qcheat.data import Domain, SampledFunction
-from qcheat.kernels import (_V_RATE, KERNELS, QuadratureSpec, _gauss_hermite,
-                            envelope_constant, multiplier, numeric_moment)
+from qcheat.kernels import (_V_RATE, KERNELS, _gauss_hermite, envelope_constant, multiplier,
+                            numeric_moment)
 
 ALL_KERNELS = list(KERNELS.values()) + [_V_RATE]
 
@@ -60,11 +60,6 @@ def test_scale_rejects_nonpositive_y(y):
         qc.scale(qc.PHI, y, 0.3)
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(qc.DomainError):
-        QuadratureSpec(min_samples_per_window=16)
-
-
 # ---------------------------------------------------------------------------
 # convolve
 
@@ -90,19 +85,22 @@ def test_convolve_alpha_against_refined_oracle():
 
 def test_convolve_gauss_hermite_matches_trapezoid():
     w = qc.sine(0.3, 1)
-    q = QuadratureSpec(64)
     for k in (qc.PHI, qc.ALPHA, qc.BETA):
         a = qc.convolve(w, k, 0.123, 0.2)
-        b = _gauss_hermite(w, k, 0.123, 0.2, q)
+        b = _gauss_hermite(w, k, 0.123, 0.2)
         assert abs(a - b) <= 1e-10
 
 
 def test_convolve_refinement_convergence():
-    # coarse datum at tiny y forces the interpolated-window path
+    # coarse datum at tiny y forces the interpolated-window path, whose 32
+    # cells of the cubic interpolant agree with a dense trapezoid over the
+    # same window to 9.0e-13
     w = qc.sine(0.3, 1, n=64)
-    a = qc.convolve(w, qc.PHI, 0.5, 1e-3, QuadratureSpec(min_samples_per_window=64))
-    b = qc.convolve(w, qc.PHI, 0.5, 1e-3, QuadratureSpec(min_samples_per_window=128))
-    assert abs(a - b) <= 1e-8
+    x, y = 0.5, 1e-3
+    got = qc.convolve(w, qc.PHI, x, y)
+    t = np.linspace(x - 8 * y, x + 8 * y, 65537)
+    dense = np.trapezoid(np.exp(0.3 * np.sin(2 * np.pi * t)) * qc.scale(qc.PHI, y, x - t), t)
+    assert abs(got - dense) <= 1e-11
 
 
 def test_convolve_scale_covariance():
