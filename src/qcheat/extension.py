@@ -140,7 +140,6 @@ class ExtensionField:
     F_z: np.ndarray = field(repr=False)
     F_zbar: np.ndarray = field(repr=False)
     identity_residuals: dict = field(default_factory=dict)
-    partials_via: str = "kernel_identities"
 
     @property
     def F(self) -> np.ndarray:
@@ -295,10 +294,9 @@ def _fast_len(m: int) -> int:
 
 class _SpectralPlan:
     """The datum-independent part of the engine, for one data lattice and
-    one grid.  Circle data must leave MIN_SAMPLES_PER_WINDOW lattice
-    nodes in a window of half-width 8 y_min, line data one; J is the
-    smallest J >= 1 whose first omitted alias carries
-    exp(-pi^2 ((J + 1/2) n y_min / P)^2) < e^-64.
+    one grid.  A window of half-width 8 y_min must hold the lattice nodes
+    of `kernels.require_window_nodes`; J is the smallest J >= 1 whose first
+    omitted alias carries exp(-pi^2 ((J + 1/2) n y_min / P)^2) < e^-64.
 
     The aliased frequencies f = f0 + m, 0 <= m < (2J + 1) n, are
     contiguous, and both routes sum, per chunk of levels, only the band of
@@ -320,15 +318,8 @@ class _SpectralPlan:
         period = w.domain.length if w.periodic else n * w.h
         y_top = grid.y_levels[-1]
         w.domain.require_covers(grid.x[0] - R * y_top, grid.x[-1] + R * y_top, "grid window")
-        # circle data keep the guard; line data need one node, which bounds J
-        need = kq.MIN_SAMPLES_PER_WINDOW if w.periodic else 1
-        nodes_at_bottom = 2 * R * grid.y_min * n / period
-        if nodes_at_bottom < need - 1e-9:
-            raise ResolutionError(
-                f"data lattice gives {nodes_at_bottom:.1f} samples per window at "
-                f"y={grid.y_min:g}; need {need} "
-                f"(refine the datum or raise y_min)"
-            )
+        # line data need one node per window, which bounds J
+        kq.require_window_nodes(w, grid.y_min)
         self.grid = grid
         self.n = n
         self.period = period
@@ -735,7 +726,7 @@ def beltrami_fd_oracle(extension: ExtensionField) -> BeltramiField:
 def classical_ba_extend(h: SampledFunction, r: float, grid: HalfPlaneGrid) -> ExtensionField:
     """Box-kernel extension baseline: U averages h over [x-y, x+y] and V is
     (r/2y) times the difference of the right and left half-window integrals.
-    Partials are filled by central differences (flagged on the field)."""
+    Partials are filled by central differences."""
     if r <= 0:
         raise DomainError(f"classical extension needs r > 0, got {r}")
     if not h.is_real:
@@ -765,6 +756,4 @@ def classical_ba_extend(h: SampledFunction, r: float, grid: HalfPlaneGrid) -> Ex
     F_y = U_y + 1j * V_y
     gamma = np.interp(gx, h.x, hu) + 0j
     return ExtensionField(grid, h, gamma, U, V, U_x, V_x, U_y, V_y,
-                          0.5 * (F_x - 1j * F_y), 0.5 * (F_x + 1j * F_y),
-                          identity_residuals={},
-                          partials_via="finite_differences")
+                          0.5 * (F_x - 1j * F_y), 0.5 * (F_x + 1j * F_y))

@@ -22,10 +22,11 @@ from .errors import DomainError
 from .kernels import TRUNCATION_RADIUS, Kernel
 
 
-def _dyadic_cell_widths(n: int, min_cells: int = 4) -> list[int]:
+def _dyadic_cell_widths(n: int) -> list[int]:
+    """n, n // 2, n // 4, ... down to the last width of at least 4 cells."""
     widths = []
     c = n
-    while c >= min_cells:
+    while c >= 4:
         widths.append(c)
         c //= 2
     return widths

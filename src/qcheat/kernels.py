@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .data import SampledFunction
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -54,62 +53,49 @@ def _gauss(s):
 
 @dataclass(frozen=True)
 class Kernel:
-    """One member of the kernel family.
-
-    `evaluator` maps real s to the (complex) kernel value; `gauss_factor`
-    is the polynomial P with k(s) = P(s) exp(-s^2)/sqrt(pi), used by the
-    Gauss-Hermite rule.  `derivatives` holds the pairs (m, c_m) with
-    k = sum_m c_m phi^(m); `moment0`/`moment1` are the analytic values of
-    the zeroth and first moments.
-    """
+    """One member of the kernel family, k = sum_m c_m phi^(m), given by the
+    pairs (m, c_m) in `derivatives`."""
 
     id: KernelId | str
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    gauss_factor: Callable[[np.ndarray], np.ndarray]
     derivatives: tuple[tuple[int, complex], ...]
-    moment0: complex
-    moment1: complex
+
+    def gauss_factor(self, s) -> np.ndarray:
+        """The polynomial P with k(s) = P(s) phi(s): phi^(m) = (-1)^m H_m phi
+        with H_m the physicists' Hermite polynomials, built by their
+        recurrence H_(m+1) = 2 s H_m - 2 m H_(m-1)."""
+        s = np.asarray(s, dtype=float)
+        coeffs = dict(self.derivatives)
+        out = np.zeros(s.shape, dtype=complex)
+        h_prev, h = np.zeros_like(s), np.ones_like(s)
+        for m in range(max(coeffs) + 1):
+            if m in coeffs:
+                out = out + coeffs[m] * (-1) ** m * h
+            h_prev, h = h, 2 * s * h - 2 * m * h_prev
+        return out
+
+    def evaluator(self, s) -> np.ndarray:
+        """Kernel value k(s) = P(s) phi(s) at real s."""
+        return self.gauss_factor(s) * _gauss(s)
+
+    @property
+    def moment0(self) -> complex:
+        """Integral of k: only phi has mass."""
+        return complex(dict(self.derivatives).get(0, 0))
+
+    @property
+    def moment1(self) -> complex:
+        """Integral of s k(s): only psi = phi' has a first moment, -1."""
+        return complex(-dict(self.derivatives).get(1, 0))
 
 
-PHI = Kernel(KernelId.Phi, lambda s: _gauss(s) + 0j, lambda s: np.ones_like(s) + 0j,
-             ((0, 1.0),), 1.0, 0.0)
-PSI = Kernel(KernelId.Psi, lambda s: -2.0 * s * _gauss(s) + 0j, lambda s: -2.0 * s + 0j,
-             ((1, 1.0),), 0.0, -1.0)
-PHI_SECOND = Kernel(
-    KernelId.PhiSecond,
-    lambda s: (4.0 * np.square(s) - 2.0) * _gauss(s) + 0j,
-    lambda s: 4.0 * np.square(s) - 2.0 + 0j,
-    ((2, 1.0),),
-    0.0,
-    0.0,
-)
-ALPHA = Kernel(
-    KernelId.Alpha,
-    lambda s: ((0.5 - np.square(s)) - 1.5j * s) * _gauss(s),
-    lambda s: (0.5 - np.square(s)) - 1.5j * s,
-    ((1, 0.75j), (2, -0.25)),
-    0.0,
-    -0.75j,
-)
-BETA = Kernel(
-    KernelId.Beta,
-    lambda s: ((0.5 + np.square(s)) - 0.5j * s) * _gauss(s),
-    lambda s: (0.5 + np.square(s)) - 0.5j * s,
-    ((0, 1.0), (1, 0.25j), (2, 0.25)),
-    1.0,
-    -0.25j,
-)
-
+PHI = Kernel(KernelId.Phi, ((0, 1.0),))
+PSI = Kernel(KernelId.Psi, ((1, 1.0),))
+PHI_SECOND = Kernel(KernelId.PhiSecond, ((2, 1.0),))
+ALPHA = Kernel(KernelId.Alpha, ((1, 0.75j), (2, -0.25)))
+BETA = Kernel(KernelId.Beta, ((0, 1.0), (1, 0.25j), (2, 0.25)))
 # Rate-of-change kernel for the vertical derivative of V: the y-derivative
 # of psi_y equals (1/y) e_y with e(s) = 4 s (1 - s^2) phi(s).  Internal use.
-_V_RATE = Kernel(
-    "_VRate",
-    lambda s: 4.0 * s * (1.0 - np.square(s)) * _gauss(s) + 0j,
-    lambda s: 4.0 * s * (1.0 - np.square(s)) + 0j,
-    ((1, 1.0), (3, 0.5)),
-    0.0,
-    -1.0,
-)
+_V_RATE = Kernel("_VRate", ((1, 1.0), (3, 0.5)))
 
 KERNELS: dict[KernelId, Kernel] = {
     KernelId.Phi: PHI,
@@ -121,9 +107,21 @@ KERNELS: dict[KernelId, Kernel] = {
 
 # half-width of the real-space integration window, in units of s = t/y
 TRUNCATION_RADIUS = 8.0
-# the fewest lattice nodes a window of circle data may hold: the spectral
-# engine's resolution gate, and the node count of `convolve`'s refined window
+# the fewest lattice nodes a window of circle data may hold
 MIN_SAMPLES_PER_WINDOW = 32
+
+
+def require_window_nodes(w: SampledFunction, y: float):
+    """The window rule: a window of half-width TRUNCATION_RADIUS * y holds
+    MIN_SAMPLES_PER_WINDOW lattice nodes of circle data, or one of line
+    data; else ResolutionError."""
+    need = MIN_SAMPLES_PER_WINDOW if w.periodic else 1
+    nodes = 2 * TRUNCATION_RADIUS * y / w.h
+    if nodes < need - 1e-9:
+        raise ResolutionError(
+            f"data lattice gives {nodes:.1f} samples per window at "
+            f"y={y:g}; need {need} (refine the datum or raise y_min)"
+        )
 
 
 def eval_kernel(k: Kernel, s) -> complex | np.ndarray:
@@ -184,82 +182,32 @@ def _periodic_point_sum(w: SampledFunction, k: Kernel, x: float, y: float,
     return complex(h * np.dot(data, kern))
 
 
-def _spline_evaluator(w: SampledFunction):
-    """Cubic interpolant of the raw samples of w (periodic where the data are)."""
-    # imported here: scipy.interpolate costs most of the package's import time
-    from scipy.interpolate import CubicSpline
-
-    if w.periodic:
-        xs = np.append(w.x, w.domain.b)
-        vals = np.append(w.values, w.values[0])
-        re = CubicSpline(xs, vals.real, bc_type="periodic")
-        im = CubicSpline(xs, vals.imag, bc_type="periodic")
-        period = w.domain.length
-        a = w.domain.a
-
-        def ev(t):
-            tt = a + ((np.asarray(t, dtype=float) - a) % period)
-            return re(tt) + 1j * im(tt)
-
-        return ev
-    re = CubicSpline(w.x, w.values.real)
-    im = CubicSpline(w.x, w.values.imag)
-    return lambda t: re(np.asarray(t, dtype=float)) + 1j * im(np.asarray(t, dtype=float))
-
-
 def convolve(w: SampledFunction, k: Kernel, x: float, y: float) -> complex:
-    """Numeric (e^w * k_y)(x); deterministic for fixed inputs.
+    """Numeric (e^w * k_y)(x): the trapezoid sum on the data lattice, as the
+    field engine computes it; deterministic for fixed inputs.
 
     Periodic data wrap; line data must cover the truncated window, else
-    a CoverageError names the missing range.  If the window holds fewer
-    than MIN_SAMPLES_PER_WINDOW lattice nodes, it is re-sampled on that
-    many uniform cells through a cubic interpolant of w.
+    a CoverageError names the missing range, and the window must hold the
+    lattice nodes of `require_window_nodes`.
     """
     if y <= 0:
         raise DomainError(f"convolve requires y > 0, got {y}")
     R = TRUNCATION_RADIUS
     lo, hi = x - R * y, x + R * y
     w.domain.require_covers(lo, hi)
+    require_window_nodes(w, y)
     if w.periodic:
-        window_nodes = 2 * R * y * w.n / w.domain.length
-        if window_nodes >= MIN_SAMPLES_PER_WINDOW or window_nodes >= w.n:
-            data = np.exp(w.values)
-            return _periodic_point_sum(w, k, x, y, R, data)
-        return _refined_window_sum(w, k, x, y)
+        return _periodic_point_sum(w, k, x, y, R, np.exp(w.values))
 
     a, h = w.domain.a, w.h
     j0 = int(np.ceil((lo - a) / h - 1e-12))
     j1 = int(np.floor((hi - a) / h + 1e-12))
-    count = j1 - j0 + 1
-    if count < MIN_SAMPLES_PER_WINDOW:
-        return _refined_window_sum(w, k, x, y)
     t = a + h * np.arange(j0, j1 + 1)
     kern = k.evaluator((x - t) / y) / y
     vals = np.exp(w.values[j0:j1 + 1]) * kern
-    weights = np.full(count, h)
+    weights = np.full(j1 - j0 + 1, h)
     weights[0] = weights[-1] = h / 2
     return complex(np.dot(vals, weights))
-
-
-def _refined_window_sum(w: SampledFunction, k: Kernel, x: float, y: float) -> complex:
-    """Trapezoid sum over the window [x - R y, x + R y], which `convolve`
-    has checked, on MIN_SAMPLES_PER_WINDOW cells of a cubic interpolant."""
-    ev = _spline_evaluator(w)
-    R = TRUNCATION_RADIUS
-    t = np.linspace(x - R * y, x + R * y, MIN_SAMPLES_PER_WINDOW + 1)
-    vals = np.exp(ev(t)) * (k.evaluator((x - t) / y) / y)
-    return complex(np.trapezoid(vals, t))
-
-
-def _gauss_hermite(w: SampledFunction, k: Kernel, x: float, y: float) -> complex:
-    """64-node Gauss-Hermite rule on a cubic interpolant of w; an
-    independent check of the trapezoid sum in `convolve`."""
-    nodes, weights = np.polynomial.hermite.hermgauss(64)
-    t = x - y * nodes
-    w.domain.require_covers(float(t.min()), float(t.max()), "Gauss-Hermite window")
-    ev = _spline_evaluator(w)
-    integrand = np.exp(ev(t)) * k.gauss_factor(nodes)
-    return complex(np.dot(weights, integrand) / SQRT_PI)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 import argparse
+import ast
 import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import qcheat as qc
+from qcheat import analyticity, funcspace
 from qcheat.cli import _atomic_write, build_parser, run, write_field_csv
 
 GRID_ARGS = ["--nx", "256", "--y-min", str(1 / 64), "--y-max", "2.0", "--n", "256"]
@@ -428,6 +431,32 @@ def test_w0_input_reads_a_datum_file(tmp_path, monkeypatch, capsys):
     assert run(PROBE_ARGS + ["--w0", "const:0", "--w0-input", "const:0", "--out", "d"]) == 2
 
 
+@pytest.mark.parametrize("option", ["--contour-nodes=0", "--contour-nodes=-3", "--eps=inf",
+                                    "--eps=nan", "--eps=-0.1", "--eps=0"])
+def test_probe_rejects_bad_arguments_before_any_field(tmp_path, monkeypatch, capsys, option):
+    built = []
+    real = analyticity._dilatation_map
+    monkeypatch.setattr(analyticity, "_dilatation_map",
+                        lambda *a: built.append(a) or real(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(PROBE_ARGS + [option, "--out", str(tmp_path / "o")]) == 2
+    assert "error kind=validation" in capsys.readouterr().err
+    assert built == []
+
+
+def test_transfer_computes_the_bmo_norm_once(tmp_path, monkeypatch):
+    # lift only relabels the samples, so one BMO norm serves both keys
+    calls = []
+    real = funcspace.bmo_norm
+    monkeypatch.setattr(funcspace, "bmo_norm", lambda f: calls.append(f) or real(f))
+    out = str(tmp_path / "o")
+    assert run(["transfer", "--builtin", "sine:0.3,1", "--out", out] + GRID_ARGS) == 0
+    rep = read_json(os.path.join(out, "transfer.json"))
+    assert len(calls) == 1
+    assert rep["bmo_u"] == rep["bmo_lift"] == real(qc.sine(0.3, 1, 256))
+
+
 # ---------------------------------------------------------------------------
 # the field CSV writer against an independent row-by-row f-string loop
 
@@ -500,29 +529,54 @@ def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # importing the CLI loads no scipy module; the spline oracle still
-    # loads scipy.interpolate when convolve refines a coarse window
+    # no route of the package loads a scipy module: the CLI import, the
+    # real-space convolve on circle and line data, and a field
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "import qcheat.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "import qcheat as qc\n"
-        "print(repr(qc.convolve(qc.sine(0.3, 1, 64), qc.BETA, 0.25, 0.01)))\n"
-        "print('scipy.interpolate' in sys.modules)\n"
+        "qc.convolve(qc.sine(0.3, 1, 64), qc.BETA, 0.25, 0.1)\n"
+        "line = qc.SampledFunction(qc.Domain.line(-1.0, 1.0), np.zeros(65) + 0j)\n"
+        "qc.convolve(line, qc.ALPHA, 0.0, 0.01)\n"
+        "qc.beltrami(qc.sine(0.3, 1, 256), qc.HalfPlaneGrid.build(nx=64, y_min=0.01, y_max=0.5))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    loaded, value, spline = res.stdout.splitlines()
-    assert loaded == "[]"
-    assert complex(value) == qc.convolve(qc.sine(0.3, 1, 64), qc.BETA, 0.25, 0.01)
-    assert spline == "True"
+    assert res.stdout.strip() == "[]"
+
+
+def _imported_top_level_names(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_modules_import_no_third_party_package_but_numpy():
+    package = os.path.dirname(os.path.abspath(qc.__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            found = set(_imported_top_level_names(os.path.join(package, name)))
+            assert found - set(sys.stdlib_module_names) - {"numpy"} == set(), name
+
+
+def test_pyproject_declares_only_numpy():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.split(r"[<>=!~ \[;]", d)[0] for d in deps] == ["numpy"]
 
 
 def test_cli_import_loads_no_numpy_polynomial():
-    # the multipliers evaluate their polynomials inline; numpy loads
-    # numpy.polynomial lazily, for the Gauss-Hermite check only
+    # the multipliers evaluate their polynomials inline, so the CLI import
+    # loads no numpy.polynomial module
     code = (
         "import sys\n"
         "import qcheat.cli\n"

@@ -72,15 +72,8 @@ def _line(a, b, n=257, values=None):
     return SampledFunction(Domain.line(a, b), vals + 0j)
 
 
-def _gauss_hermite_reach(x, y):
-    nodes, _ = np.polynomial.hermite.hermgauss(64)
-    return x - y * nodes.max()
-
-
 def _coverage_cases():
     """(route, data domain, the range of its window outside the domain)."""
-    from qcheat.kernels import _gauss_hermite
-
     half = qc.HalfPlaneGrid.build(x_min=0.0, x_max=0.5, nx=64, y_min=1 / 32, y_max=1 / 8)
     box = qc.HalfPlaneGrid.build(x_min=0.0, x_max=0.5, nx=64, y_min=1 / 32, y_max=0.75)
     far = qc.HalfPlaneGrid.build(x_min=2.0, x_max=3.0, nx=64, y_min=1 / 32, y_max=1 / 16)
@@ -89,8 +82,6 @@ def _coverage_cases():
         # window [0.375, 1.375] of (x, y) = (0.875, 1/16)
         "convolve": (lambda: qc.convolve(_line(0.0, 1.0), qc.PHI, 0.875, 1 / 16),
                      (0.0, 1.0), (1.0, 1.375)),
-        "gauss_hermite": (lambda: _gauss_hermite(_line(0.0, 1.0), qc.PHI, 0.125, 1 / 16),
-                          (0.0, 1.0), (_gauss_hermite_reach(0.125, 1 / 16), 0.0)),
         # [0, 0.75] from the anchor 0
         "gamma_of": (lambda: qc.gamma_of(_line(0.5, 1.0), 0.75), (0.5, 1.0), (0.0, 0.5)),
         # grid windows [-1, 0.4921875 + 1]

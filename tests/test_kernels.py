@@ -1,16 +1,25 @@
 import numpy as np
 import pytest
-from numpy.polynomial.hermite import hermval
+from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.polynomial import polyval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcheat as qc
 from qcheat.data import Domain, SampledFunction
-from qcheat.kernels import (_V_RATE, KERNELS, _gauss_hermite, envelope_constant, multiplier,
-                            numeric_moment)
+from qcheat.kernels import _V_RATE, KERNELS, envelope_constant, multiplier, numeric_moment
 
 ALL_KERNELS = list(KERNELS.values()) + [_V_RATE]
+
+# the closed forms P(s) of the module docstring, with k(s) = P(s) phi(s)
+CLOSED_FORM = {
+    qc.PHI.id: lambda s: np.ones_like(s),
+    qc.PSI.id: lambda s: -2.0 * s,
+    qc.PHI_SECOND.id: lambda s: 4.0 * s ** 2 - 2.0,
+    qc.ALPHA.id: lambda s: (0.5 - s ** 2) - 1.5j * s,
+    qc.BETA.id: lambda s: (0.5 + s ** 2) - 0.5j * s,
+    _V_RATE.id: lambda s: 4.0 * s * (1.0 - s ** 2),
+}
 
 
 @pytest.mark.parametrize("k,s,expected", [
@@ -83,24 +92,33 @@ def test_convolve_alpha_against_refined_oracle():
     assert abs(got - oracle) <= 1e-10
 
 
+def _gauss_hermite(datum, k, x, y):
+    """64-node Gauss-Hermite rule for the integral of e^datum(t) k_y(x - t)
+    in t = x - y s, with k's closed-form polynomial factor."""
+    nodes, weights = hermgauss(64)
+    integrand = np.exp(datum(x - y * nodes)) * CLOSED_FORM[k.id](nodes)
+    return complex(np.dot(weights, integrand) / np.sqrt(np.pi))
+
+
 def test_convolve_gauss_hermite_matches_trapezoid():
     w = qc.sine(0.3, 1)
     for k in (qc.PHI, qc.ALPHA, qc.BETA):
         a = qc.convolve(w, k, 0.123, 0.2)
-        b = _gauss_hermite(w, k, 0.123, 0.2)
+        b = _gauss_hermite(lambda t: 0.3 * np.sin(2 * np.pi * t), k, 0.123, 0.2)
         assert abs(a - b) <= 1e-10
 
 
-def test_convolve_refinement_convergence():
-    # coarse datum at tiny y forces the interpolated-window path, whose 32
-    # cells of the cubic interpolant agree with a dense trapezoid over the
-    # same window to 9.0e-13
+def test_convolve_coarse_circle_window_is_a_resolution_error():
+    # 64 nodes per period leave 10.24 nodes in a window of half-width 8y at
+    # y = 0.01; convolve keeps the engine's window rule and its message
     w = qc.sine(0.3, 1, n=64)
-    x, y = 0.5, 1e-3
-    got = qc.convolve(w, qc.PHI, x, y)
-    t = np.linspace(x - 8 * y, x + 8 * y, 65537)
-    dense = np.trapezoid(np.exp(0.3 * np.sin(2 * np.pi * t)) * qc.scale(qc.PHI, y, x - t), t)
-    assert abs(got - dense) <= 1e-11
+    with pytest.raises(qc.ResolutionError) as direct:
+        qc.convolve(w, qc.BETA, 0.25, 0.01)
+    grid = qc.HalfPlaneGrid(0.0, 1.0, 64, np.array([0.01, 0.5]))
+    with pytest.raises(qc.ResolutionError) as field:
+        qc.beltrami(w, grid)
+    assert str(direct.value) == str(field.value)
+    assert "need 32" in str(direct.value)
 
 
 def test_convolve_scale_covariance():
@@ -154,12 +172,12 @@ def test_multiplier_is_bit_identical_to_numpy_polyval(k):
 
 @pytest.mark.parametrize("k", ALL_KERNELS, ids=lambda k: str(k.id))
 def test_evaluator_is_the_heat_derivative_combination(k):
-    # phi^(m)(s) = (-1)^m H_m(s) phi(s) with H_m the physicists' Hermite
-    # polynomial, so the multiplier coefficients pin the real-space kernel
+    # the coefficients c_m of k = sum_m c_m phi^(m) give the closed forms
+    # of the module docstring
     s = np.linspace(-9.0, 9.0, 2001)
-    phi = np.exp(-s ** 2) / np.sqrt(np.pi)
-    combo = sum(c * (-1) ** m * hermval(s, [0] * m + [1]) * phi for m, c in k.derivatives)
-    assert np.max(np.abs(k.evaluator(s) - combo)) <= 1e-14
+    want = CLOSED_FORM[k.id](s) * np.exp(-s ** 2) / np.sqrt(np.pi)
+    got = k.evaluator(s)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
 
 
 def test_off_lattice_x_matches_refined_oracle():
