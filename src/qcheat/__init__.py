@@ -11,18 +11,16 @@ from .data import Domain, SampledFunction, constant, random_trig, sawtooth, sine
 from .errors import (CoverageError, DomainError, ProbeFailure, QcheatError,
                      ResolutionError, SingularDenominatorError)
 from .kernels import (ALPHA, BETA, KERNELS, PHI, PHI_SECOND, PSI, Kernel,
-                      KernelId, convolve, eval_kernel, scale)
+                      KernelId, eval_kernel, scale)
 from .extension import (BeltramiField, ExtensionField, HalfPlaneGrid,
-                        beltrami, beltrami_fd_oracle, classical_ba_extend,
-                        extend, gamma_of)
+                        beltrami, classical_ba_extend, extend, gamma_of)
 from .funcspace import (AnalyzerReport, JNProfile, a_infty_constant, analyze,
                         bmo_norm, doubling_constant, john_nirenberg_profile,
                         oscillation_integral, quasisymmetry_constant,
                         vmo_profile)
-from .carleson import (CarlesonReport, ProfileEntry, Sector,
-                       carleson_norm_disk, carleson_norm_halfplane,
-                       hybrid_norm, vanishing_profile_disk,
-                       vanishing_profile_halfplane)
+from .carleson import (CarlesonReport, ProfileEntry, carleson_norm_disk,
+                       carleson_norm_halfplane, hybrid_norm,
+                       vanishing_profile_disk, vanishing_profile_halfplane)
 from .transfer import (CircleHomeo, DiskGrid, contraction,
                        disk_extension_trace, forward_L, identity_homeo,
                        inverse_L, lift, push_to_disk, reflect_beltrami)

@@ -21,26 +21,12 @@ import numpy as np
 
 from .errors import DomainError
 from .extension import BeltramiField, HalfPlaneGrid
-from .funcspace import (ProfileEntry, _cumulative_profile, _dyadic_cell_widths,
-                        _profile_at_scales, _starts, _window_sums)
+from .funcspace import (ProfileEntry, _cumulative_profile, _profile_at_scales,
+                        _window_sums, interval_family)
+from .transfer import DiskGrid
 
 # sector centres theta0 on a uniform grid of this many angles
 N_THETA0 = 64
-
-
-@dataclass(frozen=True)
-class Sector:
-    """Boundary sector of the unit disk: radii in [1-h, 1), angles within
-    pi*h of theta0."""
-
-    h: float
-    theta0: float
-
-    def __post_init__(self):
-        if not (0 < self.h <= 1):
-            raise DomainError(f"sector height must lie in (0, 1], got {self.h}")
-        if not (0 <= self.theta0 < 2 * np.pi):
-            raise DomainError(f"sector angle must lie in [0, 2*pi), got {self.theta0}")
 
 
 @dataclass(frozen=True)
@@ -95,17 +81,16 @@ def carleson_norm_halfplane(mu: BeltramiField) -> CarlesonReport:
     dens = np.abs(mu.values) ** 2
     periodic = mu.periodic
 
-    widths = _dyadic_cell_widths(nx)
-    if not widths:
+    family = interval_family(nx, periodic)
+    if not family:
         raise DomainError("empty box family: grid has fewer than 4 x cells")
     row_sums = _window_sums(dens, 2 if periodic else 1)
 
     best = -1.0
     argmax = {}
     per_width = []
-    for c in widths:
+    for c, starts in family:
         L = c * hx
-        starts = _starts(c, nx, periodic)
         rowint = row_sums(starts, starts + c) * hx
         gw = _logy_weights(ys, L)
         vals = (gw @ rowint) / L
@@ -134,8 +119,6 @@ def vanishing_profile_halfplane(mu: BeltramiField, scales) -> list[ProfileEntry]
 def carleson_norm_disk(nu: BeltramiField) -> CarlesonReport:
     """Sup over sampled sectors (dyadic heights, theta0 on N_THETA0 uniform
     angles) of the sector mass of |nu|^2 / (1 - r^2) divided by the height."""
-    from .transfer import DiskGrid
-
     grid = nu.grid
     if not isinstance(grid, DiskGrid):
         raise DomainError("disk Carleson norm needs a field on a DiskGrid")
@@ -191,8 +174,6 @@ def vanishing_profile_disk(nu: BeltramiField, scales) -> list[ProfileEntry]:
 
 def hybrid_norm(field: BeltramiField) -> float:
     """sup|mu| + sqrt(Carleson norm), dispatched on the field's grid."""
-    from .transfer import DiskGrid
-
     if isinstance(field.grid, HalfPlaneGrid):
         return carleson_norm_halfplane(field).hybrid_norm
     if isinstance(field.grid, DiskGrid):

@@ -116,14 +116,6 @@ class SampledFunction:
         return self.domain.a + self.h * np.arange(self.n)
 
     @property
-    def u(self) -> np.ndarray:
-        return self.values.real
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.values.imag
-
-    @property
     def is_real(self) -> bool:
         return bool(np.all(self.values.imag == 0.0))
 

@@ -39,8 +39,8 @@ coverage check keeps every window of half-width 8y around a grid node
 inside [a, b], so the seam and every translate of the data lie at least
 8y from the node, where the kernels are below e^-64 of their peak: the
 periodised lattice sum is the window sum to rounding.  The real-space
-checks of the engine are the point-wise lattice sum in `kernels` and the
-window sums in the tests.
+checks of the engine, its lattice sums and a finite-difference dilatation,
+are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ SINGULAR_THRESHOLD = 1e-12
 # largest terms over every node (for a circle step of height 20, |den| on
 # the low side lands on multiples of 2^-25, about 0.55 of this floor)
 FFT_ROUNDING_FLOOR = np.finfo(float).eps
+# the fewest lattice nodes a window of circle data may hold
+MIN_SAMPLES_PER_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,13 @@ class HalfPlaneGrid:
         object.__setattr__(self, "y_levels", ys)
         if self.nx < 64:
             raise DomainError(f"grid needs nx >= 64, got {self.nx}")
-        if self.x_max <= self.x_min:
-            raise DomainError("grid needs x_max > x_min")
+        x_min, x_max = self.x_min, self.x_max
+        if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
+            raise DomainError(f"grid needs finite x_min < x_max, got {x_min}, {x_max}")
         if ys.ndim != 1 or ys.size < 2:
             raise DomainError("need at least two y levels")
-        if not (np.all(ys > 0) and np.all(np.diff(ys) > 0)):
-            raise DomainError("y levels must be positive and strictly increasing")
+        if not (np.all(np.isfinite(ys)) and np.all(ys > 0) and np.all(np.diff(ys) > 0)):
+            raise DomainError("y levels must be finite, positive and strictly increasing")
 
     @staticmethod
     def build(x_min: float = 0.0, x_max: float = 1.0, nx: int = 2048,
@@ -91,8 +94,10 @@ class HalfPlaneGrid:
               levels_per_octave: int = 8) -> "HalfPlaneGrid":
         """Levels y_max * 2^(-k/levels_per_octave), descending until the
         first level <= y_min is included."""
-        if y_min <= 0 or y_max <= y_min:
-            raise DomainError("need 0 < y_min < y_max")
+        if not (np.isfinite(y_min) and np.isfinite(y_max) and 0 < y_min < y_max):
+            raise DomainError(f"need finite 0 < y_min < y_max, got {y_min}, {y_max}")
+        if levels_per_octave < 1:
+            raise DomainError(f"need levels_per_octave >= 1, got {levels_per_octave}")
         K = int(np.ceil(levels_per_octave * np.log2(y_max / y_min) - 1e-9))
         ys = y_max * 2.0 ** (-np.arange(K, -1, -1) / levels_per_octave)
         return HalfPlaneGrid(x_min, x_max, nx, ys)
@@ -294,9 +299,10 @@ def _fast_len(m: int) -> int:
 
 class _SpectralPlan:
     """The datum-independent part of the engine, for one data lattice and
-    one grid.  A window of half-width 8 y_min must hold the lattice nodes
-    of `kernels.require_window_nodes`; J is the smallest J >= 1 whose first
-    omitted alias carries exp(-pi^2 ((J + 1/2) n y_min / P)^2) < e^-64.
+    one grid.  The window rule: a window of half-width 8 y_min must hold
+    MIN_SAMPLES_PER_WINDOW lattice nodes of circle data, or one of line
+    data.  J is the smallest J >= 1 whose first omitted alias carries
+    exp(-pi^2 ((J + 1/2) n y_min / P)^2) < e^-64.
 
     The aliased frequencies f = f0 + m, 0 <= m < (2J + 1) n, are
     contiguous, and both routes sum, per chunk of levels, only the band of
@@ -318,8 +324,13 @@ class _SpectralPlan:
         period = w.domain.length if w.periodic else n * w.h
         y_top = grid.y_levels[-1]
         w.domain.require_covers(grid.x[0] - R * y_top, grid.x[-1] + R * y_top, "grid window")
-        # line data need one node per window, which bounds J
-        kq.require_window_nodes(w, grid.y_min)
+        # one node per window of line data bounds J
+        need = MIN_SAMPLES_PER_WINDOW if w.periodic else 1
+        nodes = 2 * R * grid.y_min / w.h
+        if nodes < need - 1e-9:
+            raise ResolutionError(
+                f"data lattice gives {nodes:.1f} samples per window at "
+                f"y={grid.y_min:g}; need {need} (refine the datum or raise y_min)")
         self.grid = grid
         self.n = n
         self.period = period
@@ -678,48 +689,6 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid) -> BeltramiField:
     return _dilatation_map(w, grid)(w)
 
 
-def beltrami_fd_oracle(extension: ExtensionField) -> BeltramiField:
-    """Independent dilatation estimate by central differences of F.
-
-    Second-order stencils in x (periodic wrap when the datum wraps) and in
-    the non-uniform y levels; requires at least 3 levels per octave.
-    """
-    grid = extension.grid
-    ys = grid.y_levels
-    if ys.size < 3:
-        raise ResolutionError("finite-difference oracle needs >= 3 y levels")
-    ratios = ys[1:] / ys[:-1]
-    if np.max(ratios) > 2.0 ** (1.0 / 3.0) + 1e-9:
-        raise ResolutionError(
-            "finite-difference oracle needs >= 3 y levels per octave; "
-            f"coarsest spacing ratio is {np.max(ratios):.4f}"
-        )
-    F = extension.F
-    hx = grid.hx
-    if extension.periodic and grid.spans_period(extension.datum.domain.length):
-        # F is periodic only up to the period mass of gamma: F(x+1) = F(x) + mass
-        scale_const, mhat, _, _ = _periodic_parts(extension.datum)
-        mass = scale_const * mhat * extension.datum.domain.length
-        F_plus = np.roll(F, -1, axis=1)
-        F_plus[:, -1] += mass
-        F_minus = np.roll(F, 1, axis=1)
-        F_minus[:, 0] -= mass
-        F_x = (F_plus - F_minus) / (2 * hx)
-    else:
-        F_x = np.gradient(F, hx, axis=1, edge_order=2)
-    F_y = np.gradient(F, ys, axis=0, edge_order=2)
-    F_zbar = 0.5 * (F_x + 1j * F_y)
-    F_z = 0.5 * (F_x - 1j * F_y)
-    mag = np.abs(F_z)
-    if np.min(mag) < SINGULAR_THRESHOLD:
-        jj, ii = np.unravel_index(int(np.argmin(mag)), mag.shape)
-        raise SingularDenominatorError(
-            "finite-difference F_z vanished",
-            x=float(grid.x[ii]), y=float(ys[jj]), magnitude=float(np.min(mag)),
-        )
-    return BeltramiField(grid, F_zbar / F_z, mag, periodic=extension.periodic)
-
-
 # ---------------------------------------------------------------------------
 # classical box-kernel baseline
 
@@ -727,8 +696,8 @@ def classical_ba_extend(h: SampledFunction, r: float, grid: HalfPlaneGrid) -> Ex
     """Box-kernel extension baseline: U averages h over [x-y, x+y] and V is
     (r/2y) times the difference of the right and left half-window integrals.
     Partials are filled by central differences."""
-    if r <= 0:
-        raise DomainError(f"classical extension needs r > 0, got {r}")
+    if not (np.isfinite(r) and r > 0):
+        raise DomainError(f"classical extension needs a finite r > 0, got {r}")
     if not h.is_real:
         raise DomainError("classical extension needs a real-valued datum")
     hu = h.values.real

@@ -69,10 +69,9 @@ def _windows(vals: np.ndarray, c: int, starts: np.ndarray, periodic: bool) -> np
     return ext[starts[:, None] + np.arange(c)[None, :]]
 
 
-def interval_family(f: SampledFunction):
-    """(cells, starts) pairs of the estimator family for f's grid."""
-    n = f.n
-    return [(c, _starts(c, n, f.periodic)) for c in _dyadic_cell_widths(n)]
+def interval_family(n: int, periodic: bool):
+    """(cells, starts) pairs of the estimator family on n grid cells."""
+    return [(c, _starts(c, n, periodic)) for c in _dyadic_cell_widths(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +122,7 @@ def _profile_at_scales(profile: list[ProfileEntry], scales, cutoff: float) -> li
 
 def _oscillation_by_width(f: SampledFunction) -> list[tuple[int, float]]:
     out = []
-    for c, starts in interval_family(f):
+    for c, starts in interval_family(f.n, f.periodic):
         W = _windows(f.values, c, starts, f.periodic)
         m = W.mean(axis=1)
         osc = np.abs(W - m[:, None]).mean(axis=1)
@@ -165,14 +164,11 @@ def _require_weight(omega: SampledFunction) -> np.ndarray:
 def a_infty_constant(omega: SampledFunction) -> float:
     """Sup over the interval family of arithmetic mean / geometric mean."""
     w = _require_weight(omega)
-    n = omega.n
-    per = omega.periodic
-    copies = 2 if per else 1
+    copies = 2 if omega.periodic else 1
     sum_w = _window_sums(w, copies)
     sum_l = _window_sums(np.log(w), copies)
     best = 1.0
-    for c in _dyadic_cell_widths(n):
-        starts = _starts(c, n, per)
+    for c, starts in interval_family(omega.n, omega.periodic):
         am = sum_w(starts, starts + c) / c
         gm = np.exp(sum_l(starts, starts + c) / c)
         best = max(best, float(np.max(am / gm)))

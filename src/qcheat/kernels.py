@@ -20,10 +20,9 @@ Fourier transform is the closed-form multiplier
 
     k^(nu) = exp(eta^2/4) * sum_m c_m eta^m,   eta = 2 pi i nu,
 
-and k_y has transform k^(nu y).  The field engines use these multipliers;
-`convolve` below is the independent real-space route: a trapezoid sum on
-the data lattice, truncated at |t| <= TRUNCATION_RADIUS * y, with periodic
-data summed over integer translates of the period.
+and k_y has transform k^(nu y).  The field engine uses these multipliers;
+its real-space check, the trapezoid sum on the data lattice truncated at
+|t| <= TRUNCATION_RADIUS * y, is in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SampledFunction
-from .errors import DomainError, ResolutionError
+from .errors import DomainError
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -107,21 +105,6 @@ KERNELS: dict[KernelId, Kernel] = {
 
 # half-width of the real-space integration window, in units of s = t/y
 TRUNCATION_RADIUS = 8.0
-# the fewest lattice nodes a window of circle data may hold
-MIN_SAMPLES_PER_WINDOW = 32
-
-
-def require_window_nodes(w: SampledFunction, y: float):
-    """The window rule: a window of half-width TRUNCATION_RADIUS * y holds
-    MIN_SAMPLES_PER_WINDOW lattice nodes of circle data, or one of line
-    data; else ResolutionError."""
-    need = MIN_SAMPLES_PER_WINDOW if w.periodic else 1
-    nodes = 2 * TRUNCATION_RADIUS * y / w.h
-    if nodes < need - 1e-9:
-        raise ResolutionError(
-            f"data lattice gives {nodes:.1f} samples per window at "
-            f"y={y:g}; need {need} (refine the datum or raise y_min)"
-        )
 
 
 def eval_kernel(k: Kernel, s) -> complex | np.ndarray:
@@ -163,63 +146,7 @@ def multiplier(k: Kernel, nu) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# real-space quadrature
-
-def _periodic_point_sum(w: SampledFunction, k: Kernel, x: float, y: float,
-                        R: float, data: np.ndarray) -> complex:
-    """Trapezoid lattice sum h * sum_l data_l * sum_m k_y(x - t_l + m*period)
-    at one point: the real-space oracle for the spectral field engine."""
-    n = w.n
-    period = w.domain.length
-    h = period / n
-    t = w.domain.a + h * np.arange(n)
-    delta = x - t
-    delta = ((delta + period / 2) % period) - period / 2
-    m_max = int(np.ceil((R * y) / period)) + 3
-    m = np.arange(-m_max, m_max + 1) * period
-    offs = delta[None, :] + m[:, None]
-    kern = (k.evaluator(offs / y) / y).sum(axis=0)
-    return complex(h * np.dot(data, kern))
-
-
-def convolve(w: SampledFunction, k: Kernel, x: float, y: float) -> complex:
-    """Numeric (e^w * k_y)(x): the trapezoid sum on the data lattice, as the
-    field engine computes it; deterministic for fixed inputs.
-
-    Periodic data wrap; line data must cover the truncated window, else
-    a CoverageError names the missing range, and the window must hold the
-    lattice nodes of `require_window_nodes`.
-    """
-    if y <= 0:
-        raise DomainError(f"convolve requires y > 0, got {y}")
-    R = TRUNCATION_RADIUS
-    lo, hi = x - R * y, x + R * y
-    w.domain.require_covers(lo, hi)
-    require_window_nodes(w, y)
-    if w.periodic:
-        return _periodic_point_sum(w, k, x, y, R, np.exp(w.values))
-
-    a, h = w.domain.a, w.h
-    j0 = int(np.ceil((lo - a) / h - 1e-12))
-    j1 = int(np.floor((hi - a) / h + 1e-12))
-    t = a + h * np.arange(j0, j1 + 1)
-    kern = k.evaluator((x - t) / y) / y
-    vals = np.exp(w.values[j0:j1 + 1]) * kern
-    weights = np.full(j1 - j0 + 1, h)
-    weights[0] = weights[-1] = h / 2
-    return complex(np.dot(vals, weights))
-
-
-# ---------------------------------------------------------------------------
 # diagnostics
-
-def numeric_moment(k: Kernel, order: int = 0, R: float = 10.0, n: int = 40001) -> complex:
-    """Dense trapezoid of s^order * k(s) over [-R, R]; independent check of
-    the analytic moment attributes."""
-    s = np.linspace(-R, R, n)
-    vals = (s ** order) * k.evaluator(s)
-    return complex(np.trapezoid(vals, s))
-
 
 def envelope_constant(k: Kernel, s_min: float = 4.0, s_max: float = 30.0,
                       n: int = 4001) -> float:

@@ -1,0 +1,103 @@
+"""Real-space checks of the spectral field engine.
+
+The engine (`qcheat.extension._SpectralPlan`) convolves on the Fourier side.
+These oracles compute the same numbers in real space from the public kernel
+values `Kernel.evaluator` and nothing else of the engine, so they stay
+independent of the code they check:
+
+- `window_sum`: the trapezoid lattice sum of line data against k_y over the
+  window of half-width TRUNCATION_RADIUS * y, at one point;
+- `periodic_point_sum`: the same sum for periodic data, over integer
+  translates of the period, at one point;
+- `convolve`: (e^w * k_y)(x) through one of the two;
+- `numeric_moment`: a dense trapezoid of a kernel's moment;
+- `beltrami_fd_oracle`: the dilatation by central differences of F.
+"""
+
+import numpy as np
+
+import qcheat as qc
+from qcheat.extension import SINGULAR_THRESHOLD
+from qcheat.kernels import TRUNCATION_RADIUS
+
+
+def window_sum(w, data, kern, x, y, real=np.float64):
+    """The trapezoid sum of data * k_y(x - t) over the lattice nodes t of
+    line data w in [x - R y, x + R y], cut at the ends of the data, with
+    the lattice, x and y taken in the floating type `real`."""
+    R = TRUNCATION_RADIUS
+    j0 = max(0, int(np.ceil((x - R * y - w.domain.a) / w.h - 1e-12)))
+    j1 = min(w.n - 1, int(np.floor((x + R * y - w.domain.a) / w.h + 1e-12)))
+    a = real(w.domain.a)
+    h = (real(w.domain.b) - a) / (w.n - 1)
+    t = a + h * np.arange(j0, j1 + 1)
+    y = real(y)
+    weights = np.full(t.size, h)
+    weights[0] = weights[-1] = h / 2
+    return np.dot(data[j0:j1 + 1] * weights, kern.evaluator((real(x) - t) / y) / y)
+
+
+def periodic_point_sum(w, kern, x, y, data) -> complex:
+    """The trapezoid lattice sum h * sum_l data_l * sum_m k_y(x - t_l + m P)
+    of periodic data w with period P, at one point."""
+    period = w.domain.length
+    h = period / w.n
+    t = w.domain.a + h * np.arange(w.n)
+    delta = ((x - t + period / 2) % period) - period / 2
+    m_max = int(np.ceil(TRUNCATION_RADIUS * y / period)) + 3
+    m = np.arange(-m_max, m_max + 1) * period
+    kern_vals = (kern.evaluator((delta[None, :] + m[:, None]) / y) / y).sum(axis=0)
+    return complex(h * np.dot(data, kern_vals))
+
+
+def convolve(w, kern, x, y) -> complex:
+    """(e^w * k_y)(x) by the lattice sum of the data's kind."""
+    data = np.exp(w.values)
+    if w.periodic:
+        return periodic_point_sum(w, kern, x, y, data)
+    return complex(window_sum(w, data, kern, x, y))
+
+
+def numeric_moment(kern, order: int = 0, R: float = 10.0, n: int = 40001) -> complex:
+    """Dense trapezoid of s^order * k(s) over [-R, R]."""
+    s = np.linspace(-R, R, n)
+    return complex(np.trapezoid(s ** order * kern.evaluator(s), s))
+
+
+def beltrami_fd_oracle(extension) -> qc.BeltramiField:
+    """The dilatation F_zbar / F_z by central differences of F: second
+    order in x (across the seam when the grid spans one period of periodic
+    data) and in the non-uniform y levels, which need at least 3 levels
+    per octave."""
+    grid = extension.grid
+    ys = grid.y_levels
+    if ys.size < 3:
+        raise qc.ResolutionError("finite-difference oracle needs >= 3 y levels")
+    ratios = ys[1:] / ys[:-1]
+    if np.max(ratios) > 2.0 ** (1.0 / 3.0) + 1e-9:
+        raise qc.ResolutionError(
+            "finite-difference oracle needs >= 3 y levels per octave; "
+            f"coarsest spacing ratio is {np.max(ratios):.4f}")
+    F = extension.F
+    hx = grid.hx
+    datum = extension.datum
+    if datum.periodic and grid.spans_period(datum.domain.length):
+        # F(x + P) = F(x) + the period mass of gamma, the integral of e^w
+        mass = datum.domain.length * np.mean(np.exp(datum.values))
+        F_plus = np.roll(F, -1, axis=1)
+        F_plus[:, -1] += mass
+        F_minus = np.roll(F, 1, axis=1)
+        F_minus[:, 0] -= mass
+        F_x = (F_plus - F_minus) / (2 * hx)
+    else:
+        F_x = np.gradient(F, hx, axis=1, edge_order=2)
+    F_y = np.gradient(F, ys, axis=0, edge_order=2)
+    F_zbar = 0.5 * (F_x + 1j * F_y)
+    F_z = 0.5 * (F_x - 1j * F_y)
+    mag = np.abs(F_z)
+    if np.min(mag) < SINGULAR_THRESHOLD:
+        jj, ii = np.unravel_index(int(np.argmin(mag)), mag.shape)
+        raise qc.SingularDenominatorError(
+            "finite-difference F_z vanished",
+            x=float(grid.x[ii]), y=float(ys[jj]), magnitude=float(np.min(mag)))
+    return qc.BeltramiField(grid, F_zbar / F_z, mag, periodic=extension.periodic)

@@ -11,7 +11,8 @@ import pytest
 
 import qcheat as qc
 from qcheat.extension import BeltramiField
-from qcheat.kernels import numeric_moment
+
+from oracles import beltrami_fd_oracle, numeric_moment
 
 
 def report(num: int, ok: bool, detail: str):
@@ -58,7 +59,7 @@ def test_criterion_02_kernel_moments():
 
 def test_criterion_03_two_route_agreement(ref):
     mu = ref["mus"]["sine"]
-    oracle = qc.beltrami_fd_oracle(ref["fields"]["sine"])
+    oracle = beltrami_fd_oracle(ref["fields"]["sine"])
     coarse = float(np.max(np.abs(mu.values - oracle.values)))
 
     fine_grid = qc.HalfPlaneGrid.build(nx=4096, y_min=1e-3, y_max=4.0,
@@ -66,7 +67,7 @@ def test_criterion_03_two_route_agreement(ref):
     w = qc.sine(0.3, 1, 4096)
     fine = float(np.max(np.abs(
         qc.beltrami(w, fine_grid).values
-        - qc.beltrami_fd_oracle(qc.extend(w, fine_grid)).values)))
+        - beltrami_fd_oracle(qc.extend(w, fine_grid)).values)))
     ratio = coarse / fine
     ok = coarse <= 1e-3 and 3.0 <= ratio <= 5.0
     report(3, ok, f"disagreement={coarse:.2e}, refinement ratio={ratio:.2f}")

@@ -170,15 +170,6 @@ def test_disk_profile_of_vmo_datum_decays():
     assert prof[0].value <= 0.25 * rep.norm
 
 
-def test_sector_validation():
-    with pytest.raises(qc.DomainError):
-        qc.Sector(0.0, 0.0)
-    with pytest.raises(qc.DomainError):
-        qc.Sector(0.5, -1.0)
-    s = qc.Sector(0.5, np.pi)
-    assert s.h == 0.5
-
-
 def test_disk_norm_against_sector_loop(small_grid):
     # sectors at dyadic heights and 64 centers, membership by angular
     # distance; the centers at and near theta = 0 take columns on both sides

@@ -140,6 +140,25 @@ def test_unknown_flag_exits_2(tmp_path):
     assert run(["beltrami", "--frobnicate", "--out", str(tmp_path)]) == 2
 
 
+BASELINE_ARGS = ["baseline", "--builtin", "id:-8,8", "--n", "4097", "--x-min", "-1",
+                 "--x-max", "1", "--nx", "64", "--y-min", "0.05", "--y-max", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["beltrami", "--builtin", "sine:0.3,1"] + GRID_ARGS + ["--y-min", "nan"],
+    ["beltrami", "--builtin", "sine:0.3,1"] + GRID_ARGS + ["--y-max", "inf"],
+    ["beltrami", "--builtin", "sine:0.3,1"] + GRID_ARGS + ["--levels-per-octave", "0"],
+    ["beltrami", "--builtin", "sine:0.3,1"] + GRID_ARGS + ["--x-max", "nan"],
+    BASELINE_ARGS + ["--r", "nan"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_non_finite_grid_or_r_exits_2(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=validation")
+
+
 @pytest.mark.parametrize("y_min,code", [(1 / 128, 0), (0.0075, 3)])
 def test_circle_windows_need_32_nodes(tmp_path, capsys, y_min, code):
     # 256 nodes per period: a window of half-width 8y holds 4096 y nodes
@@ -529,16 +548,11 @@ def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # no route of the package loads a scipy module: the CLI import, the
-    # real-space convolve on circle and line data, and a field
+    # no route of the package loads a scipy module: the CLI import and a field
     code = (
         "import sys\n"
-        "import numpy as np\n"
         "import qcheat.cli\n"
         "import qcheat as qc\n"
-        "qc.convolve(qc.sine(0.3, 1, 64), qc.BETA, 0.25, 0.1)\n"
-        "line = qc.SampledFunction(qc.Domain.line(-1.0, 1.0), np.zeros(65) + 0j)\n"
-        "qc.convolve(line, qc.ALPHA, 0.0, 0.01)\n"
         "qc.beltrami(qc.sine(0.3, 1, 256), qc.HalfPlaneGrid.build(nx=64, y_min=0.01, y_max=0.5))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
@@ -565,6 +579,32 @@ def test_modules_import_no_third_party_package_but_numpy():
         if name.endswith(".py"):
             found = set(_imported_top_level_names(os.path.join(package, name)))
             assert found - set(sys.stdlib_module_names) - {"numpy"} == set(), name
+
+
+def test_oracles_stay_outside_the_package():
+    # the real-space oracles read only public names of the package, and no
+    # package module defines them again
+    tests = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(tests, "oracles.py")) as fh:
+        tree = ast.parse(fh.read())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "qcheat"
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
+    assert private == []
+    moved = {"convolve", "_periodic_point_sum", "numeric_moment", "beltrami_fd_oracle",
+             "require_window_nodes"}
+    package = os.path.dirname(os.path.abspath(qc.__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            defined = {node.name for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            defined |= {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                        for t in node.targets if isinstance(t, ast.Name)}
+            assert defined & moved == set(), name
 
 
 def test_pyproject_declares_only_numpy():

@@ -79,9 +79,6 @@ def _coverage_cases():
     far = qc.HalfPlaneGrid.build(x_min=2.0, x_max=3.0, nx=64, y_min=1 / 32, y_max=1 / 16)
     identity = _line(-1.0, 1.0, 4097, np.linspace(-1.0, 1.0, 4097))
     return {
-        # window [0.375, 1.375] of (x, y) = (0.875, 1/16)
-        "convolve": (lambda: qc.convolve(_line(0.0, 1.0), qc.PHI, 0.875, 1 / 16),
-                     (0.0, 1.0), (1.0, 1.375)),
         # [0, 0.75] from the anchor 0
         "gamma_of": (lambda: qc.gamma_of(_line(0.5, 1.0), 0.75), (0.5, 1.0), (0.0, 0.5)),
         # grid windows [-1, 0.4921875 + 1]
@@ -89,6 +86,7 @@ def _coverage_cases():
         "beltrami": (lambda: qc.beltrami(_line(-1.0, 1.0), half), (-1.0, 1.0), (1.0, 1.4921875)),
         # the windows lie inside [0.5, 4.5], the anchor 0 of gamma does not
         "extend_anchor": (lambda: qc.extend(_line(0.5, 4.5), far), (0.5, 4.5), (0.0, 0.5)),
+        # window [0.375, 1.375] of (x, y) = (0.875, 1/16)
         "oscillation_integral": (
             lambda: qc.oscillation_integral(_line(0.0, 1.0), qc.PHI, 0.875, 1 / 16),
             (0.0, 1.0), (1.0, 1.375)),

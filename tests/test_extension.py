@@ -11,7 +11,9 @@ from qcheat.data import Domain, SampledFunction
 from qcheat import kernels as kq
 from qcheat.extension import _SpectralEngine, _SpectralPlan, _cumulative_trapezoid
 from qcheat.kernels import (_V_RATE, ALPHA, BETA, KERNELS, PHI, PHI_SECOND, PSI, SQRT_PI,
-                            TRUNCATION_RADIUS, _periodic_point_sum)
+                            TRUNCATION_RADIUS)
+
+from oracles import beltrami_fd_oracle, periodic_point_sum, window_sum
 
 
 def grid_points(grid):
@@ -129,7 +131,7 @@ def test_beltrami_vanishes_for_constants(small_grid):
 def test_two_route_agreement(small_grid, sine_small):
     field = qc.extend(sine_small, small_grid)
     mu = qc.beltrami(sine_small, small_grid)
-    oracle = qc.beltrami_fd_oracle(field)
+    oracle = beltrami_fd_oracle(field)
     assert np.max(np.abs(mu.values - oracle.values)) <= 1e-3
 
 
@@ -140,7 +142,7 @@ def test_two_route_refinement_is_second_order():
         w = qc.sine(0.3, 1, n=n)
         field = qc.extend(w, grid)
         mu = qc.beltrami(w, grid)
-        return np.max(np.abs(mu.values - qc.beltrami_fd_oracle(field).values))
+        return np.max(np.abs(mu.values - beltrami_fd_oracle(field).values))
 
     coarse = disagreement(256, 8)
     fine = disagreement(512, 16)
@@ -210,12 +212,12 @@ def test_fd_oracle_needs_fine_levels(sine_small):
     coarse = qc.HalfPlaneGrid(0.0, 1.0, 256, np.array([0.1, 0.4, 1.6]))
     field = qc.extend(sine_small, coarse)
     with pytest.raises(qc.ResolutionError):
-        qc.beltrami_fd_oracle(field)
+        beltrami_fd_oracle(field)
 
 
 def test_resolution_error_when_lattice_underresolves():
     grid = qc.HalfPlaneGrid.build(nx=256, y_min=1e-4, y_max=1.0, levels_per_octave=8)
-    with pytest.raises(qc.ResolutionError):
+    with pytest.raises(qc.ResolutionError, match="samples per window at y=.*; need 32"):
         qc.extend(qc.sine(0.3, 1, 256), grid)
 
 
@@ -311,25 +313,10 @@ def test_line_mu_is_invariant_under_a_large_offset():
 # ---------------------------------------------------------------------------
 # the spectral line route against two real-space window sums
 
-def _window_sum(w, data, kern, x, y):
-    """The trapezoid sum of data * k_y(x - t) over the lattice window of
-    [x - R y, x + R y] at one node, one kernel at a time."""
-    R = TRUNCATION_RADIUS
-    a = w.domain.a
-    h = w.h
-    j0 = max(0, int(np.ceil((x - R * y - a) / h - 1e-12)))
-    j1 = min(w.n - 1, int(np.floor((x + R * y - a) / h + 1e-12)))
-    t = a + h * np.arange(j0, j1 + 1)
-    kern_vals = kern.evaluator((x - t) / y) / y
-    weights = np.full(t.size, h)
-    weights[0] = weights[-1] = h / 2
-    return np.dot(data[j0:j1 + 1] * weights, kern_vals)
-
-
 def _block_window_sums(w, grid, data, kernels, block_entries=2 ** 14):
-    """The same window sums on every node for each of `kernels`, stacked
-    as (len(kernels), ny, nx), one level at a time in blocks of x nodes:
-    every window of a level is read with the length of the longest through
+    """The window sums of `oracles.window_sum` on every node for each of
+    `kernels`, stacked as (len(kernels), ny, nx), one level at a time in
+    blocks of x nodes: every window of a level is read with the length of the longest through
     a sliding view of the zero-padded data, entries past a window's own end
     get weight 0, and the Gaussian times the trapezoid weights is computed
     once per block and shared by every kernel."""
@@ -365,7 +352,7 @@ def _block_window_sums(w, grid, data, kernels, block_entries=2 ** 14):
 
 
 def _window_sums(w, grid, data, kern):
-    return np.array([[_window_sum(w, data, kern, x, y) for x in grid.x]
+    return np.array([[window_sum(w, data, kern, x, y) for x in grid.x]
                      for y in grid.y_levels])
 
 
@@ -420,20 +407,6 @@ def test_line_engine_matches_the_point_wise_window_sum(make):
             assert np.max(np.abs(got - block)) <= bound
 
 
-def _longdouble_window_sum(w, data, kern, x, y):
-    """`_window_sum` in np.longdouble, for data in np.longdouble."""
-    R = TRUNCATION_RADIUS
-    j0 = max(0, int(np.ceil((x - R * y - w.domain.a) / w.h - 1e-12)))
-    j1 = min(w.n - 1, int(np.floor((x + R * y - w.domain.a) / w.h + 1e-12)))
-    a = np.longdouble(w.domain.a)
-    h = (np.longdouble(w.domain.b) - a) / (w.n - 1)
-    t = a + h * np.arange(j0, j1 + 1)
-    y = np.longdouble(y)
-    weights = np.full(t.size, h)
-    weights[0] = weights[-1] = h / 2
-    return np.sum(data[j0:j1 + 1] * weights * kern.evaluator((np.longdouble(x) - t) / y)) / y
-
-
 def _line_extend_errors(w, grid, field, cols):
     """The largest errors of the line field's V, U_y and V_y at the nodes
     of the columns `cols` against window sums in np.longdouble, with the
@@ -447,7 +420,7 @@ def _line_extend_errors(w, grid, field, cols):
     err = {"V": 0.0, "U_y": 0.0, "V_y": 0.0}
     for j, y in enumerate(grid.y_levels):
         for i in cols:
-            conv = {kern: scale * _longdouble_window_sum(w, gamma, kern, grid.x[i], y)
+            conv = {kern: scale * window_sum(w, gamma, kern, grid.x[i], y, np.longdouble)
                     for kern in (PSI, PHI_SECOND, _V_RATE)}
             want = {"V": conv[PSI], "U_y": conv[PHI_SECOND] / (2 * np.longdouble(y)),
                     "V_y": conv[_V_RATE] / np.longdouble(y)}
@@ -535,8 +508,9 @@ def test_classical_rejects_nonmonotone_and_bad_r():
     bad = _identity_map().with_values(np.linspace(4, -4, 4097) + 0j)
     with pytest.raises(qc.DomainError):
         qc.classical_ba_extend(bad, 2.0, grid)
-    with pytest.raises(qc.DomainError):
-        qc.classical_ba_extend(_identity_map(), 0.0, grid)
+    for r in (0.0, np.nan, np.inf):
+        with pytest.raises(qc.DomainError):
+            qc.classical_ba_extend(_identity_map(), r, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +557,7 @@ def test_spectral_engine_matches_real_space_lattice_sum(name):
     kernels = tuple(KERNELS.values()) + (_V_RATE,)
     for k, conv_ew, conv_p0 in zip(kernels, *eng.convolutions(kernels, kernels)):
         for data, got in ((eng.ew, conv_ew), (eng.p0, conv_p0)):
-            want = np.array([[_periodic_point_sum(w, k, x, y, TRUNCATION_RADIUS, data)
+            want = np.array([[periodic_point_sum(w, k, x, y, data)
                               for x in grid.x] for y in grid.y_levels])
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
