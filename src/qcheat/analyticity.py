@@ -7,6 +7,11 @@ dilatation field of w0 + zeta*w1 at the center, at +-delta and +-i*delta
 measures the discrete Cauchy-Riemann residual in zeta, reconstructs interior
 values by the Cauchy integral, and tests difference-quotient convergence to
 the contour-derived derivative, all in the hybrid norm.
+
+The contour is streamed: the probe is built for the points zeta0 it must
+serve, adds each contour field into two running sums per point (the Cauchy
+value and the first derivative) and drops it, so its memory does not grow
+with the number of contour nodes.
 """
 
 from __future__ import annotations
@@ -27,10 +32,14 @@ SAFE_DENOMINATOR = 1e-6
 class HolomorphyProbe:
     """Dilatation fields of the directional family zeta -> w0 + zeta*w1.
 
-    `center_nodes` holds [0, delta, -delta, i*delta, -i*delta] and
-    `contour_nodes` the points on |zeta| = 2*epsilon; `fields` aligns with
-    the concatenation of the two.  `builder` recomputes the field at any
-    zeta so quotient tests can take extra samples.
+    `fields` holds the fields at `center_nodes` = [0, delta, -delta,
+    i*delta, -i*delta].  The fields on the contour |zeta| = 2*epsilon
+    (`contour_nodes`) are not kept: for each point zeta0 the probe was built
+    for, `averages[zeta0]` holds the contour averages (1/n) * sum of
+    mu(tau) * tau/(tau - zeta0) (the Cauchy value) and of
+    mu(tau) * tau/(tau - zeta0)**2 (the first derivative), read-only.
+    `builder` recomputes the field at any zeta so quotient tests can take
+    extra samples.
     """
 
     w0: SampledFunction
@@ -39,21 +48,16 @@ class HolomorphyProbe:
     center_nodes: np.ndarray
     contour_nodes: np.ndarray
     fields: list = field(repr=False)
+    averages: dict = field(repr=False)
     builder: object = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise DomainError("probe needs epsilon > 0")
-        if len(self.fields) != self.center_nodes.size + self.contour_nodes.size:
-            raise DomainError("probe fields do not match its nodes")
 
     @property
     def delta(self) -> float:
         return self.epsilon / 8.0
-
-    @property
-    def contour_fields(self) -> list:
-        return self.fields[self.center_nodes.size:]
 
     def dilatation_at(self, zeta: complex) -> BeltramiField:
         for i, node in enumerate(self.center_nodes):
@@ -63,23 +67,102 @@ class HolomorphyProbe:
             raise DomainError("probe has no builder for off-node evaluation")
         return self.builder(zeta)
 
+    def contour_averages(self, zeta0: complex) -> tuple:
+        """(Cauchy value, derivative) contour averages at zeta0."""
+        try:
+            return self.averages[complex(zeta0)]
+        except KeyError:
+            raise DomainError(f"probe was not built for zeta0 = {zeta0}; "
+                              f"it serves {list(self.averages)}") from None
+
+
+def _contour(eps: float, n_contour: int, at) -> tuple:
+    """The contour |tau| = 2*eps and, for each point of `at` inside radius
+    eps, the weights tau/(tau - zeta0) and tau/(tau - zeta0)**2 per node.
+    A weight that is not finite and nonzero (an epsilon too small for the
+    contour arithmetic, say) raises DomainError."""
+    contour = 2 * eps * np.exp(2j * np.pi * np.arange(n_contour) / n_contour)
+    weights = {}
+    for zeta0 in at:
+        if abs(zeta0) >= eps:
+            continue
+        with np.errstate(all="ignore"):
+            value = np.array([tau / (tau - zeta0) for tau in contour])
+            deriv = np.array([tau / (tau - zeta0) ** 2 for tau in contour])
+        both = np.concatenate([value, deriv])
+        if not np.all(np.isfinite(both) & (both != 0)):
+            raise DomainError(f"epsilon {eps:.3e} is too small for the contour arithmetic "
+                              f"at zeta0 = {zeta0}: a contour weight is 0 or not finite")
+        weights[complex(zeta0)] = (value, deriv)
+    return contour, weights
+
+
+def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, make) -> HolomorphyProbe:
+    """Build the probe from `make(zeta) -> BeltramiField`, halving epsilon
+    (at most 6 times) until every node field has denominator magnitude
+    >= SAFE_DENOMINATOR.  Each contour field is added into the running sums
+    of every served point, in contour order, then dropped; a halving
+    discards the sums."""
+    eps = float(epsilon)
+    last_bad = None
+    for _ in range(7):
+        delta = eps / 8.0
+        centers = np.array([0.0, delta, -delta, 1j * delta, -1j * delta], dtype=complex)
+        contour, weights = _contour(eps, n_contour, at)
+        fields, sums, term = [], {}, None
+        for k, node in enumerate(np.concatenate([centers, contour])):
+            try:
+                f = make(node)
+            except SingularDenominatorError:
+                f = None
+            if f is None or f.denom_min < SAFE_DENOMINATOR:
+                last_bad = node
+                break
+            if k < centers.size:
+                fields.append(f)
+                continue
+            if term is None:
+                term = np.empty_like(f.values)
+                sums = {z: (np.zeros_like(term), np.zeros_like(term)) for z in weights}
+            j = k - centers.size
+            for z, (value, deriv) in weights.items():
+                value_sum, deriv_sum = sums[z]
+                value_sum += np.multiply(f.values, value[j], out=term)
+                deriv_sum += np.multiply(f.values, deriv[j], out=term)
+        else:
+            for acc in (a for pair in sums.values() for a in pair):
+                acc /= n_contour
+                acc.flags.writeable = False
+            return HolomorphyProbe(w0, w1, eps, centers, contour, fields, sums, builder=make)
+        eps /= 2.0
+    raise ProbeFailure(
+        f"no safe evaluation disk after 6 retries; last singular node zeta = {last_bad}",
+        node=last_bad,
+    )
+
 
 def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
-                n_contour: int = 64, grid: HalfPlaneGrid | None = None) -> HolomorphyProbe:
-    """Build the probe, shrinking epsilon (at most 6 times) until every node
-    field has denominator magnitude >= 1e-6 everywhere.  Epsilon halves
-    only on a small or vanishing denominator (SingularDenominatorError);
-    any other error, a ResolutionError among them (a denominator below the
-    engine's rounding floor, say), propagates at once.  Every field, here
-    and from the probe's builder, comes from one dilatation map of w0's
-    lattice and `grid`, so its plan (and on a folding grid the multiplier
-    tables) is built once."""
+                n_contour: int = 64, grid: HalfPlaneGrid | None = None,
+                at=(0.0,)) -> HolomorphyProbe:
+    """Build the probe for the points `at` (each |zeta0| < epsilon) whose
+    contour averages it keeps, shrinking epsilon (at most 6 times) until
+    every node field has denominator magnitude >= 1e-6 everywhere.  Epsilon
+    halves only on a small or vanishing denominator
+    (SingularDenominatorError); any other error, a ResolutionError among
+    them (a denominator below the engine's rounding floor, say), propagates
+    at once.  A point that a halved epsilon no longer covers is dropped.
+    Every field, here and from the probe's builder, comes from one
+    dilatation map of w0's lattice and `grid`, so its plan (and on a
+    folding grid the multiplier tables) is built once."""
     if w0.n != w1.n or w0.domain != w1.domain:
         raise DomainError("probe data must share one grid and domain")
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"probe needs a finite epsilon > 0, got {epsilon}")
     if n_contour < 1:
         raise DomainError(f"probe needs n_contour >= 1, got {n_contour}")
+    if not all(abs(zeta0) < epsilon for zeta0 in at):
+        raise DomainError(f"probe points {list(at)} must satisfy |zeta0| < epsilon")
+    _contour(epsilon, n_contour, at)
     if grid is None:
         grid = HalfPlaneGrid.build(nx=max(64, w0.n))
     mu_of = _dilatation_map(w0, grid)
@@ -87,32 +170,7 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
     def make(zeta: complex) -> BeltramiField:
         return mu_of(w0.with_values(w0.values + zeta * w1.values))
 
-    eps = float(epsilon)
-    last_bad = None
-    for _ in range(7):
-        delta = eps / 8.0
-        centers = np.array([0.0, delta, -delta, 1j * delta, -1j * delta], dtype=complex)
-        contour = 2 * eps * np.exp(2j * np.pi * np.arange(n_contour) / n_contour)
-        nodes = np.concatenate([centers, contour])
-        fields = []
-        ok = True
-        for node in nodes:
-            try:
-                f = make(node)
-            except SingularDenominatorError:
-                ok, last_bad = False, node
-                break
-            if f.denom_min < SAFE_DENOMINATOR:
-                ok, last_bad = False, node
-                break
-            fields.append(f)
-        if ok:
-            return HolomorphyProbe(w0, w1, eps, centers, contour, fields, builder=make)
-        eps /= 2.0
-    raise ProbeFailure(
-        f"no safe evaluation disk after 6 retries; last singular node zeta = {last_bad}",
-        node=last_bad,
-    )
+    return _stream_probe(w0, w1, epsilon, n_contour, at, make)
 
 
 def cr_residual(p: HolomorphyProbe) -> float:
@@ -127,17 +185,6 @@ def cr_residual(p: HolomorphyProbe) -> float:
     return float(np.max(np.abs(res)) / 2.0)
 
 
-def _contour_average(p: HolomorphyProbe, weight_fn) -> np.ndarray:
-    """(1/n) * sum over contour nodes of mu(tau) * weight(tau); trapezoid
-    discretization of a contour integral with d(tau) = 2*pi*i*tau/n."""
-    taus = p.contour_nodes
-    acc = np.zeros_like(p.fields[0].values)
-    term = np.empty_like(acc)
-    for tau, f in zip(taus, p.contour_fields):
-        acc += np.multiply(f.values, weight_fn(tau), out=term)
-    return acc / taus.size
-
-
 def cauchy_reconstruct(p: HolomorphyProbe, zeta0: complex,
                        check_resolution: bool = False):
     """Cauchy-integral reconstruction of the field at zeta0 from the
@@ -145,7 +192,7 @@ def cauchy_reconstruct(p: HolomorphyProbe, zeta0: complex,
     Returns (reconstructed field, hybrid-norm error)."""
     if abs(zeta0) >= p.epsilon:
         raise DomainError("reconstruction point must satisfy |zeta0| < epsilon")
-    recon_vals = _contour_average(p, lambda tau: tau / (tau - zeta0))
+    recon_vals, _ = p.contour_averages(zeta0)
     direct = p.dilatation_at(zeta0)
     recon = BeltramiField(direct.grid, recon_vals, direct.denom_mag,
                           periodic=direct.periodic)
@@ -154,7 +201,7 @@ def cauchy_reconstruct(p: HolomorphyProbe, zeta0: complex,
     err = hybrid_norm(diff)
     if check_resolution:
         doubled = build_probe(p.w0, p.w1, p.epsilon, 2 * p.contour_nodes.size,
-                              direct.grid)
+                              direct.grid, at=(zeta0,))
         _, err2 = cauchy_reconstruct(doubled, zeta0)
         if err2 > err and err > 1e-14:
             raise ResolutionError(
@@ -166,16 +213,17 @@ def cauchy_reconstruct(p: HolomorphyProbe, zeta0: complex,
 
 def contour_derivative(p: HolomorphyProbe, zeta0: complex) -> np.ndarray:
     """d(mu)/d(zeta) at zeta0 from the contour (Cauchy integral for the
-    first derivative)."""
+    first derivative), read-only."""
     if abs(zeta0) >= p.epsilon:
         raise DomainError("derivative point must satisfy |zeta0| < epsilon")
-    return _contour_average(p, lambda tau: tau / (tau - zeta0) ** 2)
+    return p.contour_averages(zeta0)[1]
 
 
 def quotient_convergence(p: HolomorphyProbe, zeta0: complex, steps):
     """Hybrid-norm distances between difference quotients at zeta0 and the
     contour-derived derivative, with the fitted linear slope in |step|.
-    Returns (distances, slope)."""
+    Returns (distances, slope); a distance that is not finite raises
+    ResolutionError."""
     steps = np.asarray(steps, dtype=complex)
     if np.any(np.abs(zeta0 + steps) >= p.epsilon) or abs(zeta0) >= p.epsilon:
         raise DomainError("quotient nodes must stay inside radius epsilon")
@@ -188,6 +236,9 @@ def quotient_convergence(p: HolomorphyProbe, zeta0: complex, steps):
         diff = BeltramiField(base.grid, quot - D, periodic=base.periodic)
         dists.append(hybrid_norm(diff))
     dists = np.array(dists)
+    if not np.all(np.isfinite(dists)):
+        raise ResolutionError(f"difference quotients at epsilon {p.epsilon:.3e} "
+                              f"are not finite: distances {dists}")
     mags = np.abs(steps)
     denom = float(np.dot(mags, mags))
     slope = float(np.dot(mags, dists) / denom) if denom > 0 else 0.0

@@ -404,7 +404,7 @@ def cmd_probe(args) -> int:
     w0 = _lifted(load_datum_file(args.w0_input) if args.w0_input
                  else parse_builtin(args.w0 or "const:0", args.n, args.seed))
     probe = analyticity.build_probe(w0, w1, args.eps, args.contour_nodes,
-                                    _grid_from(args))
+                                    _grid_from(args), at=(0.0,))
     cr = analyticity.cr_residual(probe)
     _, cauchy_err = analyticity.cauchy_reconstruct(probe, 0.0)
     steps = [probe.epsilon / 10, probe.epsilon / 20, probe.epsilon / 40]

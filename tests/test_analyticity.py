@@ -1,9 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qcheat as qc
 from qcheat import analyticity, kernels
-from qcheat.analyticity import HolomorphyProbe
 from qcheat.data import Domain, SampledFunction
 from qcheat.extension import BeltramiField
 
@@ -13,20 +15,17 @@ def _const_field(grid, value):
                          periodic=True)
 
 
-def _synthetic_probe(grid, fn, epsilon=0.1, n_contour=32):
-    """Probe whose fields are fn(zeta) * unit normalized field (hybrid 1)."""
+def _synthetic_probe(grid, fn, epsilon=0.1, n_contour=32, at=(0.0,)):
+    """Probe whose fields are fn(zeta) * unit normalized field (hybrid 1),
+    built by the same streaming loop as build_probe."""
     ones = _const_field(grid, 1.0)
     unit = BeltramiField(grid, ones.values / qc.hybrid_norm(ones), periodic=True)
 
     def make(zeta):
         return BeltramiField(grid, fn(zeta) * unit.values, periodic=True)
 
-    delta = epsilon / 8
-    centers = np.array([0, delta, -delta, 1j * delta, -1j * delta], dtype=complex)
-    contour = 2 * epsilon * np.exp(2j * np.pi * np.arange(n_contour) / n_contour)
-    fields = [make(z) for z in np.concatenate([centers, contour])]
     w = qc.sine(0.1, 1, grid.nx)
-    return HolomorphyProbe(w, w, epsilon, centers, contour, fields, builder=make)
+    return analyticity._stream_probe(w, w, epsilon, n_contour, at, make)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +37,7 @@ def test_affine_family_has_zero_cr_residual(small_grid):
 
 
 def test_affine_family_reconstructs_exactly(small_grid):
-    p = _synthetic_probe(small_grid, lambda z: 0.3 + (0.2 - 0.1j) * z)
+    p = _synthetic_probe(small_grid, lambda z: 0.3 + (0.2 - 0.1j) * z, at=(0.005 + 0.001j,))
     _, err = qc.cauchy_reconstruct(p, 0.005 + 0.001j)
     assert err <= 1e-12
 
@@ -67,12 +66,15 @@ def test_constant_direction_probe_is_trivial(small_grid):
 # ---------------------------------------------------------------------------
 # real data
 
+SINE_PROBE_POINTS = (0.0, 0.002, 0.003, 0.003 - 0.001j)
+
+
 @pytest.fixture(scope="module")
 def sine_probe():
     grid = qc.HalfPlaneGrid.build(nx=256, y_min=1 / 64, y_max=2.0, levels_per_octave=8)
     w0 = qc.lift(qc.constant(0.0, 256))
     w1 = qc.lift(qc.sine(1.0, 1, 256))
-    return grid, qc.build_probe(w0, w1, 0.1, 32, grid)
+    return grid, qc.build_probe(w0, w1, 0.1, 32, grid, at=SINE_PROBE_POINTS)
 
 
 def test_sine_probe_fields_differ_across_directions(sine_probe):
@@ -96,20 +98,94 @@ def test_cauchy_reconstruction_accuracy(sine_probe):
 
 def test_cauchy_error_decreases_with_contour_size(sine_probe):
     grid, p = sine_probe
-    p_coarse = qc.build_probe(p.w0, p.w1, p.epsilon, 8, grid)
+    p_coarse = qc.build_probe(p.w0, p.w1, p.epsilon, 8, grid, at=(0.003,))
     _, err_coarse = qc.cauchy_reconstruct(p_coarse, 0.003)
     _, err_fine = qc.cauchy_reconstruct(p, 0.003)
     assert err_fine <= err_coarse + 1e-14
 
 
 def test_contour_average_accumulates_like_the_plain_sum(sine_probe):
-    # the in-place accumulation adds the same terms in the same order
+    # the streamed running sums add the same terms in the same order as a
+    # plain sum over freshly built contour fields
     _, p = sine_probe
-    for zeta0 in (0.0, 0.003 - 0.001j):
-        want = np.zeros_like(p.fields[0].values)
-        for tau, f in zip(p.contour_nodes, p.contour_fields):
-            want = want + f.values * (tau / (tau - zeta0) ** 2)
-        assert np.array_equal(qc.contour_derivative(p, zeta0), want / p.contour_nodes.size)
+    taus = p.contour_nodes
+    contour_fields = [p.builder(tau) for tau in taus]
+    for zeta0 in SINE_PROBE_POINTS:
+        value = np.zeros_like(p.fields[0].values)
+        deriv = np.zeros_like(value)
+        for tau, f in zip(taus, contour_fields):
+            value = value + f.values * (tau / (tau - zeta0))
+            deriv = deriv + f.values * (tau / (tau - zeta0) ** 2)
+        got_value, got_deriv = p.contour_averages(zeta0)
+        assert np.array_equal(got_value, value / taus.size)
+        assert np.array_equal(got_deriv, deriv / taus.size)
+        assert np.array_equal(qc.contour_derivative(p, zeta0), deriv / taus.size)
+        assert np.array_equal(qc.cauchy_reconstruct(p, zeta0)[0].values, value / taus.size)
+
+
+def test_probe_serves_only_the_points_it_was_built_for(sine_probe, small_grid):
+    _, p = sine_probe
+    assert set(p.averages) == {complex(z) for z in SINE_PROBE_POINTS}
+    with pytest.raises(qc.DomainError, match="not built for"):
+        qc.cauchy_reconstruct(p, 0.001)
+    with pytest.raises(qc.DomainError, match="not built for"):
+        qc.contour_derivative(p, 0.001j)
+    with pytest.raises(qc.DomainError, match="not built for"):
+        qc.quotient_convergence(p, 0.001, [0.001])
+    # a point outside radius epsilon is refused before any field
+    w = qc.lift(qc.sine(0.3, 1, 256))
+    with pytest.raises(qc.DomainError, match="epsilon"):
+        qc.build_probe(w, w, 0.1, 8, small_grid, at=(0.1,))
+    # the stored averages are read-only
+    with pytest.raises(ValueError):
+        qc.contour_derivative(p, 0.0)[0, 0] = 0
+
+
+def _probe_peak_bytes(w0, w1, grid, n_contour):
+    """tracemalloc peak of one probe built, reconstructed and tested."""
+    tracemalloc.start()
+    try:
+        p = qc.build_probe(w0, w1, 0.1, n_contour, grid)
+        qc.cauchy_reconstruct(p, 0.0)
+        qc.quotient_convergence(p, 0.0, [0.01, 0.005, 0.0025])
+        del p
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_memory_does_not_grow_with_contour_nodes(small_grid):
+    # the contour is streamed: 64 nodes may peak at most one field (mu and
+    # denom_mag) above 8 nodes
+    w0, w1 = qc.lift(qc.sine(0.3, 1, 256)), qc.lift(qc.sine(1.0, 1, 256))
+    _probe_peak_bytes(w0, w1, small_grid, 8)  # first-use allocations
+    peak8 = _probe_peak_bytes(w0, w1, small_grid, 8)
+    peak64 = _probe_peak_bytes(w0, w1, small_grid, 64)
+    f = qc.beltrami(w0, small_grid)
+    assert peak64 <= peak8 + f.values.nbytes + f.denom_mag.nbytes
+
+
+def test_non_finite_quotient_distance_is_a_resolution_error(small_grid):
+    # fields beyond radius 0.1 (the contour) are NaN, so the contour
+    # derivative is too: no distance may read as a slope of 0
+    p = _synthetic_probe(small_grid, lambda z: z if abs(z) < 0.1 else np.nan)
+    with pytest.raises(qc.ResolutionError, match="not finite"):
+        qc.quotient_convergence(p, 0.0, [0.01, 0.005])
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def test_probe_values_are_pinned_to_their_bits(sine_probe):
+    # recorded before the probe streamed its contour
+    _, p = sine_probe
+    recon, err = qc.cauchy_reconstruct(p, 0.003, check_resolution=True)
+    assert float.hex(err) == "0x1.1204de5a94902p-53"
+    assert _digest(recon.values) == (
+        "c050abb830af02b64e25328ec1d658df541b6479191a390d38822166188304e7")
+    assert _digest(qc.contour_derivative(p, 0.003 - 0.001j)) == (
+        "c8c4844432a7b51879922401ec5ce3de1fc1261a25bc889a4432419ae187d1a9")
 
 
 def test_quotient_convergence_is_linear(sine_probe):
@@ -212,19 +288,19 @@ def test_cauchy_resolution_check_passes_on_converged_contour(sine_probe):
 def test_cauchy_resolution_check_rebuilds_on_the_probe_grid(monkeypatch):
     grid = qc.HalfPlaneGrid.build(nx=256, y_min=1 / 32, y_max=2.0, levels_per_octave=4)
     w0 = qc.lift(qc.constant(0.0, 256))
-    p = qc.build_probe(w0, qc.lift(qc.sine(0.5, 1, 256)), 0.05, 8, grid)
     seen = []
     build = analyticity.build_probe
 
     def spy(*args, **kwargs):
         probe = build(*args, **kwargs)
-        seen.append((probe.fields[0].grid, probe.contour_nodes.size))
+        seen.append((probe.fields[0].grid, probe.contour_nodes.size, list(probe.averages)))
         return probe
 
+    p = qc.build_probe(w0, qc.lift(qc.sine(0.5, 1, 256)), 0.05, 8, grid, at=(0.0, 0.001))
     monkeypatch.setattr(analyticity, "build_probe", spy)
     qc.cauchy_reconstruct(p, 0.001, check_resolution=True)
-    assert len(seen) == 1
-    assert seen[0][0] is grid and seen[0][1] == 16
+    # the doubled probe serves only the point it checks
+    assert seen == [(grid, 16, [0.001])]
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +328,11 @@ def test_probe_fields_equal_independent_beltrami_calls(name):
     w0, w1, grid = _plan_case(name)
     p = qc.build_probe(w0, w1, 0.1, 4, grid)
     nodes = np.concatenate([p.center_nodes, p.contour_nodes])
-    # the builder's off-node field and a quotient step share the plan too
+    # the contour fields, the builder's off-node field and a quotient step
+    # share the plan too
     extra = [0.003 + 0.001j, 0.003 + 0.001j + 0.0025]
-    fields = p.fields + [p.dilatation_at(z) for z in extra]
+    fields = (p.fields + [p.builder(tau) for tau in p.contour_nodes]
+              + [p.dilatation_at(z) for z in extra])
     for zeta, f in zip(list(nodes) + extra, fields):
         direct = qc.beltrami(w0.with_values(w0.values + zeta * w1.values), grid)
         assert np.max(np.abs(f.values - direct.values)) <= 1e-14

@@ -450,8 +450,32 @@ def test_w0_input_reads_a_datum_file(tmp_path, monkeypatch, capsys):
     assert run(PROBE_ARGS + ["--w0", "const:0", "--w0-input", "const:0", "--out", "d"]) == 2
 
 
+# float.hex of each probe report number, recorded before the probe streamed
+# its contour: streaming adds the same terms in the same order, so the
+# reports stay bit-identical
+PROBE_PINS = [
+    (PROBE_ARGS, {"cr_residual": "0x1.37cf10c2f0000p-19",
+                  "cauchy_error": "0x1.6fa0fb0b4c84cp-18",
+                  "quotient_slope": "0x1.2bd9a756fd48ep-5",
+                  "epsilon": "0x1.999999999999ap-4"}),
+    (["probe", "--builtin", "step:0.5", "--contour-nodes", "16"] + GRID_ARGS,
+     {"cr_residual": "0x1.c9e8d944c5bbdp-18",
+      "cauchy_error": "0x1.f96b5a7e7260ap-56",
+      "quotient_slope": "0x1.3338b21869accp-3",
+      "epsilon": "0x1.999999999999ap-4"}),
+]
+
+
+@pytest.mark.parametrize("args,pins", PROBE_PINS, ids=["sine-4-nodes", "step-16-nodes"])
+def test_probe_report_is_pinned_to_its_bits(tmp_path, args, pins):
+    out = str(tmp_path / "o")
+    assert run(args + ["--out", out]) == 0
+    rep = read_json(os.path.join(out, "probe.json"))
+    assert {k: float.hex(rep[k]) for k in pins} == pins
+
+
 @pytest.mark.parametrize("option", ["--contour-nodes=0", "--contour-nodes=-3", "--eps=inf",
-                                    "--eps=nan", "--eps=-0.1", "--eps=0"])
+                                    "--eps=nan", "--eps=-0.1", "--eps=0", "--eps=1e-300"])
 def test_probe_rejects_bad_arguments_before_any_field(tmp_path, monkeypatch, capsys, option):
     built = []
     real = analyticity._dilatation_map
