@@ -15,10 +15,12 @@ machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from . import analyticity, carleson, data, extension, funcspace, transfer
 from .data import Domain, SampledFunction
 from .errors import (CoverageError, DomainError, ProbeFailure, QcheatError,
                      ResolutionError, SingularDenominatorError)
+from .extension import _two_product
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -148,6 +151,8 @@ def load_datum_file(path: str) -> SampledFunction:
 def parse_builtin(spec: str, n: int, seed: int) -> SampledFunction:
     """Builtin data: const:c | sine:a[,k] | step:c | sawtooth:a |
     random-trig:m,amp[,seed] | id:a,b (line identity map)."""
+    if n < data.MIN_SAMPLES:
+        raise DomainError(f"--n must be at least {data.MIN_SAMPLES}, got {n}")
     name, _, argstr = spec.partition(":")
     args = [s for s in argstr.split(",") if s] if argstr else []
     try:
@@ -217,15 +222,17 @@ def _assert_finite(obj, where: str):
 
 
 def _atomic_write(path: str, chunks):
-    """Write the strings of `chunks` to `path` through a temporary file in
-    the same directory, renamed over `path` only once every chunk is
-    written; on any failure the temporary file is removed."""
+    """Write the chunks of `chunks`, bytes or ASCII strings, to `path`
+    through a temporary file in the same directory, renamed over `path`
+    only once every chunk is written; on any failure the temporary file is
+    removed."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
         # mkstemp creates 0600; give the file the mode open() would have
         umask = os.umask(0)
         os.umask(umask)
@@ -243,33 +250,160 @@ def write_report(path: str, report: dict):
     _atomic_write(path, [json.dumps(jsonable, sort_keys=True, indent=2) + "\n"])
 
 
-# every float in a CSV: 17 significant digits, the bytes of f"{v:.17g}"
-_FLOAT = "%.17g"
+# ---------------------------------------------------------------------------
+# CSV cells: every float is written as the bytes of "%.17g" % v.
+#
+# A cell is four little-endian uint64 words, and its NUL bytes are dropped
+# when a chunk of cells is joined: sign, "0.000" prefix, D0 and dot;
+# D1-D8; D9-D16; exponent suffix and separator.  The digits D0..D16 are
+# N = round(|v| 10^(16-k)) for the decade k of |v|, from the error-free
+# product of |v| with 10^(16-k) held as a pair of doubles (hi, lo).  The
+# scaled value p + t is then within 2^-43 of |v| 10^(16-k), so N and k are
+# exact wherever it lies 2^-30 away from a rounding tie and _EDGE away from
+# 1e16 and 1e17.  Every other value takes "%.17g" % v itself, and so do
+# 10 <= |v| < 1e17, whose dot falls among the digits, and every |v|
+# outside _DECADES, where 10^(16-k) or |v| could overflow Dekker's split
+# or underflow its partial products.
+
+_DECADES = range(-280, 291)
+_EDGE = 64.0  # above the |t| <= 19 the scaled value's low part can reach
+_TIE_GAP = 2.0 ** -30
+_CHUNK_VALUES = 4096  # floats formatted at once: one level of the reference grid
 
 
-def _float_cells(values) -> list[str]:
-    return [_FLOAT % v for v in values.tolist()]
+def _word(text: str) -> int:
+    return int.from_bytes(text.encode("ascii"), "little")
 
 
-def _csv_rows(lead: list[str], values: np.ndarray) -> str:
-    """One CSV row per lead cell: lead[i] followed by the entries of row i
-    of the real (len(lead), m) array `values`, formatted in one call."""
-    tail = ("," + _FLOAT) * values.shape[1] + "\n"
-    return (tail.join(lead) + tail) % tuple(values.ravel().tolist())
+@functools.cache
+def _cell_tables() -> SimpleNamespace:
+    """Built on first use, from ints: table index 0 serves zeros and |v|
+    below _DECADES, the last index |v| above them, and both have zero
+    powers."""
+    hi, lo, head, tail = [0.0], [0.0], [], []
+    for k in _DECADES:
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        h = num / den  # correctly rounded, and so is the remainder below
+        m, d = h.as_integer_ratio()
+        integral = 1 <= k <= 16  # zero powers: the fallback serves these
+        hi.append(0.0 if integral else h)
+        lo.append(0.0 if integral else (num * d - m * den) / (den * d))
+    for k in (0, *_DECADES, 0):
+        fixed = -4 <= k < 17  # %g's fixed notation
+        prefix = "0." + "0" * (-k - 1) if k < 0 and fixed else ""
+        word = _word("\0" + prefix.ljust(5, "\0") + "0")
+        # head[2 i + 1] is for a value with digits after D0
+        head += [word, word if prefix else word | ord(".") << 56]
+        tail.append("" if fixed else f"e{k:+03d}")
+    digits = (np.arange(10_000, dtype=np.int32)[:, None] // np.array([1000, 100, 10, 1], np.int32)
+              % 10 + ord("0")).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    # 4-digit groups as 4 ASCII bytes: entry g + 10_000 strips trailing zeros
+    groups = np.concatenate([digits, np.where(trailing, np.uint8(0), digits)])
+    return SimpleNamespace(
+        hi=np.array(hi + [0.0]), lo=np.array(lo + [0.0]),
+        head=np.array(head, dtype=np.uint64),
+        tail=np.array([_word(t) for t in tail], dtype=np.uint64),
+        groups=groups.view("<u4")[:, 0].astype(np.uint64))
+
+
+def _cell_words(values: np.ndarray, seps: str) -> np.ndarray:
+    """The (m, c, 4) words of the cells of the finite (m, c) array
+    `values`, the cells of column j ending in seps[j] (',' or newline)."""
+    T = _cell_tables()
+    m, c = values.shape
+    words = np.empty((m, c, 4), dtype="<u8")
+    words[..., 3] = np.array([ord(sep) << 56 for sep in seps], dtype=np.uint64)
+    w = words.reshape(-1, 4)
+    v = values.ravel()
+    # the separator sits in the last byte of every cell; a zero reads "0"
+    # or "-0", and the digits are worked out for the other values only
+    at = slice(None)
+    if not v.all():
+        w[:, :3] = 0
+        w[:, 0] = np.signbit(v) * np.uint64(ord("-")) + np.uint64(ord("0") << 48)
+        at = np.flatnonzero(v)
+    a = np.abs(v[at])
+    # values outside _DECADES take table index 0 or the last, whose zero
+    # powers give p = 0, or NaN where a split overflows: both fail the
+    # range check, so the warnings they raise are not errors
+    with np.errstate(all="ignore"):
+        k = np.floor(np.log10(a))
+        i = np.fmin(np.fmax(k, _DECADES[0] - 1), _DECADES[-1] + 1).astype(np.intp)
+        i -= _DECADES[0] - 1
+        p, err = _two_product(a, T.hi[i])
+        t = err + a * T.lo[i]
+        r = np.rint(t)
+        fast = (np.abs(p - 5.5e16) <= 4.5e16 - _EDGE) & (np.abs(t - r) < 0.5 - _TIE_GAP)
+        n = p.astype(np.int64)
+        n += r.astype(np.int64)
+    hi9 = n // 100_000_000
+    lo8 = n - hi9 * 100_000_000
+    d0 = hi9 // 100_000_000
+    g12 = hi9 - d0 * 100_000_000
+    g1 = g12 // 10_000
+    g2 = g12 - g1 * 10_000
+    g3 = lo8 // 10_000
+    g4 = lo8 - g3 * 10_000
+    # the last group strips its trailing zeros, an earlier group only when
+    # every group after it is 0
+    has_frac = True
+    if not g4.all():
+        g3 += (g4 == 0) * 10_000
+        zero_after = lo8 == 0
+        g2 += zero_after * 10_000
+        zero_after &= g2 == 10_000
+        g1 += zero_after * 10_000
+        has_frac = ~(zero_after & (g1 == 10_000))
+    g4 += 10_000
+    head = T.head[2 * i + has_frac]
+    head += (d0 << 48).view(np.uint64)
+    head += np.signbit(v[at]) * np.uint64(ord("-"))
+    w[at, 0] = head
+    w[at, 1] = T.groups[g1] | T.groups[g2] << np.uint64(32)
+    w[at, 2] = T.groups[g3] | T.groups[g4] << np.uint64(32)
+    w[at, 3] |= T.tail[i]
+    if not fast.all():
+        slow = np.arange(v.size)[at][~fast]
+        text = b"".join(("%.17g" % x).encode("ascii").ljust(24, b"\0") for x in v[slow].tolist())
+        w[slow, :3] = np.frombuffer(text, dtype="<u8").reshape(-1, 3)
+        w[slow, 3] &= np.uint64(0xFF << 56)
+    return words
+
+
+def _joined(words: np.ndarray) -> bytes:
+    return words.tobytes().translate(None, b"\0")
+
+
+def _padded_cells(values: np.ndarray) -> np.ndarray:
+    """(len(values), width) words: the cell of each value with its ',',
+    NUL-padded to the longest cell's whole words."""
+    cells = [c + b"," for c in _joined(_cell_words(values[:, None], ",")).split(b",")[:-1]]
+    width = -(-max(map(len, cells)) // 8) * 8
+    return np.array(cells, dtype=f"S{width}").view("<u8").reshape(len(cells), -1)
 
 
 def write_field_csv(path: str, grid, values: np.ndarray):
     """Field CSV: header x,y,re,im, then one row per node, level by level;
-    streamed to disk one level at a time."""
+    streamed to disk in chunks of whole levels."""
     if not np.all(np.isfinite(values)):
         raise _NonFinite("non-finite value in field output")
     values = np.ascontiguousarray(values, dtype=complex)
-    x_cells = [x + "," for x in _float_cells(grid.x)]
+    nx = grid.nx
+    x, y = _padded_cells(grid.x), _padded_cells(grid.y_levels)
+    lead = x.shape[1] + y.shape[1]
+    levels = max(1, _CHUNK_VALUES // (2 * nx))
 
     def chunks():
-        yield "x,y,re,im\n"
-        for y, level in zip(_float_cells(grid.y_levels), values):
-            yield _csv_rows([x + y for x in x_cells], level.view(float).reshape(-1, 2))
+        yield b"x,y,re,im\n"
+        for j in range(0, grid.ny, levels):
+            block = values[j:j + levels]
+            rows = np.empty((len(block), nx, lead + 8), dtype="<u8")
+            rows[:, :, :x.shape[1]] = x
+            rows[:, :, x.shape[1]:lead] = y[j:j + len(block), None]
+            cells = _cell_words(block.view(float).reshape(-1, 2), ",\n")
+            rows[:, :, lead:] = cells.reshape(len(block), nx, 8)
+            yield _joined(rows)
 
     _atomic_write(path, chunks())
 
@@ -427,13 +561,17 @@ def cmd_contract(args) -> int:
     if not datum.is_real:
         raise DomainError("contract needs real-valued data")
     ts = [float(s) for s in args.t.split(",") if s]
+    if not ts:
+        raise DomainError("--t needs at least one value")
     ident = transfer.identity_homeo(datum.n)
     dists = []
     for t in ts:
         homeo = transfer.contraction(datum, t)
         dists.append(homeo.sup_distance(ident))
-        _atomic_write(os.path.join(args.out, f"contract_t{t:g}.csv"),
-                      ["x,g\n", _csv_rows(_float_cells(homeo.x), homeo.g[:, None])])
+        # a name that reads back as t, so two values never share a file
+        name = f"{t:g}" if float(f"{t:g}") == t else repr(t)
+        cells = _cell_words(np.column_stack([homeo.x, homeo.g]), ",\n")
+        _atomic_write(os.path.join(args.out, f"contract_t{name}.csv"), [b"x,g\n", _joined(cells)])
     report = {
         "t": ts,
         "sup_distance_to_identity": dists,

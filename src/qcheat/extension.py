@@ -266,9 +266,9 @@ _SPLIT = 2.0 ** 27 + 1  # Dekker's splitter for doubles
 _CHUNK_ENTRIES = 2 ** 14  # FFT entries per chunk of chirp-z levels: 256 kB
 
 
-def _turns(a, b):
-    """a * b modulo 1, in [-1/2, 1/2], from the error-free product of a and
-    b (Dekker 1971): exact to rounding where a * b reaches 2^40 turns."""
+def _two_product(a, b):
+    """(p, err) with p = fl(a * b) and p + err = a * b exactly (Dekker
+    1971), wherever no split overflows and no partial product underflows."""
     p = a * b
     c = _SPLIT * a
     ah = c - (c - a)
@@ -276,7 +276,13 @@ def _turns(a, b):
     c = _SPLIT * b
     bh = c - (c - b)
     bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _turns(a, b):
+    """a * b modulo 1, in [-1/2, 1/2], from the error-free product of a and
+    b: exact to rounding where a * b reaches 2^40 turns."""
+    p, err = _two_product(a, b)
     return (p - np.round(p)) + err
 
 

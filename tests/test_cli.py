@@ -10,10 +10,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcheat as qc
 from qcheat import analyticity, funcspace
-from qcheat.cli import _atomic_write, build_parser, run, write_field_csv
+from qcheat.cli import _atomic_write, _cell_words, _joined, build_parser, run, write_field_csv
 
 GRID_ARGS = ["--nx", "256", "--y-min", str(1 / 64), "--y-max", "2.0", "--n", "256"]
 
@@ -555,6 +557,81 @@ def test_contract_csv_bytes_match_the_row_loop(tmp_path):
     assert (out / "contract_t0.5.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def _fallback_field():
+    # every route of the formatter: values outside its decades, an exact
+    # tie, scaled values at 1e16 and 1e17, 1 <= |v| < 1e17, zeros
+    values = [1e-300, -1e300, 5e-324, -2.2250738585072014e-308, 26215 / 2 ** 18, 1.0, 0.1,
+              9.9999999999999997e98, 1e16, 12345678901234567.0, -123.456, 2.5, 100.0,
+              7e15, 0.0, -0.0, 1 / 3, 1e-5]
+    grid = qc.HalfPlaneGrid.build(nx=64, y_min=0.5, y_max=1.0)
+    re = np.resize(values, grid.ny * grid.nx).reshape(grid.ny, grid.nx)
+    values = re + 1j * np.roll(re, 5, axis=1)
+    values.imag[0, :2] = -0.0
+    return grid, values
+
+
+def test_field_csv_bytes_match_the_row_loop_on_every_route(tmp_path):
+    grid, values = _fallback_field()
+    path = tmp_path / "f.csv"
+    write_field_csv(str(path), grid, values)
+    assert path.read_bytes() == _field_csv_oracle(grid, values)
+
+
+def _cells_text(values) -> str:
+    return _joined(_cell_words(np.asarray(values, dtype=float).reshape(-1, 1), "\n")).decode()
+
+
+def _g17(values) -> str:
+    return "".join(f"{v:.17g}\n" for v in np.asarray(values, dtype=float).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_cells_read_as_17g(values):
+    assert _cells_text(values) == _g17(values)
+
+
+def test_cells_read_as_17g_on_edges():
+    tens = np.array([float(f"1e{e}") for e in range(-320, 309)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    small = (np.arange(1, 1000)[:, None] * np.ldexp(1.0, -np.arange(64))).ravel()
+    bits = np.random.default_rng(13).integers(0, 2 ** 63, 10 ** 5, dtype=np.int64).view(float)
+    bits = np.where(np.isfinite(bits), bits, 0.0) * np.where(np.arange(bits.size) % 2, -1, 1)
+    for values in (tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), twos, -twos,
+                   small, bits):
+        assert _cells_text(values) == _g17(values)
+
+
+def test_contract_files_never_share_a_name(tmp_path):
+    out = tmp_path / "o"
+    assert run(["contract", "--builtin", "sine:0.3,1", "--t", "0,0.1234567,0.1234568,1",
+                "--out", str(out)] + GRID_ARGS) == 0
+    assert read_json(out / "contract.json")["t"] == [0, 0.1234567, 0.1234568, 1]
+    names = ["contract_t0.csv", "contract_t0.1234567.csv", "contract_t0.1234568.csv",
+             "contract_t1.csv"]
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(names)
+    first, second = ((out / n).read_bytes() for n in names[1:3])
+    assert first != second
+
+
+def test_contract_needs_a_t_value(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["contract", "--builtin", "sine:0.3,1", "--t", ",", "--out", str(out)]
+               + GRID_ARGS) == 2
+    assert "error kind=validation" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,given", [(["beltrami", "--builtin", "sine:0.2", "--n", "-5"], -5),
+                                        (["beltrami", "--builtin", "const:0", "--n", "-5"], -5),
+                                        (["baseline", "--builtin", "id:-8,8", "--n", "-3"], -3),
+                                        (["beltrami", "--builtin", "step:0.3", "--n", "15"], 15)])
+def test_too_few_builtin_samples_name_the_value(tmp_path, capsys, argv, given):
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error kind=validation" in err and f"--n must be at least 16, got {given}" in err
+
+
 def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):
     def chunks():
         yield "x,y,re,im\n"
@@ -579,6 +656,20 @@ def test_cli_import_loads_no_scipy():
         "import qcheat as qc\n"
         "qc.beltrami(qc.sine(0.3, 1, 256), qc.HalfPlaneGrid.build(nx=64, y_min=0.01, y_max=0.5))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # the formatter's tables are built from ints and numpy on first use
+    code = (
+        "import sys\n"
+        "import qcheat.cli\n"
+        "print(sorted(m for m in sys.modules if m.lstrip('_') in ('fractions', 'decimal', 'pydecimal')))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
