@@ -13,7 +13,8 @@ from .errors import (CoverageError, DomainError, ProbeFailure, QcheatError,
 from .kernels import (ALPHA, BETA, KERNELS, PHI, PHI_SECOND, PSI, Kernel,
                       KernelId, eval_kernel, scale)
 from .extension import (BeltramiField, ExtensionField, HalfPlaneGrid,
-                        beltrami, classical_ba_extend, extend, gamma_of)
+                        beltrami, classical_ba_extend, extend, extend_blocks,
+                        gamma_of)
 from .funcspace import (AnalyzerReport, JNProfile, a_infty_constant, analyze,
                         bmo_norm, doubling_constant, john_nirenberg_profile,
                         oscillation_integral, quasisymmetry_constant,

@@ -383,12 +383,13 @@ def _padded_cells(values: np.ndarray) -> np.ndarray:
     return np.array(cells, dtype=f"S{width}").view("<u8").reshape(len(cells), -1)
 
 
-def write_field_csv(path: str, grid, values: np.ndarray):
-    """Field CSV: header x,y,re,im, then one row per node, level by level;
-    streamed to disk in chunks of whole levels."""
-    if not np.all(np.isfinite(values)):
-        raise _NonFinite("non-finite value in field output")
-    values = np.ascontiguousarray(values, dtype=complex)
+def write_field_csv(path: str, grid, values):
+    """Field CSV: header x,y,re,im, then one row per node, level by level.
+    `values` is the (ny, nx) field or an iterable of its blocks of whole
+    levels, in order, which are read one at a time: a block that is not
+    finite raises before any of it is written.  Streamed to disk in chunks
+    of whole levels."""
+    blocks = [values] if isinstance(values, np.ndarray) else values
     nx = grid.nx
     x, y = _padded_cells(grid.x), _padded_cells(grid.y_levels)
     lead = x.shape[1] + y.shape[1]
@@ -396,14 +397,20 @@ def write_field_csv(path: str, grid, values: np.ndarray):
 
     def chunks():
         yield b"x,y,re,im\n"
-        for j in range(0, grid.ny, levels):
-            block = values[j:j + levels]
-            rows = np.empty((len(block), nx, lead + 8), dtype="<u8")
-            rows[:, :, :x.shape[1]] = x
-            rows[:, :, x.shape[1]:lead] = y[j:j + len(block), None]
-            cells = _cell_words(block.view(float).reshape(-1, 2), ",\n")
-            rows[:, :, lead:] = cells.reshape(len(block), nx, 8)
-            yield _joined(rows)
+        j = 0
+        for block in blocks:
+            if not np.all(np.isfinite(block)):
+                raise _NonFinite("non-finite value in field output")
+            block = np.ascontiguousarray(block, dtype=complex)
+            for k in range(0, len(block), levels):
+                part = block[k:k + levels]
+                rows = np.empty((len(part), nx, lead + 8), dtype="<u8")
+                rows[:, :, :x.shape[1]] = x
+                rows[:, :, x.shape[1]:lead] = y[j:j + len(part), None]
+                cells = _cell_words(part.view(float).reshape(-1, 2), ",\n")
+                rows[:, :, lead:] = cells.reshape(len(part), nx, 8)
+                j += len(part)
+                yield _joined(rows)
 
     _atomic_write(path, chunks())
 
@@ -455,12 +462,22 @@ def cmd_analyze(args) -> int:
 
 def cmd_extend(args) -> int:
     datum = _lifted(load_datum(args))
-    field = extension.extend(datum, _grid_from(args))
-    write_field_csv(os.path.join(args.out, "field.csv"), field.grid, field.F)
+    grid = _grid_from(args)
+    _, blocks = extension.extend_blocks(datum, grid)
+    residuals, v_min = {}, np.inf
+
+    def field_rows():
+        # F is written block by block, so the field is never held whole
+        nonlocal residuals, v_min
+        for _, rows, residuals in blocks:
+            v_min = min(v_min, float(np.min(rows["V"].real)))
+            yield rows["U"] + 1j * rows["V"]
+
+    write_field_csv(os.path.join(args.out, "field.csv"), grid, field_rows())
     report = {
-        "residual_uy_half_vx": field.identity_residuals.get("uy_half_vx"),
-        "residual_vy_identity": field.identity_residuals.get("vy_identity"),
-        "v_min": float(np.min(field.V.real)),
+        "residual_uy_half_vx": residuals["uy_half_vx"],
+        "residual_vy_identity": residuals["vy_identity"],
+        "v_min": v_min,
         "config": _config_echo(args),
     }
     write_report(os.path.join(args.out, "extend.json"), report)
@@ -599,48 +616,57 @@ def cmd_baseline(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {
+    "analyze": cmd_analyze,
+    "extend": cmd_extend,
+    "beltrami": cmd_beltrami,
+    "carleson": cmd_carleson,
+    "transfer": cmd_transfer,
+    "probe": cmd_probe,
+    "contract": cmd_contract,
+    "baseline": cmd_baseline,
+}
+
+
+def _add_options(p: argparse.ArgumentParser, name: str):
+    p.add_argument("--builtin", help="builtin datum spec, e.g. sine:0.3,1")
+    p.add_argument("--input", help="datum JSON file")
+    p.add_argument("--n", type=int, default=2048, help="builtin sample count")
+    p.add_argument("--seed", type=int, default=0, help="random-trig seed")
+    p.add_argument("--out", default="qcheat-out", help="output directory")
+    p.add_argument("--nx", type=int, default=2048)
+    p.add_argument("--x-min", dest="x_min", type=float, default=0.0)
+    p.add_argument("--x-max", dest="x_max", type=float, default=1.0)
+    p.add_argument("--y-min", dest="y_min", type=float, default=1e-3)
+    p.add_argument("--y-max", dest="y_max", type=float, default=4.0)
+    p.add_argument("--levels-per-octave", dest="levels_per_octave",
+                   type=int, default=8)
+    if name == "probe":
+        base = p.add_mutually_exclusive_group()
+        base.add_argument("--w0", help="base datum builtin spec; default const:0")
+        base.add_argument("--w0-input", dest="w0_input", help="base datum JSON file")
+        p.add_argument("--eps", type=float, default=0.1)
+        p.add_argument("--contour-nodes", dest="contour_nodes", type=int, default=64)
+    if name == "contract":
+        p.add_argument("--t", default="0,0.5,1", help="comma-separated t values")
+    if name == "baseline":
+        p.add_argument("--r", type=float, default=2.0)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; given `command`, only that
+    subcommand's parser gets its options, which is all a run of it reads."""
     parser = argparse.ArgumentParser(
         prog="qcheat",
         description="Heat-kernel boundary extension, dilatation fields, and "
                     "harmonic-analysis estimators at desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "analyze": cmd_analyze,
-        "extend": cmd_extend,
-        "beltrami": cmd_beltrami,
-        "carleson": cmd_carleson,
-        "transfer": cmd_transfer,
-        "probe": cmd_probe,
-        "contract": cmd_contract,
-        "baseline": cmd_baseline,
-    }
-    for name, fn in commands.items():
+    for name, fn in _COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--builtin", help="builtin datum spec, e.g. sine:0.3,1")
-        p.add_argument("--input", help="datum JSON file")
-        p.add_argument("--n", type=int, default=2048, help="builtin sample count")
-        p.add_argument("--seed", type=int, default=0, help="random-trig seed")
-        p.add_argument("--out", default="qcheat-out", help="output directory")
-        p.add_argument("--nx", type=int, default=2048)
-        p.add_argument("--x-min", dest="x_min", type=float, default=0.0)
-        p.add_argument("--x-max", dest="x_max", type=float, default=1.0)
-        p.add_argument("--y-min", dest="y_min", type=float, default=1e-3)
-        p.add_argument("--y-max", dest="y_max", type=float, default=4.0)
-        p.add_argument("--levels-per-octave", dest="levels_per_octave",
-                       type=int, default=8)
-        if name == "probe":
-            base = p.add_mutually_exclusive_group()
-            base.add_argument("--w0", help="base datum builtin spec; default const:0")
-            base.add_argument("--w0-input", dest="w0_input", help="base datum JSON file")
-            p.add_argument("--eps", type=float, default=0.1)
-            p.add_argument("--contour-nodes", dest="contour_nodes", type=int, default=64)
-        if name == "contract":
-            p.add_argument("--t", default="0,0.5,1", help="comma-separated t values")
-        if name == "baseline":
-            p.add_argument("--r", type=float, default=2.0)
+        if command is None or name == command:
+            _add_options(p, name)
     return parser
 
 
@@ -651,7 +677,9 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    # the subcommand is the first word that is not an option: the top-level
+    # parser has none but --help, which needs no subcommand's options
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

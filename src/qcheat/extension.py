@@ -25,6 +25,13 @@ and the grid fix, and the datum adds its FFTs, their products with the
 multipliers and the inverse transforms (a holomorphy probe shares one plan
 over all of its fields).  Both of the plan's routes follow one band rule: a
 level sums only the aliases whose Gaussian factor it leaves above e^-64.
+The plan works in blocks of levels (`_SpectralPlan.blocks`, 8 levels of
+the reference grid): a block builds its own multiplier-table rows or
+chirp-z rows and writes its levels in place, and each level is computed
+alone, so the block size changes no bit.  `extend_blocks` streams the
+extension field block by block, which is how the CLI writes it without
+holding a whole field; `extend` fills its arrays from the same blocks,
+and a multiplier table (`table`) is built from the same block rows.
 
 For circle data gamma splits into a linear part (integrated in closed form)
 plus a periodic part p0 obtained by spectral antiderivative; the vertical
@@ -323,6 +330,11 @@ class _SpectralPlan:
     over m is a convolution with the chirp exp(-pi i d k^2).  The plan
     holds the pre- and post-chirps and, per chunk, the FFT of the chirp
     filter over the band, every phase reduced modulo 1 by `_turns`.
+
+    Both routes work in blocks of at most _CHUNK_ENTRIES / nx levels
+    (`blocks`), each inside one chunk: a block builds its own table rows
+    or chirp-z rows and writes its levels of the result in place, and
+    every level is computed alone, so the block size changes no bit.
     """
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid):
@@ -342,8 +354,9 @@ class _SpectralPlan:
         self.period = period
         self.J = J = max(1, int(np.ceil(8 * period / (np.pi * n * grid.y_min) - 0.5)))
         self.freq = np.fft.fftfreq(n, d=1.0 / n)
-        # grid nodes in periods from the first lattice node
+        # grid nodes in periods from the first lattice node, levels in periods
         self.x_rel = (grid.x - w.domain.a) / period
+        self._ys = grid.y_levels / period
         self.fold = w.periodic and grid.spans_period(period) and n % grid.nx == 0
         # the aliased frequencies f = f0 + m, 0 <= m < (2J + 1) n, ascending
         self._f0 = f0 = -(n // 2) - J * n
@@ -367,7 +380,7 @@ class _SpectralPlan:
             band = slice(max(0, -top - f0), min(self._f.size, top - f0 + 1))
             chirp = None if self.fold else self._chirp(band)
             rows = max(1, _CHUNK_ENTRIES // (band.stop - band.start if self.fold else chirp.size))
-            self._chunks.append((slice(i, i + rows), band, chirp))
+            self._chunks.append((slice(i, min(i + rows, grid.ny)), band, chirp))
             i += rows
 
     def _chirp(self, band: slice) -> np.ndarray:
@@ -381,10 +394,20 @@ class _SpectralPlan:
         k -= band.start
         return np.fft.fft(_cis(-_turns(k * k, self._half)))
 
-    def table(self, *kerns):
-        """What `apply` takes for each of `kerns`: on a folding grid its
-        multiplier table, stacked as (len(kerns), ny, n); otherwise the
-        kernel itself, whose multipliers `apply` evaluates level by level.
+    def blocks(self):
+        """The blocks of levels, as (levels, band, chirp): at most
+        max(1, _CHUNK_ENTRIES // nx) levels each (8 on the reference grid),
+        never across a chunk, whose band and chirp filter they share."""
+        step = max(1, _CHUNK_ENTRIES // self.grid.nx)
+        for levels, band, chirp in self._chunks:
+            for i in range(levels.start, levels.stop, step):
+                yield slice(i, min(i + step, levels.stop)), band, chirp
+
+    def entries(self, block, *kerns):
+        """What `apply_block` takes for each of `kerns` on the levels of
+        `block`: on a folding grid its rows of the multiplier table, stacked
+        as (len(kerns), rows, n); otherwise the kernel itself, whose
+        multipliers `apply_block` evaluates.
 
         A table entry sums the multipliers of the aliases f of its lattice
         frequency, each with the phase of the first grid node, in ascending
@@ -393,66 +416,101 @@ class _SpectralPlan:
         runs that end where f crosses a multiple of n."""
         if not self.fold:
             return kerns
-        n, ys = self.n, self.grid.y_levels / self.period
-        out = np.zeros((len(kerns), self.grid.ny, n), dtype=complex)
-        for levels, band, _ in self._chunks:
-            f = self._f[band]
-            phase = np.exp(2j * np.pi * f * self.x_rel[0])
-            nu = ys[levels, None] * f
-            for t, kern in zip(out, kerns):
-                mult = kq.multiplier(kern, nu)
-                mult *= phase
-                lo = band.start
-                while lo < band.stop:
-                    slot = (self._f0 + lo) % n
-                    hi = min(band.stop, lo + n - slot)
-                    t[levels, slot:slot + hi - lo] += mult[:, lo - band.start:hi - band.start]
-                    lo = hi
+        levels, band, _ = block
+        n = self.n
+        f = self._f[band]
+        phase = np.exp(2j * np.pi * f * self.x_rel[0])
+        nu = self._ys[levels, None] * f
+        out = np.zeros((len(kerns), nu.shape[0], n), dtype=complex)
+        for t, kern in zip(out, kerns):
+            mult = kq.multiplier(kern, nu)
+            mult *= phase
+            lo = band.start
+            while lo < band.stop:
+                slot = (self._f0 + lo) % n
+                hi = min(band.stop, lo + n - slot)
+                t[:, slot:slot + hi - lo] += mult[:, lo - band.start:hi - band.start]
+                lo = hi
+        return out
+
+    def table(self, *kerns):
+        """`entries` on every level: on a folding grid the multiplier tables
+        of `kerns`, stacked as (len(kerns), ny, n); otherwise the kernels."""
+        if not self.fold:
+            return kerns
+        out = np.empty((len(kerns), self.grid.ny, self.n), dtype=complex)
+        for block in self.blocks():
+            out[:, block[0]] = self.entries(block, *kerns)
+        return out
+
+    def weigh(self, spectra: np.ndarray) -> np.ndarray:
+        """`spectra`, FFTs of lattice data, as `apply_block` reads them: on a
+        folding grid as they are; otherwise at the aliased frequencies
+        times the pre-chirp, with the zero frequency set to 0 and its term
+        spectra[..., 0] / n appended last.  `apply_block` adds that term
+        exactly, so that the chirp-z rounds relative to the oscillating
+        part of the data."""
+        if self.fold:
+            return spectra
+        weighted = np.empty(spectra.shape[:-1] + (self._f.size + 1,), dtype=complex)
+        np.multiply(spectra[..., self._slot], self._pre, out=weighted[..., :-1])
+        weighted[..., self.J * self.n + self.n // 2] = 0
+        weighted[..., -1] = spectra[..., 0] / self.n
+        return weighted
+
+    def apply_block(self, block, entry, weighed: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write into `out`, shaped (..., rows, nx), (1/n) * the sum over
+        the aliased frequencies f of k^(f y / P) * spectra[..., f mod n] *
+        exp(2 pi i f x_rel) at every grid node on the levels of `block`, for
+        one of the block's `entries` and the `weigh`ed spectra."""
+        levels, band, chirp = block
+        if self.fold:
+            return self._fold(np.multiply(entry, weighed[..., None, :]), out)
+        nu = self._ys[levels, None] * self._f[band]
+        self._czt(weighed[..., None, band] * kq.multiplier(entry, nu), chirp, out)
+        out += weighed[..., -1, None, None] * kq.multiplier(entry, 0.0)
         return out
 
     def apply(self, table, spectra: np.ndarray) -> np.ndarray:
-        """(1/n) * sum over the aliased frequencies f of k^(f y / P) *
-        spectra[..., f mod n] * exp(2 pi i f x_rel) at every grid node,
-        for one entry of `table`; `spectra` holds FFTs of lattice data, and
-        the result has shape (..., ny, nx)."""
-        n, nx = self.n, self.grid.nx
-        if self.fold:
-            acc = np.multiply(table, spectra[..., None, :])
-            if n != nx:
-                acc = acc.reshape(acc.shape[:-1] + (n // nx, nx)).sum(axis=-2)
-            acc = np.fft.ifft(acc, axis=-1)
-            if n != nx:
-                acc *= nx / n
-            return acc
-        # the zero frequency is added exactly, so that the chirp-z rounds
-        # relative to the oscillating part of the data
-        weighted = spectra[..., self._slot] * self._pre
-        weighted[..., self.J * n + n // 2] = 0
-        ys = self.grid.y_levels / self.period
-        out = np.empty(spectra.shape[:-1] + (ys.size, nx), dtype=complex)
-        for levels, band, chirp in self._chunks:
-            nu = ys[levels, None] * self._f[band]
-            out[..., levels, :] = self._czt(weighted[..., None, band] * kq.multiplier(table, nu),
-                                            chirp)
-        out += (spectra[..., 0, None, None] / n) * kq.multiplier(table, 0.0)
+        """`apply_block` on every level for one entry of `table`: the result
+        has shape (..., ny, nx)."""
+        weighed = self.weigh(spectra)
+        out = np.empty(spectra.shape[:-1] + (self.grid.ny, self.grid.nx), dtype=complex)
+        for block in self.blocks():
+            levels = block[0]
+            self.apply_block(block, table[levels] if self.fold else table, weighed,
+                          out[..., levels, :])
         return out
 
     def series(self, spectrum: np.ndarray) -> np.ndarray:
         """(1/n) * sum over the n lattice frequencies of spectrum * exp(2 pi
         i f x_rel): the lattice data's own Fourier series at the x nodes."""
+        out = np.empty(self.grid.nx, dtype=complex)
         if self.fold:
-            return self.apply(np.exp(2j * np.pi * self.freq * self.x_rel[0])[None, :],
-                              spectrum)[0]
+            return self._fold(np.multiply(np.exp(2j * np.pi * self.freq * self.x_rel[0]),
+                                          spectrum), out)
         base = slice(self.J * self.n, (self.J + 1) * self.n)
-        return self._czt(spectrum[self._slot[base]] * self._pre[base], self._chirp(base))
+        return self._czt(spectrum[self._slot[base]] * self._pre[base], self._chirp(base), out)
 
-    def _czt(self, a: np.ndarray, chirp: np.ndarray) -> np.ndarray:
-        """The sums over m in a band of a[..., m] exp(2 pi i m i d) at the
-        nodes i, times the post-chirp, for pre-chirped a and the band's
-        chirp filter."""
+    def _fold(self, acc: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Sum the products `acc` over the n // nx frequencies of each slot
+        modulo nx and write their length-nx inverse FFT into `out`."""
+        n, nx = self.n, self.grid.nx
+        if n != nx:
+            acc = acc.reshape(acc.shape[:-1] + (n // nx, nx)).sum(axis=-2)
+        np.fft.ifft(acc, axis=-1, out=out)
+        if n != nx:
+            out *= nx / n
+        return out
+
+    def _czt(self, a: np.ndarray, chirp: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write into `out` the sums over m in a band of a[..., m]
+        exp(2 pi i m i d) at the nodes i, times the post-chirp, for
+        pre-chirped a and the band's chirp filter."""
         spec = np.fft.fft(a, chirp.size, axis=-1)
         spec *= chirp
-        return np.fft.ifft(spec, axis=-1)[..., :self.grid.nx] * self._post
+        np.fft.ifft(spec, axis=-1, out=spec)
+        return np.multiply(spec[..., :self.grid.nx], self._post, out=out)
 
 
 def _stepwise_fft(p: np.ndarray) -> np.ndarray:
@@ -471,12 +529,12 @@ def _stepwise_fft(p: np.ndarray) -> np.ndarray:
 
 
 class _SpectralEngine:
-    """Every lattice convolution of one datum, on all levels at once: the
-    FFTs of e^(w - mean w) and of p0, applied through a plan.  For circle
-    data p0 is the periodic part of gamma and `scale` and `mhat` carry the
-    linear part, which extend adds in closed form; for line data p0 is
-    gamma by cumulative trapezoid from the left end, `anchor` its value at
-    0, which extend subtracts in closed form, and `mhat` = 0."""
+    """Every lattice convolution of one datum, block by block: the FFTs of
+    e^(w - mean w) and of p0, applied through a plan.  For circle data p0
+    is the periodic part of gamma and `scale` and `mhat` carry the linear
+    part, which extend adds in closed form; for line data p0 is gamma by
+    cumulative trapezoid from the left end, `anchor` its value at 0, which
+    extend subtracts in closed form, and `mhat` = 0."""
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid):
         self.plan = _SpectralPlan(w, grid)
@@ -485,7 +543,7 @@ class _SpectralEngine:
         if w.periodic:
             self.scale, self.mhat, self.ew, self.p0 = _periodic_parts(w)
             self.anchor = 0.0
-            self._fft_p0 = np.fft.fft(self.p0)
+            fft_p0 = np.fft.fft(self.p0)
         else:
             w.domain.require_covers(min(0.0, grid.x[0]), max(0.0, grid.x[-1]),
                                     "gamma interval from 0")
@@ -493,22 +551,24 @@ class _SpectralEngine:
             self.scale, self.mhat = np.exp(wbar), 0.0
             self.p0, self._p0_at = _cumulative_trapezoid(self.ew, w.domain.a, w.h)
             self.anchor = complex(self._p0_at(0.0))
-            self._fft_p0 = _stepwise_fft(self.p0)
-        self._fft_ew = np.fft.fft(self.ew)
+            fft_p0 = _stepwise_fft(self.p0)
+        self._spectra = np.stack([np.fft.fft(self.ew), fft_p0])
+        self._weighed = self.plan.weigh(self._spectra)
 
-    def convolutions(self, ew_kernels=(), gamma_kernels=()):
+    def convolve_block(self, block, ew_kernels=(), gamma_kernels=()):
         """The convolutions of e^(w - mean w) against each of `ew_kernels`
-        and of p0 against each of `gamma_kernels`, as two lists of (ny, nx)
-        arrays.  Each kernel is applied to every spectrum that asks for it
-        in one pass; on a folding grid its table is built once for them and
-        dropped before the next is built."""
+        and of p0 against each of `gamma_kernels` on the levels of `block`,
+        one of the plan's `blocks`, as two lists of (rows, nx) arrays.  Each
+        kernel's entries serve every spectrum that asks for it at once."""
         asked = (ew_kernels, gamma_kernels)
-        spectra = (self._fft_ew, self._fft_p0)
+        kernels = tuple(dict.fromkeys(ew_kernels + gamma_kernels))
+        levels = block[0]
         out = ([None] * len(ew_kernels), [None] * len(gamma_kernels))
-        for kern in dict.fromkeys(ew_kernels + gamma_kernels):
-            which = [i for i, kernels in enumerate(asked) if kern in kernels]
-            convs = self.plan.apply(self.plan.table(kern)[0],
-                                    np.stack([spectra[i] for i in which]))
+        for kern, entry in zip(kernels, self.plan.entries(block, *kernels)):
+            which = [i for i, ks in enumerate(asked) if kern in ks]
+            convs = np.empty((len(which), levels.stop - levels.start, self.grid.nx),
+                             dtype=complex)
+            self.plan.apply_block(block, entry, self._weighed[which[0]:which[-1] + 1], convs)
             for i, conv in zip(which, convs):
                 out[i][asked[i].index(kern)] = conv
         return out
@@ -516,62 +576,98 @@ class _SpectralEngine:
     def gamma_at_nodes(self):
         x = self.grid.x
         if self.w.periodic:
-            return self.scale * (self.mhat * x + self.plan.series(self._fft_p0))
+            return self.scale * (self.mhat * x + self.plan.series(self._spectra[1]))
         return self.scale * (self._p0_at(x) - self.anchor)
 
 
 # ---------------------------------------------------------------------------
 # field construction
 
-def _require_finite(grid: HalfPlaneGrid, **fields):
+FIELD_NAMES = ("U", "V", "U_x", "V_x", "U_y", "V_y", "F_z", "F_zbar")
+
+
+def _require_finite(grid: HalfPlaneGrid, levels=slice(None), **fields):
     """Raise ResolutionError naming the first grid node where one of the
-    (ny, nx) or (nx,) arrays in `fields` is not finite."""
+    (rows, nx) arrays on `levels` or (nx,) arrays in `fields` is not
+    finite."""
     for name, a in fields.items():
         bad = ~np.isfinite(a)
         if bad.any():
             at = np.unravel_index(int(np.argmax(bad)), a.shape)
             where = f"x = {grid.x[at[-1]]:.6g}"
             if a.ndim == 2:
-                where += f", y = {grid.y_levels[at[0]]:.6g}"
+                where += f", y = {grid.y_levels[levels][at[0]]:.6g}"
             raise ResolutionError(
                 f"e^w left floating range: {name} is not finite at {where}")
 
 
-def extend(w: SampledFunction, grid: HalfPlaneGrid) -> ExtensionField:
-    """Build the extension field of w with all partials on `grid`; a field
-    that is not finite everywhere raises ResolutionError."""
+def extend_blocks(w: SampledFunction, grid: HalfPlaneGrid):
+    """The extension field of w on `grid`, streamed: (gamma, blocks).
+
+    gamma holds the boundary curve at the x nodes, and `blocks` yields the
+    field one block of the plan's levels at a time, ascending, as (levels,
+    rows, residuals): `rows` maps each of FIELD_NAMES to its (rows, nx)
+    array on `levels`, and `residuals` holds the identity residuals of
+    `ExtensionField` over every level yielded so far, so the last block's
+    are the field's.  The engine is built, and w and the grid checked,
+    before this returns; a gamma that is not finite raises ResolutionError
+    here, and a block that is not finite raises it before it is yielded."""
     # e^w out of floating range shows as a non-finite field, reported below
     with np.errstate(all="ignore"):
         eng = _SpectralEngine(w, grid)
-        s, mhat = eng.scale, eng.mhat
-        x = grid.x
-        y = grid.y_levels[:, None]
-        # each kernel's multipliers serve both spectra; fields scale in place
-        on_ew, on_gamma = eng.convolutions((PHI, PSI, PHI_SECOND, ALPHA, BETA),
-                                           (PHI, PSI, PHI_SECOND, _V_RATE))
-        U_x, V_x, vy_check, F_zbar, F_z = on_ew
-        U, V, U_y, V_y = on_gamma
-        for f in on_ew:
-            f *= s
-        vy_check *= 0.5
-        U += mhat * x - eng.anchor
-        U *= s
-        V += mhat * y
-        V *= s
-        U_y *= (s / y) * 0.5
-        V_y /= y
-        V_y += mhat
-        V_y *= s
         gamma = eng.gamma_at_nodes()
-    _require_finite(grid, gamma=gamma, U=U, V=V, U_x=U_x, V_x=V_x, U_y=U_y, V_y=V_y,
-                    F_z=F_z, F_zbar=F_zbar, vy_check=vy_check)
+    _require_finite(grid, gamma=gamma)
+    return gamma, _field_blocks(eng)
 
-    residuals = {
-        "uy_half_vx": float(np.max(np.abs(U_y - 0.5 * V_x))),
-        "vy_identity": float(np.max(np.abs(V_y - U_x - vy_check))),
-    }
-    return ExtensionField(grid, w, gamma, U, V, U_x, V_x, U_y, V_y,
-                          F_z, F_zbar, residuals)
+
+def _field_blocks(eng: _SpectralEngine):
+    grid = eng.grid
+    s, mhat = eng.scale, eng.mhat
+    with np.errstate(all="ignore"):
+        shift = mhat * grid.x - eng.anchor
+    residuals = {"uy_half_vx": 0.0, "vy_identity": 0.0}
+    for block in eng.plan.blocks():
+        levels = block[0]
+        y = grid.y_levels[levels, None]
+        # the state is set per block: it must not reach the consumer
+        with np.errstate(all="ignore"):
+            # each kernel's multipliers serve both spectra; fields scale in place
+            on_ew, on_gamma = eng.convolve_block(block, (PHI, PSI, PHI_SECOND, ALPHA, BETA),
+                                                 (PHI, PSI, PHI_SECOND, _V_RATE))
+            U_x, V_x, vy_check, F_zbar, F_z = on_ew
+            U, V, U_y, V_y = on_gamma
+            for f in on_ew:
+                f *= s
+            vy_check *= 0.5
+            U += shift
+            U *= s
+            V += mhat * y
+            V *= s
+            U_y *= (s / y) * 0.5
+            V_y /= y
+            V_y += mhat
+            V_y *= s
+        rows = dict(U=U, V=V, U_x=U_x, V_x=V_x, U_y=U_y, V_y=V_y, F_z=F_z, F_zbar=F_zbar)
+        _require_finite(grid, levels, **rows, vy_check=vy_check)
+        residuals = {
+            "uy_half_vx": max(residuals["uy_half_vx"], float(np.max(np.abs(U_y - 0.5 * V_x)))),
+            "vy_identity": max(residuals["vy_identity"],
+                               float(np.max(np.abs(V_y - U_x - vy_check)))),
+        }
+        yield levels, rows, residuals
+
+
+def extend(w: SampledFunction, grid: HalfPlaneGrid) -> ExtensionField:
+    """Build the extension field of w with all partials on `grid`, from
+    `extend_blocks`; a field that is not finite everywhere raises
+    ResolutionError."""
+    gamma, blocks = extend_blocks(w, grid)
+    fields = {name: np.empty((grid.ny, grid.nx), dtype=complex) for name in FIELD_NAMES}
+    residuals = {}
+    for levels, rows, residuals in blocks:
+        for name, a in rows.items():
+            fields[name][levels] = a
+    return ExtensionField(grid, w, gamma, **fields, identity_residuals=residuals)
 
 
 def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -66,6 +67,58 @@ def test_extend_reports_identity_residuals(tmp_path):
     rep = read_json(os.path.join(out, "extend.json"))
     assert rep["residual_uy_half_vx"] <= 1e-8
     assert rep["v_min"] > 0
+
+
+def test_extend_streams_the_bytes_of_the_whole_field(tmp_path):
+    # the CLI writes F block by block; the bytes and the report are those
+    # of the field built whole
+    out = tmp_path / "o"
+    assert run(["extend", "--builtin", "sine:0.3,1", "--out", str(out)] + GRID_ARGS) == 0
+    grid = qc.HalfPlaneGrid.build(nx=256, y_min=1 / 64, y_max=2.0)
+    field = qc.extend(qc.lift(qc.sine(0.3, 1, 256)), grid)
+    write_field_csv(str(tmp_path / "whole.csv"), grid, field.F)
+    assert (out / "field.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    rep = read_json(out / "extend.json")
+    assert rep["residual_uy_half_vx"] == field.identity_residuals["uy_half_vx"]
+    assert rep["residual_vy_identity"] == field.identity_residuals["vy_identity"]
+    assert rep["v_min"] == float(np.min(field.V.real))
+
+
+def test_extend_never_holds_the_whole_field(tmp_path):
+    # the reference grid's nine (97, 2048) complex fields take 28.6 MB
+    argv = ["extend", "--builtin", "random-trig:8,0.2,1", "--out", str(tmp_path / "o")]
+    assert run(argv) == 0  # first-use allocations
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
+def test_extend_failing_in_a_late_block_writes_nothing(tmp_path, capsys, monkeypatch):
+    from qcheat.extension import _SpectralEngine
+
+    convolve_block = _SpectralEngine.convolve_block
+    blocks = []
+
+    def poisoned(self, block, *kernels):
+        out = convolve_block(self, block, *kernels)
+        blocks.append(block[0])
+        if block[0].stop == self.grid.ny:
+            out[1][0][-1, -1] = np.nan  # U at the last node of the top level
+        return out
+
+    monkeypatch.setattr(_SpectralEngine, "convolve_block", poisoned)
+    out = tmp_path / "o"
+    assert run(["extend", "--builtin", "sine:0.3,1", "--out", str(out)] + GRID_ARGS) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=resolution")
+    assert "U is not finite at x = 0.996094, y = 2" in err[0]
+    # the earlier blocks were written before the last failed
+    assert len(blocks) > 1
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_carleson_report_keys(tmp_path):
@@ -140,6 +193,30 @@ def test_unknown_builtin_exits_2(tmp_path, capsys):
 
 def test_unknown_flag_exits_2(tmp_path):
     assert run(["beltrami", "--frobnicate", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["extend", "--help"], 0), (["frobnicate"], 2),
+    (["extend", "--frobnicate"], 2), (["--out", "o", "extend"], 2), ([], 2)])
+def test_parser_exit_codes(argv, code, capsys):
+    assert run(argv) == code
+    if argv == ["extend", "--help"]:
+        assert "--levels-per-octave" in capsys.readouterr().out
+
+
+def test_run_builds_only_the_chosen_subcommand(tmp_path, monkeypatch):
+    from qcheat import cli
+
+    built = []
+    add_options = cli._add_options
+    monkeypatch.setattr(cli, "_add_options",
+                        lambda p, name: (built.append(name), add_options(p, name)))
+    assert run(["contract", "--builtin", "sine:0.3,1", "--t", "0.5",
+                "--out", str(tmp_path)] + GRID_ARGS) == 0
+    assert built == ["contract"]
+    built.clear()
+    build_parser()
+    assert built == list(cli._COMMANDS)
 
 
 BASELINE_ARGS = ["baseline", "--builtin", "id:-8,8", "--n", "4097", "--x-min", "-1",

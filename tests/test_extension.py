@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qcheat as qc
 from qcheat.data import Domain, SampledFunction
-from qcheat import kernels as kq
+from qcheat import extension, kernels as kq
 from qcheat.extension import _SpectralEngine, _SpectralPlan, _cumulative_trapezoid
 from qcheat.kernels import (_V_RATE, ALPHA, BETA, KERNELS, PHI, PHI_SECOND, PSI, SQRT_PI,
                             TRUNCATION_RADIUS)
@@ -18,6 +18,20 @@ from oracles import beltrami_fd_oracle, periodic_point_sum, window_sum
 
 def grid_points(grid):
     return grid.x[None, :] + 1j * grid.y_levels[:, None]
+
+
+def _convolutions(eng, ew_kernels=(), gamma_kernels=()):
+    """The engine's convolutions of e^(w - mean w) against each of
+    `ew_kernels` and of p0 against each of `gamma_kernels` on every level,
+    as two (len(kernels), ny, nx) stacks assembled block by block."""
+    shape = (eng.grid.ny, eng.grid.nx)
+    out = (np.empty((len(ew_kernels),) + shape, dtype=complex),
+           np.empty((len(gamma_kernels),) + shape, dtype=complex))
+    for block in eng.plan.blocks():
+        for stack, rows in zip(out, eng.convolve_block(block, ew_kernels, gamma_kernels)):
+            for t, row in zip(stack, rows):
+                t[block[0]] = row
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +313,7 @@ def test_line_mu_is_invariant_under_a_large_offset():
     mu = qc.beltrami(_line_datum(w720 - 720.0), grid)  # the subtraction is exact
     with np.errstate(over="ignore"):  # scale = e^720, unused by mu
         eng = _SpectralEngine(_line_datum(w720), grid)
-    num, den = eng.convolutions((ALPHA, BETA))[0]
+    num, den = _convolutions(eng, (ALPHA, BETA))[0]
     assert np.max(np.abs(num / den - mu.values)) <= 1e-14
     # beltrami also records |e^w * beta_y| itself, which overflows there
     with pytest.raises(qc.ResolutionError, match="denom_mag is not finite"):
@@ -398,7 +412,7 @@ def test_line_engine_matches_the_point_wise_window_sum(make):
     eng = _SpectralEngine(w, grid)
     assert not eng.plan.fold
     assert np.all(np.diff(grid.y_levels) > 0) and grid.ny >= 5
-    for data, stack in zip((eng.ew, eng.p0), eng.convolutions(LINE_KERNELS, LINE_KERNELS)):
+    for data, stack in zip((eng.ew, eng.p0), _convolutions(eng, LINE_KERNELS, LINE_KERNELS)):
         blocks = _block_window_sums(w, grid, data, LINE_KERNELS)
         for kern, got, block in zip(LINE_KERNELS, stack, blocks):
             want = _window_sums(w, grid, data, kern)
@@ -555,7 +569,7 @@ def test_spectral_engine_matches_real_space_lattice_sum(name):
     grid = qc.HalfPlaneGrid(x_min, x_max, nx, np.array([1 / 64, 0.2, 2.0]))
     eng = _SpectralEngine(w, grid)
     kernels = tuple(KERNELS.values()) + (_V_RATE,)
-    for k, conv_ew, conv_p0 in zip(kernels, *eng.convolutions(kernels, kernels)):
+    for k, conv_ew, conv_p0 in zip(kernels, *_convolutions(eng, kernels, kernels)):
         for data, got in ((eng.ew, conv_ew), (eng.p0, conv_p0)):
             want = np.array([[periodic_point_sum(w, k, x, y, data)
                               for x in grid.x] for y in grid.y_levels])
@@ -593,12 +607,12 @@ FOLDING_GRIDS = {name: ENGINE_GRIDS[name] for name in ("aligned", "shifted", "co
 FOLDING_GRIDS["coarse_shifted"] = (0.5, 1.5, 128)  # nx | n, nx < n, off x = 0
 
 
-def _folding_case(name, small_grid):
+def _circle_case(name, small_grid):
     if name == "reference":
         return qc.random_trig(8, 0.4, 3, 2048), qc.HalfPlaneGrid.build()
     u = qc.random_trig(8, 0.4, 3, 256).values
     w = qc.constant(0.0, 256).with_values(u + 0.5j * qc.random_trig(5, 0.3, 11, 256).values)
-    x_min, x_max, nx = FOLDING_GRIDS[name]
+    x_min, x_max, nx = {**ENGINE_GRIDS, **FOLDING_GRIDS}[name]
     return w, qc.HalfPlaneGrid(x_min, x_max, nx, small_grid.y_levels)
 
 
@@ -607,7 +621,7 @@ def test_banded_tables_drop_only_entries_below_e64(name, small_grid):
     # every alias outside a level's band has a Gaussian factor below e^-64,
     # so an entry moves by less than e^-64 times the kernel's polynomial at
     # the band edge (e.g. 69 for BETA, 2.1e3 for _V_RATE)
-    w, grid = _folding_case(name, small_grid)
+    w, grid = _circle_case(name, small_grid)
     plan = _SpectralPlan(w, grid)
     assert plan.fold
     kernels = tuple(KERNELS.values()) + (_V_RATE,)
@@ -621,16 +635,64 @@ def test_banded_tables_drop_only_entries_below_e64(name, small_grid):
 
 @pytest.mark.parametrize("name", FOLDING_GRIDS)
 def test_banded_tables_give_the_alias_table_fields(name, small_grid, monkeypatch):
-    w, grid = _folding_case(name, small_grid)
+    w, grid = _circle_case(name, small_grid)
     mu, field = qc.beltrami(w, grid), qc.extend(w, grid)
-    monkeypatch.setattr(_SpectralPlan, "table", _alias_table)
-    want_mu, want_field = qc.beltrami(w, grid), qc.extend(w, grid)
+    # every table row either field reads comes from `entries`, block by block
+    patched = []
+
+    def alias_entries(plan, block, *kerns):
+        patched.append(block[0])
+        return _alias_table(plan, *kerns)[:, block[0]]
+
+    monkeypatch.setattr(_SpectralPlan, "entries", alias_entries)
+    want_mu = qc.beltrami(w, grid)
+    assert len(patched) == len(list(_SpectralPlan(w, grid).blocks()))
+    want_field = qc.extend(w, grid)
+    assert len(patched) == 2 * len(list(_SpectralPlan(w, grid).blocks()))
     pairs = [(mu.values, want_mu.values)] + [
         (getattr(field, k), getattr(want_field, k))
         for k in ("gamma", "U", "V", "U_x", "V_x", "U_y", "V_y", "F_z", "F_zbar")]
     for got, want in pairs:
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
     assert np.array_equal(mu.denom_mag, want_mu.denom_mag)
+
+
+# ---------------------------------------------------------------------------
+# block sizes
+
+def _one_level_blocks(plan):
+    for levels, band, chirp in plan._chunks:
+        for i in range(levels.start, levels.stop):
+            yield slice(i, i + 1), band, chirp
+
+
+def _whole_chunk_blocks(plan):
+    yield from plan._chunks
+
+
+@pytest.mark.parametrize("name", ["reference", "aligned", "coarse", "partial_period", "line"])
+def test_block_size_changes_no_bit(name, small_grid, monkeypatch):
+    # every level is computed alone, so a block of one level, of the
+    # default size or of a whole chunk gives the same bits on both routes
+    w, grid = _complex_case() if name == "line" else _circle_case(name, small_grid)
+    plan = _SpectralPlan(w, grid)
+    assert plan.fold == (name in ("reference", "aligned", "coarse"))
+    default = [b[0] for b in plan.blocks()]
+    assert default != [b[0] for b in _one_level_blocks(plan)]
+    if name == "reference":  # 8 levels a block split the chunks
+        assert default != [b[0] for b in _whole_chunk_blocks(plan)]
+
+    def fields():
+        f, mu = qc.extend(w, grid), qc.beltrami(w, grid)
+        return ([getattr(f, k) for k in ("gamma",) + extension.FIELD_NAMES]
+                + [mu.values, mu.denom_mag], f.identity_residuals)
+
+    want, want_res = fields()
+    for blocks in (_one_level_blocks, _whole_chunk_blocks):
+        monkeypatch.setattr(_SpectralPlan, "blocks", blocks)
+        got, got_res = fields()
+        assert all(np.array_equal(g, v) for g, v in zip(got, want))
+        assert got_res == want_res
 
 
 # ---------------------------------------------------------------------------
