@@ -23,7 +23,7 @@ import numpy as np
 from .carleson import hybrid_norm
 from .data import SampledFunction
 from .errors import DomainError, ProbeFailure, ResolutionError, SingularDenominatorError
-from .extension import BeltramiField, HalfPlaneGrid, _dilatation_map
+from .extension import _CHUNK_ENTRIES, BeltramiField, HalfPlaneGrid, _dilatation_map
 
 SAFE_DENOMINATOR = 1e-6
 
@@ -101,8 +101,8 @@ def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, make) -> Holomorph
     """Build the probe from `make(zeta) -> BeltramiField`, halving epsilon
     (at most 6 times) until every node field has denominator magnitude
     >= SAFE_DENOMINATOR.  Each contour field is added into the running sums
-    of every served point, in contour order, then dropped; a halving
-    discards the sums."""
+    of every served point, in contour order, through one term buffer of a
+    block of levels, then dropped; a halving discards the sums."""
     eps = float(epsilon)
     last_bad = None
     for _ in range(7):
@@ -122,13 +122,18 @@ def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, make) -> Holomorph
                 fields.append(f)
                 continue
             if term is None:
-                term = np.empty_like(f.values)
-                sums = {z: (np.zeros_like(term), np.zeros_like(term)) for z in weights}
+                ny, nx = f.values.shape
+                rows = max(1, _CHUNK_ENTRIES // nx)
+                term = np.empty((rows, nx), dtype=f.values.dtype)
+                sums = {z: (np.zeros_like(f.values), np.zeros_like(f.values)) for z in weights}
             j = k - centers.size
             for z, (value, deriv) in weights.items():
                 value_sum, deriv_sum = sums[z]
-                value_sum += np.multiply(f.values, value[j], out=term)
-                deriv_sum += np.multiply(f.values, deriv[j], out=term)
+                for i in range(0, ny, rows):
+                    part = f.values[i:i + rows]
+                    t = term[:part.shape[0]]
+                    value_sum[i:i + rows] += np.multiply(part, value[j], out=t)
+                    deriv_sum[i:i + rows] += np.multiply(part, deriv[j], out=t)
         else:
             for acc in (a for pair in sums.values() for a in pair):
                 acc /= n_contour
@@ -229,12 +234,14 @@ def quotient_convergence(p: HolomorphyProbe, zeta0: complex, steps):
         raise DomainError("quotient nodes must stay inside radius epsilon")
     D = contour_derivative(p, zeta0)
     base = p.dilatation_at(zeta0)
-    dists = []
+    dists, quot = [], None
     for s in steps:
-        shifted = p.dilatation_at(zeta0 + s)
-        quot = (shifted.values - base.values) / s
-        diff = BeltramiField(base.grid, quot - D, periodic=base.periodic)
-        dists.append(hybrid_norm(diff))
+        # one buffer takes each quotient in place; the shifted field is
+        # dropped before the next is built
+        quot = np.subtract(p.dilatation_at(zeta0 + s).values, base.values, out=quot)
+        quot /= s
+        quot -= D
+        dists.append(hybrid_norm(BeltramiField(base.grid, quot, periodic=base.periodic)))
     dists = np.array(dists)
     if not np.all(np.isfinite(dists)):
         raise ResolutionError(f"difference quotients at epsilon {p.epsilon:.3e} "

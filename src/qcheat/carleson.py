@@ -78,7 +78,8 @@ def carleson_norm_halfplane(mu: BeltramiField) -> CarlesonReport:
     ys = grid.y_levels
     hx = grid.hx
     nx = grid.nx
-    dens = np.abs(mu.values) ** 2
+    dens = np.abs(mu.values)
+    np.square(dens, out=dens)
     periodic = mu.periodic
 
     family = interval_family(nx, periodic)
@@ -127,7 +128,8 @@ def carleson_norm_disk(nu: BeltramiField) -> CarlesonReport:
     thetas = grid.thetas
     ntheta = thetas.size
     dtheta = 2 * np.pi / ntheta
-    dens = np.abs(nu.values) ** 2
+    dens = np.abs(nu.values)
+    np.square(dens, out=dens)
     # dy-integrand density: (2 pi r^2 / (1 - r^2)) per unit y, times y for
     # the log-y trapezoid
     gdens = 2 * np.pi * radii ** 2 / (1.0 - radii ** 2) * ys

@@ -31,7 +31,11 @@ chirp-z rows and writes its levels in place, and each level is computed
 alone, so the block size changes no bit.  `extend_blocks` streams the
 extension field block by block, which is how the CLI writes it without
 holding a whole field; `extend` fills its arrays from the same blocks,
-and a multiplier table (`table`) is built from the same block rows.
+and a multiplier table (`table`) is built from the same block rows.  A
+dilatation map (`_dilatation_map`, one per probe) keeps each block's
+ALPHA and BETA rows only over the slots of the block's band, and fills
+mu and the denominator magnitude block by block in place, through one
+block-sized denominator buffer.
 
 For circle data gamma splits into a linear part (integrated in closed form)
 plus a periodic part p0 obtained by spectral antiderivative; the vertical
@@ -59,7 +63,7 @@ import numpy as np
 from . import kernels as kq
 from .data import SampledFunction
 from .errors import DomainError, ResolutionError, SingularDenominatorError
-from .funcspace import _window_sums
+from .funcspace import _prefix_sums
 from .kernels import ALPHA, BETA, PHI, PHI_SECOND, PSI, _V_RATE
 
 SINGULAR_THRESHOLD = 1e-12
@@ -310,6 +314,15 @@ def _fast_len(m: int) -> int:
         m += 1
 
 
+def _pieces(start: int, size: int, n: int):
+    """The run of `size` slots start, start + 1, ... modulo n in at most
+    two pieces, as (slots, offsets into the run) slice pairs."""
+    first = min(size, n - start)
+    yield slice(start, start + first), slice(0, first)
+    if size > first:
+        yield slice(0, size - first), slice(first, size)
+
+
 class _SpectralPlan:
     """The datum-independent part of the engine, for one data lattice and
     one grid.  The window rule: a window of half-width 8 y_min must hold
@@ -334,7 +347,11 @@ class _SpectralPlan:
     Both routes work in blocks of at most _CHUNK_ENTRIES / nx levels
     (`blocks`), each inside one chunk: a block builds its own table rows
     or chirp-z rows and writes its levels of the result in place, and
-    every level is computed alone, so the block size changes no bit.
+    every level is computed alone, so the block size changes no bit.  A
+    band narrower than n covers a run of consecutive slots modulo n, and
+    every other entry of its rows is 0: `band_entries` keeps the rows over
+    that run only, and `apply_block` multiplies the slots outside it as
+    entries of 0, so either form gives the same bits.
     """
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid):
@@ -443,6 +460,26 @@ class _SpectralPlan:
             out[:, block[0]] = self.entries(block, *kerns)
         return out
 
+    def _run(self, band: slice):
+        """(start, size): the band's frequencies fall into the `size` slots
+        start, start + 1, ... modulo n, all n slots from 0 when the band
+        holds n frequencies or more."""
+        size = band.stop - band.start
+        if size >= self.n:
+            return 0, self.n
+        return (self._f0 + band.start) % self.n, size
+
+    def band_entries(self, block, *kerns):
+        """`entries` of `kerns` on the levels of `block`, kept only over the
+        slots of the block's band (`_run`), in the order of the run: every
+        other entry of a table row is 0.  `apply_block` takes either form."""
+        rows = self.entries(block, *kerns)
+        start, size = self._run(block[1])
+        if not self.fold or size == self.n:
+            return rows
+        return np.concatenate([rows[..., slots] for slots, _ in _pieces(start, size, self.n)],
+                              axis=-1)
+
     def weigh(self, spectra: np.ndarray) -> np.ndarray:
         """`spectra`, FFTs of lattice data, as `apply_block` reads them: on a
         folding grid as they are; otherwise at the aliased frequencies
@@ -465,7 +502,7 @@ class _SpectralPlan:
         one of the block's `entries` and the `weigh`ed spectra."""
         levels, band, chirp = block
         if self.fold:
-            return self._fold(np.multiply(entry, weighed[..., None, :]), out)
+            return self._fold(self._products(band, entry, weighed), out)
         nu = self._ys[levels, None] * self._f[band]
         self._czt(weighed[..., None, band] * kq.multiplier(entry, nu), chirp, out)
         out += weighed[..., -1, None, None] * kq.multiplier(entry, 0.0)
@@ -491,6 +528,21 @@ class _SpectralPlan:
                                           spectrum), out)
         base = slice(self.J * self.n, (self.J + 1) * self.n)
         return self._czt(spectrum[self._slot[base]] * self._pre[base], self._chirp(base), out)
+
+    def _products(self, band: slice, entry: np.ndarray, weighed: np.ndarray) -> np.ndarray:
+        """entry * weighed on all n slots, (..., rows, n), for a block's
+        table rows `entry`, whole or from `band_entries`: a slot outside the
+        band takes 0 * weighed, as a whole row's entry of 0 gives it."""
+        n = self.n
+        start, size = (0, n) if entry.shape[-1] == n else self._run(band)
+        acc = np.empty(weighed.shape[:-1] + entry.shape[-2:-1] + (n,), dtype=complex)
+        if size < n:
+            zero = np.multiply(np.zeros(n, dtype=complex), weighed)
+            for slots, _ in _pieces((start + size) % n, n - size, n):
+                acc[..., slots] = zero[..., None, slots]
+        for slots, at in _pieces(start, size, n):
+            np.multiply(entry[..., at], weighed[..., None, slots], out=acc[..., slots])
+        return acc
 
     def _fold(self, acc: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Sum the products `acc` over the n // nx frequencies of each slot
@@ -671,14 +723,21 @@ def extend(w: SampledFunction, grid: HalfPlaneGrid) -> ExtensionField:
 
 
 def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
-    """The map u -> e^(mean u - mean of u over I(x, y) = (x - y, x + y)) at
-    the grid points, for real data u on the lattice of periodic w0: the
-    factor that turns |e^(w - mean w) * beta_y| into the recorded magnitude
-    |e^(w - w_I) * beta_y|, u = Re w.  The windows are fixed here; a datum
-    costs one cumulative sum (`funcspace._window_sums`), read on the levels
-    whose window is shorter than the period.  On every other level, and on
-    every level of a grid whose x nodes are not the lattice nodes, w_I is
-    the global mean and the factor is exactly 1."""
+    """The map u -> factor, for real data u on the lattice of w0: factor(j)
+    turns |e^(w - mean w) * beta_y| on level j into the recorded magnitude,
+    u = Re w, as one value or a row of nx.  Line data record |e^w * beta_y|:
+    the factor is e^(mean u) on every level.  Circle data record
+    |e^(w - w_I) * beta_y|, I(x, y) = (x - y, x + y): the factor is
+    e^(mean u - mean of u over I) on the levels whose window is shorter
+    than the period, read from contiguous slices of one prefix sum
+    (`funcspace._prefix_sums`) of three periods of u, and exactly 1 on
+    every other level and on every level of a grid whose x nodes are not
+    the lattice nodes."""
+    if not w0.periodic:
+        def line(u: np.ndarray):
+            scale = np.exp(float(np.mean(u)))
+            return lambda j: scale
+        return line
     n = w0.n
     h = w0.h
     offset = (grid.x_min - w0.domain.a) / h
@@ -689,37 +748,34 @@ def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
         # the lowest levels: m grows with y
         half_widths = [int(m) for m in np.floor(grid.y_levels / h) if 2 * m + 1 < n]
     shift = int(round(offset)) % n
-    nodes = np.arange(grid.nx)
 
-    def factor(u: np.ndarray) -> np.ndarray:
-        # a full-size array, although only the window levels need one: with
-        # a (levels, nx) array instead, each field of a probe left a hole in
-        # the glibc heap (+30 MB of peak RSS over 21 reference-grid fields)
-        out = np.ones((grid.ny, grid.nx))
-        if half_widths:
-            # the window of grid node i, lattice node i + shift, read in the
-            # middle of three periods
-            sums = _window_sums(np.roll(u, -shift), copies=3, lead=1)
-            for row, m in zip(out, half_widths):
-                row[:] = sums(nodes - m, nodes + m + 1)
-                row /= 2 * m + 1
-            local = out[:len(half_widths)]
-            np.subtract(float(np.mean(u)), local, out=local)
-            np.exp(local, out=local)
-        return out
+    def circle(u: np.ndarray):
+        if not half_widths:
+            return lambda j: 1.0
+        mean = float(np.mean(u))
+        # grid node i is lattice node i + shift, read in the middle period
+        pref = _prefix_sums(np.roll(u, -shift), 3)
 
-    return factor
+        def factor(j: int):
+            if j >= len(half_widths):
+                return 1.0
+            m = half_widths[j]
+            row = pref[n + m + 1:2 * n + m + 1] - pref[n - m:2 * n - m]
+            row /= 2 * m + 1
+            np.subtract(mean, row, out=row)
+            return np.exp(row, out=row)
+
+        return factor
+
+    return circle
 
 
-def _dilatation(grid: HalfPlaneGrid, num: np.ndarray, den: np.ndarray,
-                mag_factor, floor: float, periodic: bool) -> BeltramiField:
-    """mu = num / den with the checks of `beltrami`, computed in place of
-    num; `mag_factor` turns |den| into the recorded denominator magnitude,
-    and `floor` is the absolute rounding floor of den."""
-    with np.errstate(all="ignore"):
-        mu = np.divide(num, den, out=num)
-        denom_mag = np.abs(den)
-        denom_mag *= mag_factor
+def _dilatation(grid: HalfPlaneGrid, mu: np.ndarray, denom_mag: np.ndarray,
+                factor, floor: float, periodic: bool) -> BeltramiField:
+    """The checks of `beltrami` on mu and the recorded denominator
+    magnitude, whole (ny, nx) arrays: `factor(j)` turned |den| on level j
+    into `denom_mag` (`_magnitude_factor`), and `floor` is the absolute
+    rounding floor of den."""
     ys = grid.y_levels
     flat = int(np.argmin(denom_mag))
     smallest = denom_mag.flat[flat]
@@ -728,7 +784,8 @@ def _dilatation(grid: HalfPlaneGrid, num: np.ndarray, den: np.ndarray,
         where = f"at (x, y) = ({grid.x[ii]:.6g}, {ys[jj]:.6g})"
         # the engine cannot tell a magnitude below the threshold from zero
         # where its rounding floor, recorded the same way, exceeds it
-        noise = floor * float(np.broadcast_to(mag_factor, denom_mag.shape)[jj, ii])
+        with np.errstate(all="ignore"):
+            noise = floor * float(np.broadcast_to(factor(jj), (grid.nx,))[ii])
         if noise >= SINGULAR_THRESHOLD:
             raise ResolutionError(
                 f"dilatation denominator {smallest:.3e} {where} is below the "
@@ -746,30 +803,40 @@ def _dilatation(grid: HalfPlaneGrid, num: np.ndarray, den: np.ndarray,
 def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid):
     """The map w -> beltrami(w, grid) for data on the lattice of w0.
 
-    Every datum shares what the grid fixes, built here: one plan and its
-    ALPHA/BETA entries (on a folding grid the stacked table) and, for
-    circle data, the windows of the local means of Re w; each datum then
-    costs its own FFT, the products with the multipliers, the inverse
-    transforms and one cumulative sum of Re w.
+    Every datum shares what the grid fixes, built here: one plan and, per
+    block of levels, its ALPHA and BETA entries over the block's band
+    (`band_entries`), and the windows of the local means of Re w.  Each
+    datum then costs its own FFT and, block by block, the products with
+    the multipliers and the inverse transforms, written in place: the
+    numerator into its rows of mu, which the quotient then takes over, and
+    the denominator into one block buffer shared by every block and datum,
+    whose magnitude goes into its rows of denom_mag.
     """
     plan = _SpectralPlan(w0, grid)
-    table = plan.table(ALPHA, BETA)
+    entries = [(block, plan.band_entries(block, ALPHA, BETA)) for block in plan.blocks()]
+    den = np.empty((max(block[0].stop - block[0].start for block, _ in entries), grid.nx),
+                   dtype=complex)
     periodic = w0.periodic and grid.spans_period(w0.domain.length)
-    circle_factor = _magnitude_factor(w0, grid) if w0.periodic else None
+    magnitude_factor = _magnitude_factor(w0, grid)
 
     def mu_of(w: SampledFunction) -> BeltramiField:
+        mu = np.empty((grid.ny, grid.nx), dtype=complex)
+        denom_mag = np.empty((grid.ny, grid.nx))
         # e^w out of floating range shows as a non-finite field
         with np.errstate(all="ignore"):
             _, ew = _recentered(w)
-            spectrum = np.fft.fft(ew)
-            # one kernel at a time, so mu can take the numerator's place
-            # without keeping a stacked (2, ny, nx) array alive per field
-            num, den = (plan.apply(t, spectrum) for t in table)
-            # circle data: |e^(w - w_I) * beta_y|; line data: |e^w * beta_y|
-            u = w.values.real
-            mag_factor = circle_factor(u) if circle_factor else np.exp(float(np.mean(u)))
+            weighed = plan.weigh(np.fft.fft(ew))
+            factor = magnitude_factor(w.values.real)
+            for block, (alpha, beta) in entries:
+                levels = block[0]
+                num = plan.apply_block(block, alpha, weighed, mu[levels])
+                den_rows = plan.apply_block(block, beta, weighed, den[:num.shape[0]])
+                np.divide(num, den_rows, out=num)
+                np.abs(den_rows, out=denom_mag[levels])
+                for j in range(levels.start, levels.stop):
+                    denom_mag[j] *= factor(j)
             floor = FFT_ROUNDING_FLOOR * float(np.mean(np.abs(ew)))
-        return _dilatation(grid, num, den, mag_factor, floor, periodic)
+        return _dilatation(grid, mu, denom_mag, factor, floor, periodic)
 
     return mu_of
 

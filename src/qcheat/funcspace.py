@@ -39,14 +39,26 @@ def _starts(c: int, n: int, periodic: bool) -> np.ndarray:
     return np.arange(0, n - c + 1, step)
 
 
+def _prefix_sums(vals: np.ndarray, copies: int = 1) -> np.ndarray:
+    """0 and the running sums along the last axis of `copies` periods of
+    vals laid end to end, summed in place in one array."""
+    n = vals.shape[-1]
+    pref = np.empty(vals.shape[:-1] + (copies * n + 1,))
+    pref[..., 0] = 0.0
+    body = pref[..., 1:]
+    for c in range(copies):
+        body[..., c * n:(c + 1) * n] = vals
+    np.cumsum(body, axis=-1, out=body)
+    return pref
+
+
 def _window_sums(vals: np.ndarray, copies: int = 1, lead: int = 0):
     """Sums of vals along its last axis over index windows [start, stop),
     read on `copies` periods of vals laid end to end from `lead` periods
     before index 0.  One cumulative sum serves every window: the returned
     map takes index arrays (start, stop)."""
     off = lead * vals.shape[-1]
-    ext = np.tile(vals, (1,) * (vals.ndim - 1) + (copies,))
-    pref = np.concatenate([np.zeros(vals.shape[:-1] + (1,)), np.cumsum(ext, axis=-1)], axis=-1)
+    pref = _prefix_sums(vals, copies)
     # windows index the leading axis of the transpose: cheap on 1-D data,
     # and 2-D sums come back column-major, as `pref[:, idx]` would give
     # them, which fixes the summation order of the Carleson quadratures'

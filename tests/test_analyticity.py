@@ -165,6 +165,16 @@ def test_probe_memory_does_not_grow_with_contour_nodes(small_grid):
     assert peak64 <= peak8 + f.values.nbytes + f.denom_mag.nbytes
 
 
+def test_reference_probe_holds_no_whole_field_temporaries():
+    # 12 contour nodes on the reference grid: the 5 center fields, the two
+    # running averages and the quotient buffer are live; the whole-field
+    # products, terms and quotients of each field put the peak at 56.2 MiB
+    w0, w1 = qc.lift(qc.constant(0.0, 2048)), qc.lift(qc.sine(0.5, 2, 2048))
+    grid = qc.HalfPlaneGrid.build()
+    _probe_peak_bytes(w0, w1, grid, 12)  # first-use allocations
+    assert _probe_peak_bytes(w0, w1, grid, 12) <= 46 * 2 ** 20
+
+
 def test_non_finite_quotient_distance_is_a_resolution_error(small_grid):
     # fields beyond radius 0.1 (the contour) are NaN, so the contour
     # derivative is too: no distance may read as a slope of 0

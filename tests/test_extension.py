@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -744,3 +745,70 @@ def test_denom_mag_is_the_per_level_window_mean_magnitude(name, small_grid):
     # the local means differ from the global one where they apply
     assert (name == "off_lattice") == bool(np.all(local == np.mean(w.values.real)))
 
+
+
+# ---------------------------------------------------------------------------
+# the checks of a dilatation field across blocks, and its memory
+
+def _check_reference(mu_at=(), mag_at=(), factor=lambda j: 1.0, floor=1e-20):
+    """`_dilatation` on synthetic arrays of the reference grid (15 blocks of
+    levels): mu = 1 and denom_mag = 1 but for the (level, node): value
+    entries of `mu_at` and `mag_at`."""
+    grid = qc.HalfPlaneGrid.build()
+    assert len(list(_SpectralPlan(qc.constant(0.0, 2048), grid).blocks())) == 15
+    mu = np.ones((grid.ny, grid.nx), dtype=complex)
+    denom_mag = np.ones((grid.ny, grid.nx))
+    for a, entries in ((mu, mu_at), (denom_mag, mag_at)):
+        for at, value in entries:
+            a[at] = value
+    return extension._dilatation(grid, mu, denom_mag, factor, floor, True)
+
+
+# each message as the checks gave it when they read whole arrays of the
+# numerator and denominator; (3, 5) lies in the second block of levels,
+# (90, 7) in the fourteenth
+@pytest.mark.parametrize("case, error, message", [
+    (dict(mu_at=[((3, 5), np.nan)], mag_at=[((3, 5), np.nan), ((90, 7), 1e-13)]),
+     qc.ResolutionError, "mu is not finite at x = 0.00244141, y = 0.00126644"),
+    (dict(mag_at=[((3, 5), np.nan), ((90, 7), 1e-13)]),
+     qc.ResolutionError, "denom_mag is not finite at x = 0.00244141, y = 0.00126644"),
+    (dict(mag_at=[((60, 100), 1e-13)], floor=2e-12),
+     qc.ResolutionError, "dilatation denominator 1.000e-13 at (x, y) = (0.0488281, 0.176777) "
+                         "is below the engine's rounding floor 2.000e-12"),
+    # the floor is recorded with the factor of its own node
+    (dict(mag_at=[((60, 100), 1e-13)], floor=4e-13,
+          factor=lambda j: np.full(2048, 3.0) if j == 60 else 1.0),
+     qc.ResolutionError, "rounding floor 1.200e-12"),
+    (dict(mag_at=[((60, 100), 1e-13)], floor=3e-13,
+          factor=lambda j: np.full(2048, 3.0) if j == 60 else 1.0),
+     qc.SingularDenominatorError, "dilatation denominator 1.000e-13 below 1e-12 "
+                                  "at (x, y) = (0.0488281, 0.176777)"),
+])
+def test_dilatation_checks_keep_their_precedence_across_blocks(case, error, message):
+    # a NaN is not below the threshold: a non-finite node in an early block
+    # is named before a small magnitude in a late one
+    with pytest.raises(error) as exc:
+        _check_reference(**case)
+    assert message in str(exc.value)
+
+
+def test_singular_denominator_names_the_first_smallest_node():
+    with pytest.raises(qc.SingularDenominatorError) as exc:
+        _check_reference(mag_at=[((20, 9), 5e-13), ((80, 3), 5e-13), ((50, 1), 8e-13)])
+    err = exc.value
+    assert (err.x, err.y, err.magnitude) == (0.00439453125, 0.005524271728019903, 5e-13)
+    assert "5.000e-13 below 1e-12 at (x, y) = (0.00439453, 0.00552427)" in str(err)
+
+
+def test_beltrami_fills_its_field_block_by_block_in_place():
+    # mu and denom_mag take 4.5 MiB; a dense ALPHA/BETA table alone took
+    # 6.1 MiB, and whole-field temporaries put the peak at 15.9 MiB
+    w, grid = qc.lift(qc.random_trig(8, 0.2, 1, 2048)), qc.HalfPlaneGrid.build()
+    qc.beltrami(w, grid)  # first-use allocations
+    tracemalloc.start()
+    try:
+        qc.beltrami(w, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2 ** 20
