@@ -158,7 +158,7 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
     at once.  A point that a halved epsilon no longer covers is dropped.
     Every field, here and from the probe's builder, comes from one
     dilatation map of w0's lattice and `grid`, so its plan (and on a
-    folding grid the multiplier tables) is built once."""
+    folding grid each block's multiplier rows) is built once."""
     if w0.n != w1.n or w0.domain != w1.domain:
         raise DomainError("probe data must share one grid and domain")
     if not (np.isfinite(epsilon) and epsilon > 0):

@@ -26,16 +26,15 @@ multipliers and the inverse transforms (a holomorphy probe shares one plan
 over all of its fields).  Both of the plan's routes follow one band rule: a
 level sums only the aliases whose Gaussian factor it leaves above e^-64.
 The plan works in blocks of levels (`_SpectralPlan.blocks`, 8 levels of
-the reference grid): a block builds its own multiplier-table rows or
-chirp-z rows and writes its levels in place, and each level is computed
-alone, so the block size changes no bit.  `extend_blocks` streams the
-extension field block by block, which is how the CLI writes it without
-holding a whole field; `extend` fills its arrays from the same blocks,
-and a multiplier table (`table`) is built from the same block rows.  A
-dilatation map (`_dilatation_map`, one per probe) keeps each block's
-ALPHA and BETA rows only over the slots of the block's band, and fills
-mu and the denominator magnitude block by block in place, through one
-block-sized denominator buffer.
+the reference grid): a block builds its own multiplier rows, over the
+slots of its band only, or chirp-z rows and writes its levels in place,
+and each level is computed alone, so the block size changes no bit.
+`extend_blocks` streams the extension field block by block, which is how
+the CLI writes it without holding a whole field, and `extend` fills its
+arrays from the same blocks.  A dilatation map (`_dilatation_map`, one
+per probe) keeps each block's ALPHA and BETA rows, and fills mu and the
+denominator magnitude block by block in place, through one block-sized
+denominator buffer.
 
 For circle data gamma splits into a linear part (integrated in closed form)
 plus a periodic part p0 obtained by spectral antiderivative; the vertical
@@ -334,24 +333,23 @@ class _SpectralPlan:
     contiguous, and both routes sum, per chunk of levels, only the band of
     them whose Gaussian factor stays above e^-64 at the chunk's lowest
     level.  A grid that spans one period with nx dividing n folds the
-    frequencies modulo nx: a kernel's table adds its band's multipliers,
-    each with the phase of the first grid node, into the n slots f mod n of
-    one (ny, n) array, and a datum takes one length-nx inverse FFT per
-    level.  Every other grid takes one chirp-z transform per level
-    (Bluestein): the nodes x_rel = x0 + i d (in periods) are uniform, so
-    f x_rel = f x0 + f0 i d + (m^2 + i^2 - (m - i)^2) d / 2 and the sum
-    over m is a convolution with the chirp exp(-pi i d k^2).  The plan
-    holds the pre- and post-chirps and, per chunk, the FFT of the chirp
-    filter over the band, every phase reduced modulo 1 by `_turns`.
+    frequencies modulo nx: a kernel's rows add its band's multipliers,
+    each with the phase of the first grid node, into the slots f mod n,
+    and a datum takes one length-nx inverse FFT per level.  Every other
+    grid takes one chirp-z transform per level (Bluestein): the nodes
+    x_rel = x0 + i d (in periods) are uniform, so f x_rel = f x0 + f0 i d
+    + (m^2 + i^2 - (m - i)^2) d / 2 and the sum over m is a convolution
+    with the chirp exp(-pi i d k^2).  The plan holds the pre- and
+    post-chirps and, per chunk, the FFT of the chirp filter over the band,
+    every phase reduced modulo 1 by `_turns`.
 
     Both routes work in blocks of at most _CHUNK_ENTRIES / nx levels
-    (`blocks`), each inside one chunk: a block builds its own table rows
-    or chirp-z rows and writes its levels of the result in place, and
+    (`blocks`), each inside one chunk: a block builds its own multiplier
+    rows or chirp-z rows and writes its levels of the result in place, and
     every level is computed alone, so the block size changes no bit.  A
-    band narrower than n covers a run of consecutive slots modulo n, and
-    every other entry of its rows is 0: `band_entries` keeps the rows over
-    that run only, and `apply_block` multiplies the slots outside it as
-    entries of 0, so either form gives the same bits.
+    band narrower than n covers a run of consecutive slots modulo n (`_run`):
+    a block's rows hold that run only, and `apply_block` multiplies the
+    slots outside it as entries of 0.
     """
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid):
@@ -389,7 +387,7 @@ class _SpectralPlan:
         # chunks of levels, each with the band of m whose Gaussian factor
         # exp(-pi^2 nu^2) stays above e^-64 at its lowest level and, off a
         # folding grid, the FFT of the band's chirp filter; a chunk holds
-        # about _CHUNK_ENTRIES table entries or chirp-z FFT entries
+        # about _CHUNK_ENTRIES multiplier entries or chirp-z FFT entries
         self._chunks = []
         i = 0
         while i < grid.ny:
@@ -422,42 +420,33 @@ class _SpectralPlan:
 
     def entries(self, block, *kerns):
         """What `apply_block` takes for each of `kerns` on the levels of
-        `block`: on a folding grid its rows of the multiplier table, stacked
-        as (len(kerns), rows, n); otherwise the kernel itself, whose
-        multipliers `apply_block` evaluates.
+        `block`: on a folding grid its multiplier rows over the slots of the
+        block's band run (`_run`), stacked as (len(kerns), rows, size);
+        otherwise the kernel itself, whose multipliers `apply_block`
+        evaluates.
 
-        A table entry sums the multipliers of the aliases f of its lattice
-        frequency, each with the phase of the first grid node, in ascending
-        f; a level takes only the aliases in its chunk's band.  The band's
-        frequencies are contiguous, so they fall into the slots f mod n in
-        runs that end where f crosses a multiple of n."""
+        A slot's entry sums the multipliers of the band's aliases f that
+        fall into it, each with the phase of the first grid node, in
+        ascending f.  The band's frequencies are contiguous, so they fall
+        into the run in pieces that end where f crosses a multiple of n."""
         if not self.fold:
             return kerns
         levels, band, _ = block
         n = self.n
+        start, size = self._run(band)
         f = self._f[band]
         phase = np.exp(2j * np.pi * f * self.x_rel[0])
         nu = self._ys[levels, None] * f
-        out = np.zeros((len(kerns), nu.shape[0], n), dtype=complex)
+        out = np.zeros((len(kerns), nu.shape[0], size), dtype=complex)
         for t, kern in zip(out, kerns):
             mult = kq.multiplier(kern, nu)
             mult *= phase
             lo = band.start
             while lo < band.stop:
-                slot = (self._f0 + lo) % n
-                hi = min(band.stop, lo + n - slot)
-                t[:, slot:slot + hi - lo] += mult[:, lo - band.start:hi - band.start]
+                at = (self._f0 + lo - start) % n
+                hi = min(band.stop, lo + size - at)
+                t[:, at:at + hi - lo] += mult[:, lo - band.start:hi - band.start]
                 lo = hi
-        return out
-
-    def table(self, *kerns):
-        """`entries` on every level: on a folding grid the multiplier tables
-        of `kerns`, stacked as (len(kerns), ny, n); otherwise the kernels."""
-        if not self.fold:
-            return kerns
-        out = np.empty((len(kerns), self.grid.ny, self.n), dtype=complex)
-        for block in self.blocks():
-            out[:, block[0]] = self.entries(block, *kerns)
         return out
 
     def _run(self, band: slice):
@@ -468,17 +457,6 @@ class _SpectralPlan:
         if size >= self.n:
             return 0, self.n
         return (self._f0 + band.start) % self.n, size
-
-    def band_entries(self, block, *kerns):
-        """`entries` of `kerns` on the levels of `block`, kept only over the
-        slots of the block's band (`_run`), in the order of the run: every
-        other entry of a table row is 0.  `apply_block` takes either form."""
-        rows = self.entries(block, *kerns)
-        start, size = self._run(block[1])
-        if not self.fold or size == self.n:
-            return rows
-        return np.concatenate([rows[..., slots] for slots, _ in _pieces(start, size, self.n)],
-                              axis=-1)
 
     def weigh(self, spectra: np.ndarray) -> np.ndarray:
         """`spectra`, FFTs of lattice data, as `apply_block` reads them: on a
@@ -508,17 +486,6 @@ class _SpectralPlan:
         out += weighed[..., -1, None, None] * kq.multiplier(entry, 0.0)
         return out
 
-    def apply(self, table, spectra: np.ndarray) -> np.ndarray:
-        """`apply_block` on every level for one entry of `table`: the result
-        has shape (..., ny, nx)."""
-        weighed = self.weigh(spectra)
-        out = np.empty(spectra.shape[:-1] + (self.grid.ny, self.grid.nx), dtype=complex)
-        for block in self.blocks():
-            levels = block[0]
-            self.apply_block(block, table[levels] if self.fold else table, weighed,
-                          out[..., levels, :])
-        return out
-
     def series(self, spectrum: np.ndarray) -> np.ndarray:
         """(1/n) * sum over the n lattice frequencies of spectrum * exp(2 pi
         i f x_rel): the lattice data's own Fourier series at the x nodes."""
@@ -531,10 +498,10 @@ class _SpectralPlan:
 
     def _products(self, band: slice, entry: np.ndarray, weighed: np.ndarray) -> np.ndarray:
         """entry * weighed on all n slots, (..., rows, n), for a block's
-        table rows `entry`, whole or from `band_entries`: a slot outside the
-        band takes 0 * weighed, as a whole row's entry of 0 gives it."""
+        `entries` over its band run: a slot outside the run takes
+        0 * weighed, as an entry of 0 there would give it."""
         n = self.n
-        start, size = (0, n) if entry.shape[-1] == n else self._run(band)
+        start, size = self._run(band)
         acc = np.empty(weighed.shape[:-1] + entry.shape[-2:-1] + (n,), dtype=complex)
         if size < n:
             zero = np.multiply(np.zeros(n, dtype=complex), weighed)
@@ -723,20 +690,20 @@ def extend(w: SampledFunction, grid: HalfPlaneGrid) -> ExtensionField:
 
 
 def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
-    """The map u -> factor, for real data u on the lattice of w0: factor(j)
-    turns |e^(w - mean w) * beta_y| on level j into the recorded magnitude,
-    u = Re w, as one value or a row of nx.  Line data record |e^w * beta_y|:
-    the factor is e^(mean u) on every level.  Circle data record
-    |e^(w - w_I) * beta_y|, I(x, y) = (x - y, x + y): the factor is
-    e^(mean u - mean of u over I) on the levels whose window is shorter
-    than the period, read from contiguous slices of one prefix sum
+    """The map u -> factor, for real data u on the lattice of w0:
+    factor(levels) turns |e^(w - mean w) * beta_y| on a slice of levels
+    into the recorded magnitude, u = Re w, as one value or (rows, nx).
+    Line data record |e^w * beta_y|: the factor is e^(mean u) on every
+    level.  Circle data record |e^(w - w_I) * beta_y|, I(x, y) = (x - y,
+    x + y): the factor is e^(mean u - mean of u over I) on the levels
+    whose window is shorter than the period, read from one prefix sum
     (`funcspace._prefix_sums`) of three periods of u, and exactly 1 on
     every other level and on every level of a grid whose x nodes are not
     the lattice nodes."""
     if not w0.periodic:
         def line(u: np.ndarray):
             scale = np.exp(float(np.mean(u)))
-            return lambda j: scale
+            return lambda levels: scale
         return line
     n = w0.n
     h = w0.h
@@ -751,19 +718,22 @@ def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
 
     def circle(u: np.ndarray):
         if not half_widths:
-            return lambda j: 1.0
+            return lambda levels: 1.0
         mean = float(np.mean(u))
         # grid node i is lattice node i + shift, read in the middle period
         pref = _prefix_sums(np.roll(u, -shift), 3)
 
-        def factor(j: int):
-            if j >= len(half_widths):
+        def factor(levels: slice):
+            ms = half_widths[levels]
+            if not ms:
                 return 1.0
-            m = half_widths[j]
-            row = pref[n + m + 1:2 * n + m + 1] - pref[n - m:2 * n - m]
-            row /= 2 * m + 1
-            np.subtract(mean, row, out=row)
-            return np.exp(row, out=row)
+            rows = np.ones((levels.stop - levels.start, n))
+            for row, m in zip(rows, ms):
+                np.subtract(pref[n + m + 1:2 * n + m + 1], pref[n - m:2 * n - m], out=row)
+                row /= 2 * m + 1
+            win = rows[:len(ms)]
+            np.exp(np.subtract(mean, win, out=win), out=win)
+            return rows
 
         return factor
 
@@ -773,9 +743,9 @@ def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
 def _dilatation(grid: HalfPlaneGrid, mu: np.ndarray, denom_mag: np.ndarray,
                 factor, floor: float, periodic: bool) -> BeltramiField:
     """The checks of `beltrami` on mu and the recorded denominator
-    magnitude, whole (ny, nx) arrays: `factor(j)` turned |den| on level j
-    into `denom_mag` (`_magnitude_factor`), and `floor` is the absolute
-    rounding floor of den."""
+    magnitude, whole (ny, nx) arrays: `factor(levels)` turned |den| on a
+    slice of levels into `denom_mag` (`_magnitude_factor`), and `floor` is
+    the absolute rounding floor of den."""
     ys = grid.y_levels
     flat = int(np.argmin(denom_mag))
     smallest = denom_mag.flat[flat]
@@ -785,7 +755,7 @@ def _dilatation(grid: HalfPlaneGrid, mu: np.ndarray, denom_mag: np.ndarray,
         # the engine cannot tell a magnitude below the threshold from zero
         # where its rounding floor, recorded the same way, exceeds it
         with np.errstate(all="ignore"):
-            noise = floor * float(np.broadcast_to(factor(jj), (grid.nx,))[ii])
+            noise = floor * float(np.broadcast_to(factor(slice(jj, jj + 1)), mu.shape)[0, ii])
         if noise >= SINGULAR_THRESHOLD:
             raise ResolutionError(
                 f"dilatation denominator {smallest:.3e} {where} is below the "
@@ -804,16 +774,16 @@ def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid):
     """The map w -> beltrami(w, grid) for data on the lattice of w0.
 
     Every datum shares what the grid fixes, built here: one plan and, per
-    block of levels, its ALPHA and BETA entries over the block's band
-    (`band_entries`), and the windows of the local means of Re w.  Each
-    datum then costs its own FFT and, block by block, the products with
-    the multipliers and the inverse transforms, written in place: the
-    numerator into its rows of mu, which the quotient then takes over, and
-    the denominator into one block buffer shared by every block and datum,
-    whose magnitude goes into its rows of denom_mag.
+    block of levels, its ALPHA and BETA `entries`, and the windows of the
+    local means of Re w.  Each datum then costs its own FFT and, block by
+    block, the products with the multipliers and the inverse transforms,
+    written in place: the numerator into its rows of mu, which the
+    quotient then takes over, and the denominator into one block buffer
+    shared by every block and datum, whose magnitude goes into its rows of
+    denom_mag.
     """
     plan = _SpectralPlan(w0, grid)
-    entries = [(block, plan.band_entries(block, ALPHA, BETA)) for block in plan.blocks()]
+    entries = [(block, plan.entries(block, ALPHA, BETA)) for block in plan.blocks()]
     den = np.empty((max(block[0].stop - block[0].start for block, _ in entries), grid.nx),
                    dtype=complex)
     periodic = w0.periodic and grid.spans_period(w0.domain.length)
@@ -833,8 +803,7 @@ def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid):
                 den_rows = plan.apply_block(block, beta, weighed, den[:num.shape[0]])
                 np.divide(num, den_rows, out=num)
                 np.abs(den_rows, out=denom_mag[levels])
-                for j in range(levels.start, levels.stop):
-                    denom_mag[j] *= factor(j)
+                denom_mag[levels] *= factor(levels)
             floor = FFT_ROUNDING_FLOOR * float(np.mean(np.abs(ew)))
         return _dilatation(grid, mu, denom_mag, factor, floor, periodic)
 

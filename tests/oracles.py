@@ -7,18 +7,25 @@ independent of the code they check:
 
 - `window_sum`: the trapezoid lattice sum of line data against k_y over the
   window of half-width TRUNCATION_RADIUS * y, at one point;
+- `block_window_sums`: the same sums on every node of a grid, vectorised;
 - `periodic_point_sum`: the same sum for periodic data, over integer
   translates of the period, at one point;
 - `convolve`: (e^w * k_y)(x) through one of the two;
 - `numeric_moment`: a dense trapezoid of a kernel's moment;
 - `beltrami_fd_oracle`: the dilatation by central differences of F.
+
+One oracle works on the Fourier side: `alias_table`, the folding route's
+multiplier rows summed alias by alias over every alias the plan's J allows,
+from the public `kernels.multiplier` and public attributes of a plan.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 import qcheat as qc
+from qcheat import kernels as kq
 from qcheat.extension import SINGULAR_THRESHOLD
-from qcheat.kernels import TRUNCATION_RADIUS
+from qcheat.kernels import SQRT_PI, TRUNCATION_RADIUS
 
 
 def window_sum(w, data, kern, x, y, real=np.float64):
@@ -35,6 +42,44 @@ def window_sum(w, data, kern, x, y, real=np.float64):
     weights = np.full(t.size, h)
     weights[0] = weights[-1] = h / 2
     return np.dot(data[j0:j1 + 1] * weights, kern.evaluator((real(x) - t) / y) / y)
+
+
+def block_window_sums(w, grid, data, kernels, block_entries=2 ** 14):
+    """The window sums of `window_sum` on every node for each of `kernels`,
+    stacked as (len(kernels), ny, nx), one level at a time in blocks of x
+    nodes: every window of a level is read with the length of the longest
+    through a sliding view of the zero-padded data, entries past a window's
+    own end get weight 0, and the Gaussian times the trapezoid weights is
+    computed once per block and shared by every kernel."""
+    R = TRUNCATION_RADIUS
+    a, h, x = w.domain.a, w.h, grid.x
+    out = np.empty((len(kernels), grid.ny, grid.nx), dtype=complex)
+    for level, y in enumerate(grid.y_levels):
+        j0 = np.maximum(0, np.ceil((x - R * y - a) / h - 1e-12).astype(int))
+        j1 = np.minimum(w.n - 1, np.floor((x + R * y - a) / h + 1e-12).astype(int))
+        last = j1 - j0  # the offset of each window's last node
+        width = int(last.max()) + 1
+        windows = sliding_window_view(
+            np.concatenate([data, np.zeros(width, dtype=data.dtype)]), width)
+        k = np.arange(width)
+        # offsets from `ragged` on may lie past the end of some window
+        ragged = int(last.min()) + 1
+        rows = max(1, block_entries // width)
+        for i in range(0, grid.nx, rows):
+            block = slice(i, i + rows)
+            start, end = j0[block], last[block]
+            s = (x[block, None] - (a + h * (start[:, None] + k))) / y
+            g = np.exp(-np.square(s))
+            g *= h / (SQRT_PI * y)
+            g[:, 0] *= 0.5
+            # a window of one node keeps its single half weight
+            g[np.arange(end.size), end] *= np.where(end > 0, 0.5, 1.0)
+            g[:, ragged:] *= k[ragged:] <= end[:, None]
+            weighted = windows[start]  # advanced indexing: a copy
+            weighted *= g
+            for m, kern in enumerate(kernels):
+                out[m, level, block] = (kern.gauss_factor(s) * weighted).sum(axis=1)
+    return out
 
 
 def periodic_point_sum(w, kern, x, y, data) -> complex:
@@ -56,6 +101,22 @@ def convolve(w, kern, x, y) -> complex:
     if w.periodic:
         return periodic_point_sum(w, kern, x, y, data)
     return complex(window_sum(w, data, kern, x, y))
+
+
+def alias_table(plan, *kerns):
+    """The multiplier rows of `kerns` on every level and all n lattice slots
+    of a folding plan, (len(kerns), ny, n), summed alias by alias over every
+    alias |j| <= J: the oracle for the plan's banded `entries`."""
+    n = plan.n
+    y_per_period = plan.grid.y_levels[:, None] / plan.period
+    out = np.zeros((len(kerns), plan.grid.ny, n), dtype=complex)
+    for j in range(-plan.J, plan.J + 1):
+        xi = plan.freq + j * n
+        nu = xi * y_per_period
+        phase = np.exp(2j * np.pi * xi * plan.x_rel[0])
+        for t, kern in zip(out, kerns):
+            t += kq.multiplier(kern, nu) * phase
+    return out
 
 
 def numeric_moment(kern, order: int = 0, R: float = 10.0, n: int = 40001) -> complex:

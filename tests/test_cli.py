@@ -786,7 +786,7 @@ def test_oracles_stay_outside_the_package():
                 if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
     assert private == []
     moved = {"convolve", "_periodic_point_sum", "numeric_moment", "beltrami_fd_oracle",
-             "require_window_nodes"}
+             "require_window_nodes", "alias_table", "block_window_sums"}
     package = os.path.dirname(os.path.abspath(qc.__file__))
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):

@@ -3,18 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcheat as qc
 from qcheat.data import Domain, SampledFunction
-from qcheat import extension, kernels as kq
+from qcheat import extension
 from qcheat.extension import _SpectralEngine, _SpectralPlan, _cumulative_trapezoid
-from qcheat.kernels import (_V_RATE, ALPHA, BETA, KERNELS, PHI, PHI_SECOND, PSI, SQRT_PI,
-                            TRUNCATION_RADIUS)
+from qcheat.kernels import _V_RATE, ALPHA, BETA, KERNELS, PHI, PHI_SECOND, PSI
 
-from oracles import beltrami_fd_oracle, periodic_point_sum, window_sum
+from oracles import (alias_table, beltrami_fd_oracle, block_window_sums, periodic_point_sum,
+                     window_sum)
 
 
 def grid_points(grid):
@@ -328,44 +327,6 @@ def test_line_mu_is_invariant_under_a_large_offset():
 # ---------------------------------------------------------------------------
 # the spectral line route against two real-space window sums
 
-def _block_window_sums(w, grid, data, kernels, block_entries=2 ** 14):
-    """The window sums of `oracles.window_sum` on every node for each of
-    `kernels`, stacked as (len(kernels), ny, nx), one level at a time in
-    blocks of x nodes: every window of a level is read with the length of the longest through
-    a sliding view of the zero-padded data, entries past a window's own end
-    get weight 0, and the Gaussian times the trapezoid weights is computed
-    once per block and shared by every kernel."""
-    R = TRUNCATION_RADIUS
-    a, h, x = w.domain.a, w.h, grid.x
-    out = np.empty((len(kernels), grid.ny, grid.nx), dtype=complex)
-    for level, y in enumerate(grid.y_levels):
-        j0 = np.maximum(0, np.ceil((x - R * y - a) / h - 1e-12).astype(int))
-        j1 = np.minimum(w.n - 1, np.floor((x + R * y - a) / h + 1e-12).astype(int))
-        last = j1 - j0  # the offset of each window's last node
-        width = int(last.max()) + 1
-        windows = sliding_window_view(
-            np.concatenate([data, np.zeros(width, dtype=data.dtype)]), width)
-        k = np.arange(width)
-        # offsets from `ragged` on may lie past the end of some window
-        ragged = int(last.min()) + 1
-        rows = max(1, block_entries // width)
-        for i in range(0, grid.nx, rows):
-            block = slice(i, i + rows)
-            start, end = j0[block], last[block]
-            s = (x[block, None] - (a + h * (start[:, None] + k))) / y
-            g = np.exp(-np.square(s))
-            g *= h / (SQRT_PI * y)
-            g[:, 0] *= 0.5
-            # a window of one node keeps its single half weight
-            g[np.arange(end.size), end] *= np.where(end > 0, 0.5, 1.0)
-            g[:, ragged:] *= k[ragged:] <= end[:, None]
-            weighted = windows[start]  # advanced indexing: a copy
-            weighted *= g
-            for m, kern in enumerate(kernels):
-                out[m, level, block] = (kern.gauss_factor(s) * weighted).sum(axis=1)
-    return out
-
-
 def _window_sums(w, grid, data, kern):
     return np.array([[window_sum(w, data, kern, x, y) for x in grid.x]
                      for y in grid.y_levels])
@@ -414,7 +375,7 @@ def test_line_engine_matches_the_point_wise_window_sum(make):
     assert not eng.plan.fold
     assert np.all(np.diff(grid.y_levels) > 0) and grid.ny >= 5
     for data, stack in zip((eng.ew, eng.p0), _convolutions(eng, LINE_KERNELS, LINE_KERNELS)):
-        blocks = _block_window_sums(w, grid, data, LINE_KERNELS)
+        blocks = block_window_sums(w, grid, data, LINE_KERNELS)
         for kern, got, block in zip(LINE_KERNELS, stack, blocks):
             want = _window_sums(w, grid, data, kern)
             bound = 1e-14 * max(1.0, np.max(np.abs(want)))
@@ -578,24 +539,7 @@ def test_spectral_engine_matches_real_space_lattice_sum(name):
 
 
 # ---------------------------------------------------------------------------
-# the banded folding tables against every alias
-
-def _alias_table(plan, *kerns):
-    """The folding route's tables summed alias by alias, every alias
-    |j| <= J on every level: the oracle for the banded `_SpectralPlan.table`."""
-    if not plan.fold:
-        return kerns
-    n = plan.n
-    y_per_period = plan.grid.y_levels[:, None] / plan.period
-    out = np.zeros((len(kerns), plan.grid.ny, n), dtype=complex)
-    for j in range(-plan.J, plan.J + 1):
-        xi = plan.freq + j * n
-        nu = xi * y_per_period
-        phase = np.exp(2j * np.pi * xi * plan.x_rel[0])
-        for t, kern in zip(out, kerns):
-            t += kq.multiplier(kern, nu) * phase
-    return out
-
+# the banded folding rows against every alias
 
 def _edge_size(kern):
     """sum |c_m| 16^m: where 2 pi |nu| = |z| > 16 the Gaussian factor
@@ -617,17 +561,46 @@ def _circle_case(name, small_grid):
     return w, qc.HalfPlaneGrid(x_min, x_max, nx, small_grid.y_levels)
 
 
+def _run_slots(plan, band):
+    """The lattice slots of the band's run, in the order of the last axis
+    of `entries`."""
+    start, size = plan._run(band)
+    return (start + np.arange(size)) % plan.n
+
+
+@pytest.mark.parametrize("name", ["reference", *FOLDING_GRIDS])
+def test_entries_hold_only_the_slots_of_the_band_run(name, small_grid):
+    # a block's rows span its band's run of slots, not all n lattice slots,
+    # and some band is narrower than n
+    w, grid = _circle_case(name, small_grid)
+    plan = _SpectralPlan(w, grid)
+    assert plan.fold
+    sizes = []
+    for block in plan.blocks():
+        levels, band, _ = block
+        rows = plan.entries(block, ALPHA, BETA)
+        assert rows.shape == (2, levels.stop - levels.start, plan._run(band)[1])
+        sizes.append(rows.shape[-1])
+    assert min(sizes) < plan.n
+
+
 @pytest.mark.parametrize("name", ["reference", *FOLDING_GRIDS])
 def test_banded_tables_drop_only_entries_below_e64(name, small_grid):
     # every alias outside a level's band has a Gaussian factor below e^-64,
     # so an entry moves by less than e^-64 times the kernel's polynomial at
-    # the band edge (e.g. 69 for BETA, 2.1e3 for _V_RATE)
+    # the band edge (e.g. 69 for BETA, 2.1e3 for _V_RATE); each block's
+    # rows are scattered into all n slots, so a slot outside the band's run
+    # is checked as an entry of 0
     w, grid = _circle_case(name, small_grid)
     plan = _SpectralPlan(w, grid)
     assert plan.fold
     kernels = tuple(KERNELS.values()) + (_V_RATE,)
-    for kern, got, want in zip(kernels, plan.table(*kernels), _alias_table(plan, *kernels)):
-        assert np.max(np.abs(got - want)) < np.exp(-64.0) * _edge_size(kern)
+    want = alias_table(plan, *kernels)
+    got = np.zeros_like(want)
+    for block in plan.blocks():
+        got[:, block[0], _run_slots(plan, block[1])] = plan.entries(block, *kernels)
+    for kern, g, v in zip(kernels, got, want):
+        assert np.max(np.abs(g - v)) < np.exp(-64.0) * _edge_size(kern)
     # the bands hold a small share of the (2J + 1) n aliases of each level
     evaluated = sum((band.stop - band.start) * len(range(grid.ny)[levels])
                     for levels, band, _ in plan._chunks)
@@ -638,12 +611,13 @@ def test_banded_tables_drop_only_entries_below_e64(name, small_grid):
 def test_banded_tables_give_the_alias_table_fields(name, small_grid, monkeypatch):
     w, grid = _circle_case(name, small_grid)
     mu, field = qc.beltrami(w, grid), qc.extend(w, grid)
-    # every table row either field reads comes from `entries`, block by block
+    # every multiplier row either field reads comes from `entries`, block by
+    # block, over the slots of the block's band run
     patched = []
 
     def alias_entries(plan, block, *kerns):
         patched.append(block[0])
-        return _alias_table(plan, *kerns)[:, block[0]]
+        return alias_table(plan, *kerns)[:, block[0]][..., _run_slots(plan, block[1])]
 
     monkeypatch.setattr(_SpectralPlan, "entries", alias_entries)
     want_mu = qc.beltrami(w, grid)
@@ -737,8 +711,7 @@ def test_denom_mag_is_the_per_level_window_mean_magnitude(name, small_grid):
     else:
         x_min, x_max, nx = ENGINE_GRIDS[name]
         grid = qc.HalfPlaneGrid(x_min, x_max, nx, small_grid.y_levels)
-    plan = _SpectralPlan(w, grid)
-    den = plan.apply(plan.table(BETA)[0], np.fft.fft(np.exp(w.values - np.mean(w.values))))
+    (den,), _ = _convolutions(_SpectralEngine(w, grid), (BETA,))
     local = _local_real_means(w, grid)
     want = np.abs(den) * np.exp(float(np.mean(w.values.real)) - local)
     assert np.array_equal(qc.beltrami(w, grid).denom_mag, want)
@@ -750,7 +723,7 @@ def test_denom_mag_is_the_per_level_window_mean_magnitude(name, small_grid):
 # ---------------------------------------------------------------------------
 # the checks of a dilatation field across blocks, and its memory
 
-def _check_reference(mu_at=(), mag_at=(), factor=lambda j: 1.0, floor=1e-20):
+def _check_reference(mu_at=(), mag_at=(), factor=lambda levels: 1.0, floor=1e-20):
     """`_dilatation` on synthetic arrays of the reference grid (15 blocks of
     levels): mu = 1 and denom_mag = 1 but for the (level, node): value
     entries of `mu_at` and `mag_at`."""
@@ -777,10 +750,10 @@ def _check_reference(mu_at=(), mag_at=(), factor=lambda j: 1.0, floor=1e-20):
                          "is below the engine's rounding floor 2.000e-12"),
     # the floor is recorded with the factor of its own node
     (dict(mag_at=[((60, 100), 1e-13)], floor=4e-13,
-          factor=lambda j: np.full(2048, 3.0) if j == 60 else 1.0),
+          factor=lambda levels: np.full((1, 2048), 3.0) if levels == slice(60, 61) else 1.0),
      qc.ResolutionError, "rounding floor 1.200e-12"),
     (dict(mag_at=[((60, 100), 1e-13)], floor=3e-13,
-          factor=lambda j: np.full(2048, 3.0) if j == 60 else 1.0),
+          factor=lambda levels: np.full((1, 2048), 3.0) if levels == slice(60, 61) else 1.0),
      qc.SingularDenominatorError, "dilatation denominator 1.000e-13 below 1e-12 "
                                   "at (x, y) = (0.0488281, 0.176777)"),
 ])
@@ -801,8 +774,8 @@ def test_singular_denominator_names_the_first_smallest_node():
 
 
 def test_beltrami_fills_its_field_block_by_block_in_place():
-    # mu and denom_mag take 4.5 MiB; a dense ALPHA/BETA table alone took
-    # 6.1 MiB, and whole-field temporaries put the peak at 15.9 MiB
+    # mu and denom_mag take 4.5 MiB and each block's banded ALPHA/BETA rows
+    # 2.1 MiB; block-sized temporaries add the rest
     w, grid = qc.lift(qc.random_trig(8, 0.2, 1, 2048)), qc.HalfPlaneGrid.build()
     qc.beltrami(w, grid)  # first-use allocations
     tracemalloc.start()
