@@ -13,16 +13,16 @@ from .errors import (CoverageError, DomainError, ProbeFailure, QcheatError,
 from .kernels import (ALPHA, BETA, KERNELS, PHI, PHI_SECOND, PSI, Kernel,
                       KernelId, eval_kernel, scale)
 from .extension import (BeltramiField, ExtensionField, HalfPlaneGrid,
-                        beltrami, classical_ba_extend, extend, extend_blocks,
-                        gamma_of)
+                        beltrami, beltrami_blocks, classical_ba_extend, extend,
+                        extend_blocks, gamma_of)
 from .funcspace import (AnalyzerReport, JNProfile, a_infty_constant, analyze,
                         bmo_norm, doubling_constant, john_nirenberg_profile,
                         oscillation_integral, quasisymmetry_constant,
                         vmo_profile)
-from .carleson import (CarlesonReport, ProfileEntry, carleson_norm_disk,
-                       carleson_norm_halfplane, hybrid_norm,
+from .carleson import (CarlesonReport, DiskSums, HalfPlaneSums, ProfileEntry,
+                       carleson_norm_disk, carleson_norm_halfplane, hybrid_norm,
                        vanishing_profile_disk, vanishing_profile_halfplane)
-from .transfer import (CircleHomeo, DiskGrid, contraction,
+from .transfer import (CircleHomeo, DiskGrid, contraction, disk_phase,
                        disk_extension_trace, forward_L, identity_homeo,
                        inverse_L, lift, push_to_disk, reflect_beltrami)
 from .analyticity import (HolomorphyProbe, build_probe, cauchy_reconstruct,

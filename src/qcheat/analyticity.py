@@ -9,9 +9,10 @@ values by the Cauchy integral, and tests difference-quotient convergence to
 the contour-derived derivative, all in the hybrid norm.
 
 The contour is streamed: the probe is built for the points zeta0 it must
-serve, adds each contour field into two running sums per point (the Cauchy
-value and the first derivative) and drops it, so its memory does not grow
-with the number of contour nodes.
+serve and adds each contour field, block by block as the dilatation map
+yields it, into two running sums per point (the Cauchy value and the
+first derivative), so its memory does not grow with the number of contour
+nodes and no contour field is ever held whole.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 from .carleson import hybrid_norm
 from .data import SampledFunction
 from .errors import DomainError, ProbeFailure, ResolutionError, SingularDenominatorError
-from .extension import _CHUNK_ENTRIES, BeltramiField, HalfPlaneGrid, _dilatation_map
+from .extension import (_CHUNK_ENTRIES, BeltramiField, HalfPlaneGrid, _collect,
+                        _dilatation_map)
 
 SAFE_DENOMINATOR = 1e-6
 
@@ -33,10 +35,11 @@ class HolomorphyProbe:
     """Dilatation fields of the directional family zeta -> w0 + zeta*w1.
 
     `fields` holds the fields at `center_nodes` = [0, delta, -delta,
-    i*delta, -i*delta].  The fields on the contour |zeta| = 2*epsilon
-    (`contour_nodes`) are not kept: for each point zeta0 the probe was built
-    for, `averages[zeta0]` holds the contour averages (1/n) * sum of
-    mu(tau) * tau/(tau - zeta0) (the Cauchy value) and of
+    i*delta, -i*delta]; only the field at 0 keeps its `denom_mag`, the
+    others their values alone.  The fields on the contour |zeta| =
+    2*epsilon (`contour_nodes`) are not kept: for each point zeta0 the
+    probe was built for, `averages[zeta0]` holds the contour averages
+    (1/n) * sum of mu(tau) * tau/(tau - zeta0) (the Cauchy value) and of
     mu(tau) * tau/(tau - zeta0)**2 (the first derivative), read-only.
     `builder` recomputes the field at any zeta so quotient tests can take
     extra samples.
@@ -97,53 +100,68 @@ def _contour(eps: float, n_contour: int, at) -> tuple:
     return contour, weights
 
 
-def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, make) -> HolomorphyProbe:
-    """Build the probe from `make(zeta) -> BeltramiField`, halving epsilon
-    (at most 6 times) until every node field has denominator magnitude
-    >= SAFE_DENOMINATOR.  Each contour field is added into the running sums
-    of every served point, in contour order, through one term buffer of a
-    block of levels, then dropped; a halving discards the sums."""
+def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, grid, periodic: bool,
+                  blocks_at) -> HolomorphyProbe:
+    """Build the probe from `blocks_at(zeta)`, the blocks of the field at
+    zeta, halving epsilon (at most 6 times) until every node field has
+    denominator magnitude >= SAFE_DENOMINATOR.  The center fields keep
+    their values and the one at 0 its magnitudes too; each contour field
+    is added block by block into the running sums of every served point,
+    in contour order, and never held whole.  A halving discards the
+    sums."""
+    def builder(zeta: complex) -> BeltramiField:
+        return _collect(grid, periodic, blocks_at(zeta))[0]
+
+    shape = (grid.ny, grid.nx)
+    term = np.empty((max(1, _CHUNK_ENTRIES // grid.nx), grid.nx), dtype=complex)
     eps = float(epsilon)
     last_bad = None
     for _ in range(7):
         delta = eps / 8.0
         centers = np.array([0.0, delta, -delta, 1j * delta, -1j * delta], dtype=complex)
         contour, weights = _contour(eps, n_contour, at)
-        fields, sums, term = [], {}, None
+        fields = []
+        sums = {z: (np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
+                for z in weights}
         for k, node in enumerate(np.concatenate([centers, contour])):
             try:
-                f = make(node)
+                if k < centers.size:
+                    # cauchy_reconstruct reads the magnitudes at the center
+                    f, smallest = _collect(grid, periodic, blocks_at(node), magnitudes=k == 0)
+                    fields.append(f)
+                else:
+                    smallest = _add_contour_field(blocks_at(node), k - centers.size,
+                                                  weights, sums, term)
             except SingularDenominatorError:
-                f = None
-            if f is None or f.denom_min < SAFE_DENOMINATOR:
+                smallest = 0.0  # below any safe magnitude
+            if smallest < SAFE_DENOMINATOR:
                 last_bad = node
                 break
-            if k < centers.size:
-                fields.append(f)
-                continue
-            if term is None:
-                ny, nx = f.values.shape
-                rows = max(1, _CHUNK_ENTRIES // nx)
-                term = np.empty((rows, nx), dtype=f.values.dtype)
-                sums = {z: (np.zeros_like(f.values), np.zeros_like(f.values)) for z in weights}
-            j = k - centers.size
-            for z, (value, deriv) in weights.items():
-                value_sum, deriv_sum = sums[z]
-                for i in range(0, ny, rows):
-                    part = f.values[i:i + rows]
-                    t = term[:part.shape[0]]
-                    value_sum[i:i + rows] += np.multiply(part, value[j], out=t)
-                    deriv_sum[i:i + rows] += np.multiply(part, deriv[j], out=t)
         else:
             for acc in (a for pair in sums.values() for a in pair):
                 acc /= n_contour
                 acc.flags.writeable = False
-            return HolomorphyProbe(w0, w1, eps, centers, contour, fields, sums, builder=make)
+            return HolomorphyProbe(w0, w1, eps, centers, contour, fields, sums, builder=builder)
         eps /= 2.0
     raise ProbeFailure(
         f"no safe evaluation disk after 6 retries; last singular node zeta = {last_bad}",
         node=last_bad,
     )
+
+
+def _add_contour_field(blocks, j: int, weights: dict, sums: dict, term: np.ndarray) -> float:
+    """Add the field of `blocks`, at contour node j, into the running sums
+    of every served point through the block buffer `term`; its smallest
+    denominator magnitude."""
+    smallest = np.inf
+    for levels, mu, mag in blocks:
+        smallest = min(smallest, float(np.min(mag)))
+        t = term[:mu.shape[0]]
+        for z, (value, deriv) in weights.items():
+            value_sum, deriv_sum = sums[z]
+            value_sum[levels] += np.multiply(mu, value[j], out=t)
+            deriv_sum[levels] += np.multiply(mu, deriv[j], out=t)
+    return smallest
 
 
 def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
@@ -170,12 +188,12 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
     _contour(epsilon, n_contour, at)
     if grid is None:
         grid = HalfPlaneGrid.build(nx=max(64, w0.n))
-    mu_of = _dilatation_map(w0, grid)
+    periodic, blocks_of = _dilatation_map(w0, grid)
 
-    def make(zeta: complex) -> BeltramiField:
-        return mu_of(w0.with_values(w0.values + zeta * w1.values))
+    def blocks_at(zeta: complex):
+        return blocks_of(w0.with_values(w0.values + zeta * w1.values))
 
-    return _stream_probe(w0, w1, epsilon, n_contour, at, make)
+    return _stream_probe(w0, w1, epsilon, n_contour, at, grid, periodic, blocks_at)
 
 
 def cr_residual(p: HolomorphyProbe) -> float:

@@ -7,7 +7,14 @@ sectors of the sector mass divided by the sector height.  Grids cut the
 integrals off at their smallest y level (equivalently the outermost radius),
 and every report carries the cutoff actually used.  The boxes are the
 `funcspace` interval family on the x cells; boxes and sectors share its
-window sums and profile lookup.
+profile lookup.
+
+Both norms read a field block by block (`HalfPlaneSums`, `DiskSums`):
+each block of levels adds its per-level window sums of the density to a
+small (windows, levels) table per box width or sector height, and the
+quadrature across levels runs once, at the end, so the CLI never holds a
+whole field.  `carleson_norm_halfplane` and `carleson_norm_disk` feed a
+whole field to the same sums as one block.
 
 The hybrid norm of a field is sup|mu| + sqrt(carleson norm), the natural
 size measure for dilatation fields with Carleson control.
@@ -21,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError
 from .extension import BeltramiField, HalfPlaneGrid
-from .funcspace import (ProfileEntry, _cumulative_profile, _profile_at_scales,
-                        _window_sums, interval_family)
+from .funcspace import (ProfileEntry, _cumulative_profile, _prefix_sums,
+                        _profile_at_scales, interval_family)
 from .transfer import DiskGrid
 
 # sector centres theta0 on a uniform grid of this many angles
@@ -69,43 +76,83 @@ def _logy_weights(ys: np.ndarray, y_top: float) -> np.ndarray:
     return w
 
 
+class _DensitySums:
+    """Per-level window sums of a density |field|^2, taken in block by
+    block: per window family, a C-ordered (windows, levels) table whose
+    columns a block of levels fills from the prefix sums of its rows, and
+    sup|field| as a running maximum.  A level's sums do not depend on the
+    other levels, and the quadratures across levels read each table's
+    transpose, one column-major (levels, windows) array whatever the
+    blocks were: a field reads the same, to the bit, whether it comes
+    whole, level by level or in any blocks of levels."""
+
+    def __init__(self, ny: int, families, copies: int):
+        # families: (starts, stops) index arrays into `copies` periods
+        self._families = families
+        self._copies = copies
+        self._tables = [np.empty((starts.size, ny)) for starts, _ in families]
+        self._sups = []
+
+    def add(self, levels: slice, values: np.ndarray):
+        """Take in the field's rows on `levels`."""
+        dens = np.abs(values)
+        self._sups.append(np.max(dens))
+        np.square(dens, out=dens)
+        pref_t = _prefix_sums(dens, self._copies).T
+        for (starts, stops), table in zip(self._families, self._tables):
+            table[:, levels] = pref_t[stops] - pref_t[starts]
+
+    @property
+    def sup_norm(self) -> float:
+        return float(np.max(self._sups))
+
+
+class HalfPlaneSums(_DensitySums):
+    """The half-plane Carleson norm of a field on `grid` taken in block by
+    block (`add`), reported by `report`; see `carleson_norm_halfplane`."""
+
+    def __init__(self, grid, periodic: bool):
+        if not isinstance(grid, HalfPlaneGrid):
+            raise DomainError("half-plane Carleson norm needs a field on a HalfPlaneGrid")
+        self.grid = grid
+        self._widths = interval_family(grid.nx, periodic)
+        if not self._widths:
+            raise DomainError("empty box family: grid has fewer than 4 x cells")
+        super().__init__(grid.ny, [(starts, starts + c) for c, starts in self._widths],
+                         2 if periodic else 1)
+
+    def report(self) -> CarlesonReport:
+        grid = self.grid
+        ys = grid.y_levels
+        hx = grid.hx
+        best = -1.0
+        argmax = {}
+        per_width = []
+        for (c, starts), table in zip(self._widths, self._tables):
+            L = c * hx
+            rowint = table.T * hx
+            gw = _logy_weights(ys, L)
+            vals = (gw @ rowint) / L
+            k = int(np.argmax(vals))
+            per_width.append((L, float(vals[k]), bool(np.count_nonzero(gw) < 2)))
+            if vals[k] > best:
+                best = float(vals[k])
+                argmax = {
+                    "kind": "box",
+                    "x_start": float(grid.x_min + starts[k] * hx),
+                    "width": float(L),
+                }
+        profile = _cumulative_profile(per_width)
+        return CarlesonReport(best, argmax, profile, self.sup_norm, float(ys[0]),
+                              "box-halfplane")
+
+
 def carleson_norm_halfplane(mu: BeltramiField) -> CarlesonReport:
     """Sup over dyadic boxes (half-step translates) of the box average of
     |mu|^2 / y, trapezoid in log y, cut off at the grid's lowest level."""
-    grid = mu.grid
-    if not isinstance(grid, HalfPlaneGrid):
-        raise DomainError("half-plane Carleson norm needs a field on a HalfPlaneGrid")
-    ys = grid.y_levels
-    hx = grid.hx
-    nx = grid.nx
-    dens = np.abs(mu.values)
-    np.square(dens, out=dens)
-    periodic = mu.periodic
-
-    family = interval_family(nx, periodic)
-    if not family:
-        raise DomainError("empty box family: grid has fewer than 4 x cells")
-    row_sums = _window_sums(dens, 2 if periodic else 1)
-
-    best = -1.0
-    argmax = {}
-    per_width = []
-    for c, starts in family:
-        L = c * hx
-        rowint = row_sums(starts, starts + c) * hx
-        gw = _logy_weights(ys, L)
-        vals = (gw @ rowint) / L
-        k = int(np.argmax(vals))
-        per_width.append((L, float(vals[k]), bool(np.count_nonzero(gw) < 2)))
-        if vals[k] > best:
-            best = float(vals[k])
-            argmax = {
-                "kind": "box",
-                "x_start": float(grid.x_min + starts[k] * hx),
-                "width": float(L),
-            }
-    profile = _cumulative_profile(per_width)
-    return CarlesonReport(best, argmax, profile, mu.sup_norm, float(ys[0]), "box-halfplane")
+    sums = HalfPlaneSums(mu.grid, mu.periodic)
+    sums.add(slice(None), mu.values)
+    return sums.report()
 
 
 def vanishing_profile_halfplane(mu: BeltramiField, scales) -> list[ProfileEntry]:
@@ -117,56 +164,64 @@ def vanishing_profile_halfplane(mu: BeltramiField, scales) -> list[ProfileEntry]
 # ---------------------------------------------------------------------------
 # disk sectors
 
+class DiskSums(_DensitySums):
+    """The disk Carleson norm of a field on `grid` taken in block by block
+    (`add`), reported by `report`; see `carleson_norm_disk`."""
+
+    def __init__(self, grid):
+        if not isinstance(grid, DiskGrid):
+            raise DomainError("disk Carleson norm needs a field on a DiskGrid")
+        self.grid = grid
+        ntheta = grid.thetas.size
+        self._dtheta = 2 * np.pi / ntheta
+        self._theta0s = 2 * np.pi * np.arange(N_THETA0) / N_THETA0
+        self._hs = []
+        h = 1.0
+        h_floor = 1.0 - float(grid.radii[0])
+        while h >= h_floor / 2 and h > 1e-12:
+            self._hs.append(h)
+            h /= 2
+        if not self._hs:
+            raise DomainError("empty sector family: no resolvable heights")
+        sectors = []
+        for h in self._hs:
+            half = np.pi * h
+            i0 = np.ceil((self._theta0s - half) / self._dtheta - 1e-12).astype(int)
+            i1 = np.floor((self._theta0s + half) / self._dtheta + 1e-12).astype(int)
+            i0m = np.mod(i0, ntheta)
+            sectors.append((i0m, i0m + np.clip(i1 - i0 + 1, 0, ntheta)))
+        super().__init__(grid.y_levels.size, sectors, 2)
+
+    def report(self) -> CarlesonReport:
+        ys = self.grid.y_levels
+        radii = self.grid.radii
+        # dy-integrand density: (2 pi r^2 / (1 - r^2)) per unit y, times y
+        # for the log-y trapezoid
+        gdens = 2 * np.pi * radii ** 2 / (1.0 - radii ** 2) * ys
+        best = -1.0
+        argmax = {}
+        per_scale = []
+        for h, table in zip(self._hs, self._tables):
+            y_top = np.inf if h >= 1.0 else -np.log1p(-h) / (2 * np.pi)
+            gw = _logy_weights(ys, min(y_top, float(ys[-1]) * 2))
+            weights = gw * gdens
+            vals = (weights @ table.T) * self._dtheta / h
+            k = int(np.argmax(vals))
+            per_scale.append((h, float(vals[k]), bool(np.count_nonzero(gw) < 2)))
+            if vals[k] > best:
+                best = float(vals[k])
+                argmax = {"kind": "sector", "h": float(h), "theta0": float(self._theta0s[k])}
+        profile = _cumulative_profile(per_scale)
+        cutoff = 1.0 - float(radii[0])
+        return CarlesonReport(best, argmax, profile, self.sup_norm, cutoff, "sector-disk")
+
+
 def carleson_norm_disk(nu: BeltramiField) -> CarlesonReport:
     """Sup over sampled sectors (dyadic heights, theta0 on N_THETA0 uniform
     angles) of the sector mass of |nu|^2 / (1 - r^2) divided by the height."""
-    grid = nu.grid
-    if not isinstance(grid, DiskGrid):
-        raise DomainError("disk Carleson norm needs a field on a DiskGrid")
-    ys = grid.y_levels
-    radii = grid.radii
-    thetas = grid.thetas
-    ntheta = thetas.size
-    dtheta = 2 * np.pi / ntheta
-    dens = np.abs(nu.values)
-    np.square(dens, out=dens)
-    # dy-integrand density: (2 pi r^2 / (1 - r^2)) per unit y, times y for
-    # the log-y trapezoid
-    gdens = 2 * np.pi * radii ** 2 / (1.0 - radii ** 2) * ys
-
-    col_sums = _window_sums(dens, 2)
-    theta0s = 2 * np.pi * np.arange(N_THETA0) / N_THETA0
-
-    hs = []
-    h = 1.0
-    h_floor = 1.0 - float(radii[0])
-    while h >= h_floor / 2 and h > 1e-12:
-        hs.append(h)
-        h /= 2
-    if not hs:
-        raise DomainError("empty sector family: no resolvable heights")
-
-    best = -1.0
-    argmax = {}
-    per_scale = []
-    for h in hs:
-        y_top = np.inf if h >= 1.0 else -np.log1p(-h) / (2 * np.pi)
-        gw = _logy_weights(ys, min(y_top, float(ys[-1]) * 2))
-        weights = gw * gdens
-        half = np.pi * h
-        i0 = np.ceil((theta0s - half) / dtheta - 1e-12).astype(int)
-        i1 = np.floor((theta0s + half) / dtheta + 1e-12).astype(int)
-        i0m = np.mod(i0, ntheta)
-        counts = np.clip(i1 - i0 + 1, 0, ntheta)
-        vals = (weights @ col_sums(i0m, i0m + counts)) * dtheta / h
-        k = int(np.argmax(vals))
-        per_scale.append((h, float(vals[k]), bool(np.count_nonzero(gw) < 2)))
-        if vals[k] > best:
-            best = float(vals[k])
-            argmax = {"kind": "sector", "h": float(h), "theta0": float(theta0s[k])}
-    profile = _cumulative_profile(per_scale)
-    cutoff = 1.0 - float(radii[0])
-    return CarlesonReport(best, argmax, profile, nu.sup_norm, cutoff, "sector-disk")
+    sums = DiskSums(nu.grid)
+    sums.add(slice(None), nu.values)
+    return sums.report()
 
 
 def vanishing_profile_disk(nu: BeltramiField, scales) -> list[ProfileEntry]:

@@ -488,21 +488,34 @@ def cmd_beltrami(args) -> int:
     from .kernels import ALPHA, BETA, envelope_constant
 
     datum = _lifted(load_datum(args))
-    mu = extension.beltrami(datum, _grid_from(args))
-    report = {
-        "sup_norm": mu.sup_norm,
-        "denom_min": mu.denom_min,
-        "quasiconformal": mu.quasiconformal,
-        # fitted constants of the |k(s)| <= C exp(-|s|) envelopes on |s| >= 4
-        "kernel_envelope": {
-            "alpha": envelope_constant(ALPHA),
-            "beta": envelope_constant(BETA),
-        },
-        "config": _config_echo(args),
-    }
-    # the report is checked before anything is written
+    grid = _grid_from(args)
+    _, blocks = extension.beltrami_blocks(datum, grid)
+    report = {}
+
+    def field_rows():
+        # mu is written block by block, so the field is never held whole,
+        # and the report is checked before mu.csv is renamed into place
+        sups, denom_min = [], np.inf
+        for _, mu, denom_mag in blocks:
+            sups.append(np.max(np.abs(mu)))
+            denom_min = min(denom_min, float(np.min(denom_mag)))
+            yield mu
+        sup_norm = float(np.max(sups))
+        report.update({
+            "sup_norm": sup_norm,
+            "denom_min": denom_min,
+            "quasiconformal": sup_norm < 1.0,
+            # fitted constants of the |k(s)| <= C exp(-|s|) envelopes on |s| >= 4
+            "kernel_envelope": {
+                "alpha": envelope_constant(ALPHA),
+                "beta": envelope_constant(BETA),
+            },
+            "config": _config_echo(args),
+        })
+        _assert_finite(_to_jsonable(report), "report")
+
+    write_field_csv(os.path.join(args.out, "mu.csv"), grid, field_rows())
     write_report(os.path.join(args.out, "beltrami.json"), report)
-    write_field_csv(os.path.join(args.out, "mu.csv"), mu.grid, mu.values)
     return EXIT_OK
 
 
@@ -518,8 +531,12 @@ def _carleson_json(rep: carleson.CarlesonReport) -> dict:
 
 def cmd_carleson(args) -> int:
     datum = _lifted(load_datum(args))
-    mu = extension.beltrami(datum, _grid_from(args))
-    rep = carleson.carleson_norm_halfplane(mu)
+    grid = _grid_from(args)
+    periodic, blocks = extension.beltrami_blocks(datum, grid)
+    sums = carleson.HalfPlaneSums(grid, periodic)
+    for levels, mu, _ in blocks:
+        sums.add(levels, mu)
+    rep = sums.report()
     report = {**_carleson_json(rep), "argmax": rep.argmax, "config": _config_echo(args)}
     write_report(os.path.join(args.out, "carleson.json"), report)
     return EXIT_OK
@@ -529,18 +546,27 @@ def cmd_transfer(args) -> int:
     datum = load_datum(args)
     if datum.domain.kind != "circle":
         raise DomainError("transfer needs circle data")
-    lifted = transfer.lift(datum)
-    mu = extension.beltrami(lifted, _grid_from(args))
-    nu = transfer.push_to_disk(mu)
-    hp = carleson.carleson_norm_halfplane(mu)
-    dk = carleson.carleson_norm_disk(nu)
+    grid = _grid_from(args)
+    periodic, blocks = extension.beltrami_blocks(transfer.lift(datum), grid)
+    halfplane = carleson.HalfPlaneSums(grid, periodic)
+    # a field that is not periodic has no disk image: that is reported
+    # once the field itself has passed its checks
+    disk = carleson.DiskSums(transfer.DiskGrid.from_halfplane(grid)) if periodic else None
+    phase = transfer.disk_phase(grid)
+    for levels, mu, _ in blocks:
+        halfplane.add(levels, mu)
+        if disk is not None:
+            disk.add(levels, -mu * phase)
+    if disk is None:
+        raise DomainError(transfer.PERIODIC_DISK)
+    hp, dk = halfplane.report(), disk.report()
     # lift only relabels the samples, so both keys carry one BMO norm
     bmo = funcspace.bmo_norm(datum)
     report = {
         "bmo_u": bmo,
         "bmo_lift": bmo,
-        "sup_halfplane": mu.sup_norm,
-        "sup_disk": nu.sup_norm,
+        "sup_halfplane": hp.sup_norm,
+        "sup_disk": dk.sup_norm,
         "halfplane": _carleson_json(hp),
         "disk": _carleson_json(dk),
         "hybrid_ratio": dk.hybrid_norm / hp.hybrid_norm if hp.hybrid_norm > 0 else 1.0,

@@ -29,12 +29,15 @@ The plan works in blocks of levels (`_SpectralPlan.blocks`, 8 levels of
 the reference grid): a block builds its own multiplier rows, over the
 slots of its band only, or chirp-z rows and writes its levels in place,
 and each level is computed alone, so the block size changes no bit.
-`extend_blocks` streams the extension field block by block, which is how
-the CLI writes it without holding a whole field, and `extend` fills its
-arrays from the same blocks.  A dilatation map (`_dilatation_map`, one
-per probe) keeps each block's ALPHA and BETA rows, and fills mu and the
-denominator magnitude block by block in place, through one block-sized
-denominator buffer.
+Both fields have one block protocol.  `extend_blocks` streams the
+extension field block by block, which is how the CLI writes it without
+holding a whole field, and `extend` fills its arrays from the same
+blocks.  `beltrami_blocks` streams the dilatation field the same way,
+from a dilatation map (`_dilatation_map`, one per probe) that keeps each
+block's ALPHA and BETA rows and writes every block into the same
+block-sized buffers; the field's checks are running state, decided
+after the last block.  `beltrami`, the holomorphy probe and the CLI's
+`beltrami`, `carleson` and `transfer` all consume these blocks.
 
 For circle data gamma splits into a linear part (integrated in closed form)
 plus a periodic part p0 obtained by spectral antiderivative; the vertical
@@ -480,7 +483,10 @@ class _SpectralPlan:
         one of the block's `entries` and the `weigh`ed spectra."""
         levels, band, chirp = block
         if self.fold:
-            return self._fold(self._products(band, entry, weighed), out)
+            # with nx = n the products go straight into `out`, which the
+            # inverse FFT then transforms in place
+            acc = out if self.n == self.grid.nx else None
+            return self._fold(self._products(band, entry, weighed, acc), out)
         nu = self._ys[levels, None] * self._f[band]
         self._czt(weighed[..., None, band] * kq.multiplier(entry, nu), chirp, out)
         out += weighed[..., -1, None, None] * kq.multiplier(entry, 0.0)
@@ -496,13 +502,15 @@ class _SpectralPlan:
         base = slice(self.J * self.n, (self.J + 1) * self.n)
         return self._czt(spectrum[self._slot[base]] * self._pre[base], self._chirp(base), out)
 
-    def _products(self, band: slice, entry: np.ndarray, weighed: np.ndarray) -> np.ndarray:
-        """entry * weighed on all n slots, (..., rows, n), for a block's
-        `entries` over its band run: a slot outside the run takes
-        0 * weighed, as an entry of 0 there would give it."""
+    def _products(self, band: slice, entry: np.ndarray, weighed: np.ndarray,
+                  acc: np.ndarray | None = None) -> np.ndarray:
+        """entry * weighed on all n slots, (..., rows, n), in `acc` if
+        given, for a block's `entries` over its band run: a slot outside
+        the run takes 0 * weighed, as an entry of 0 there would give it."""
         n = self.n
         start, size = self._run(band)
-        acc = np.empty(weighed.shape[:-1] + entry.shape[-2:-1] + (n,), dtype=complex)
+        if acc is None:
+            acc = np.empty(weighed.shape[:-1] + entry.shape[-2:-1] + (n,), dtype=complex)
         if size < n:
             zero = np.multiply(np.zeros(n, dtype=complex), weighed)
             for slots, _ in _pieces((start + size) % n, n - size, n):
@@ -740,78 +748,144 @@ def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
     return circle
 
 
-def _dilatation(grid: HalfPlaneGrid, mu: np.ndarray, denom_mag: np.ndarray,
-                factor, floor: float, periodic: bool) -> BeltramiField:
-    """The checks of `beltrami` on mu and the recorded denominator
-    magnitude, whole (ny, nx) arrays: `factor(levels)` turned |den| on a
-    slice of levels into `denom_mag` (`_magnitude_factor`), and `floor` is
-    the absolute rounding floor of den."""
-    ys = grid.y_levels
-    flat = int(np.argmin(denom_mag))
-    smallest = denom_mag.flat[flat]
-    if smallest < SINGULAR_THRESHOLD:
-        jj, ii = np.unravel_index(flat, denom_mag.shape)
-        where = f"at (x, y) = ({grid.x[ii]:.6g}, {ys[jj]:.6g})"
-        # the engine cannot tell a magnitude below the threshold from zero
-        # where its rounding floor, recorded the same way, exceeds it
-        with np.errstate(all="ignore"):
-            noise = floor * float(np.broadcast_to(factor(slice(jj, jj + 1)), mu.shape)[0, ii])
-        if noise >= SINGULAR_THRESHOLD:
-            raise ResolutionError(
-                f"dilatation denominator {smallest:.3e} {where} is below the "
-                f"engine's rounding floor {noise:.3e} (e^w spans too wide a range)")
-        raise SingularDenominatorError(
-            f"dilatation denominator {smallest:.3e} below "
-            f"{SINGULAR_THRESHOLD:g} {where}",
-            x=float(grid.x[ii]), y=float(ys[jj]),
-            magnitude=float(smallest),
-        )
-    _require_finite(grid, mu=mu, denom_mag=denom_mag)
-    return BeltramiField(grid, mu, denom_mag, periodic=periodic)
+class _DilatationChecks:
+    """The checks of `beltrami` as running state over the blocks of one
+    field, taken in ascending order by `add` and decided by `close`, in
+    the precedence they have on whole arrays: a denominator magnitude
+    below SINGULAR_THRESHOLD, named at its first smallest node, unless a
+    magnitude anywhere is NaN (no small denominator then); then the first
+    node of mu, and then of the magnitude, that is not finite."""
+
+    def __init__(self, grid: HalfPlaneGrid):
+        self.grid = grid
+        self.not_finite = {}  # "mu", "denom_mag": the error of its first bad node
+        self.nan = False
+        self.smallest, self.at = np.inf, None
+
+    def add(self, levels: slice, mu: np.ndarray, denom_mag: np.ndarray) -> bool:
+        """Take in the rows of mu and the recorded denominator magnitude on
+        `levels`; whether every block taken in so far is finite."""
+        for name, rows in (("mu", mu), ("denom_mag", denom_mag)):
+            if name not in self.not_finite:
+                try:
+                    _require_finite(self.grid, levels, **{name: rows})
+                except ResolutionError as e:
+                    self.not_finite[name] = e
+        flat = int(np.argmin(denom_mag))  # a NaN is the minimum if there is one
+        smallest = denom_mag.flat[flat]
+        if np.isnan(smallest):
+            self.nan = True
+        elif smallest < self.smallest:
+            jj, ii = np.unravel_index(flat, denom_mag.shape)
+            self.smallest, self.at = smallest, (levels.start + jj, ii)
+        return not self.not_finite
+
+    def close(self, factor, floor: float):
+        """Raise what the checks found: `factor(levels)` turned |den| on a
+        slice of levels into the recorded magnitude (`_magnitude_factor`),
+        and `floor` is the absolute rounding floor of den."""
+        grid = self.grid
+        if not self.nan and self.smallest < SINGULAR_THRESHOLD:
+            jj, ii = self.at
+            x, y = float(grid.x[ii]), float(grid.y_levels[jj])
+            where = f"at (x, y) = ({x:.6g}, {y:.6g})"
+            # the engine cannot tell a magnitude below the threshold from zero
+            # where its rounding floor, recorded the same way, exceeds it
+            with np.errstate(all="ignore"):
+                row = np.broadcast_to(factor(slice(jj, jj + 1)), (1, grid.nx))
+                noise = floor * float(row[0, ii])
+            if noise >= SINGULAR_THRESHOLD:
+                raise ResolutionError(
+                    f"dilatation denominator {self.smallest:.3e} {where} is below the "
+                    f"engine's rounding floor {noise:.3e} (e^w spans too wide a range)")
+            raise SingularDenominatorError(
+                f"dilatation denominator {self.smallest:.3e} below "
+                f"{SINGULAR_THRESHOLD:g} {where}",
+                x=x, y=y, magnitude=float(self.smallest),
+            )
+        for name in ("mu", "denom_mag"):
+            if name in self.not_finite:
+                raise self.not_finite[name]
 
 
 def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid):
-    """The map w -> beltrami(w, grid) for data on the lattice of w0.
+    """(periodic, blocks_of): whether dilatation fields on `grid` of data
+    on the lattice of w0 are periodic, and the map w -> the blocks of the
+    dilatation field of w, as `beltrami_blocks` yields them.
 
     Every datum shares what the grid fixes, built here: one plan and, per
     block of levels, its ALPHA and BETA `entries`, and the windows of the
     local means of Re w.  Each datum then costs its own FFT and, block by
     block, the products with the multipliers and the inverse transforms,
-    written in place: the numerator into its rows of mu, which the
-    quotient then takes over, and the denominator into one block buffer
-    shared by every block and datum, whose magnitude goes into its rows of
-    denom_mag.
+    written in place into three block buffers that every block and datum
+    shares: the numerator into the rows of mu, which the quotient then
+    takes over, the denominator, and its magnitude into the rows of
+    denom_mag.  So the rows a block yields are overwritten by the next
+    block, of this datum or another: read them, or copy them, first.
     """
     plan = _SpectralPlan(w0, grid)
     entries = [(block, plan.entries(block, ALPHA, BETA)) for block in plan.blocks()]
-    den = np.empty((max(block[0].stop - block[0].start for block, _ in entries), grid.nx),
-                   dtype=complex)
-    periodic = w0.periodic and grid.spans_period(w0.domain.length)
+    shape = (max(block[0].stop - block[0].start for block, _ in entries), grid.nx)
+    num, den, mag = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape)
     magnitude_factor = _magnitude_factor(w0, grid)
 
-    def mu_of(w: SampledFunction) -> BeltramiField:
-        mu = np.empty((grid.ny, grid.nx), dtype=complex)
-        denom_mag = np.empty((grid.ny, grid.nx))
-        # e^w out of floating range shows as a non-finite field
+    def blocks_of(w: SampledFunction):
+        checks = _DilatationChecks(grid)
+        # e^w out of floating range shows as a non-finite field; the state
+        # is set per step: it must not reach the consumer
         with np.errstate(all="ignore"):
             _, ew = _recentered(w)
             weighed = plan.weigh(np.fft.fft(ew))
             factor = magnitude_factor(w.values.real)
-            for block, (alpha, beta) in entries:
-                levels = block[0]
-                num = plan.apply_block(block, alpha, weighed, mu[levels])
-                den_rows = plan.apply_block(block, beta, weighed, den[:num.shape[0]])
-                np.divide(num, den_rows, out=num)
-                np.abs(den_rows, out=denom_mag[levels])
-                denom_mag[levels] *= factor(levels)
             floor = FFT_ROUNDING_FLOOR * float(np.mean(np.abs(ew)))
-        return _dilatation(grid, mu, denom_mag, factor, floor, periodic)
+        for block, (alpha, beta) in entries:
+            levels = block[0]
+            rows = levels.stop - levels.start
+            with np.errstate(all="ignore"):
+                mu = plan.apply_block(block, alpha, weighed, num[:rows])
+                den_rows = plan.apply_block(block, beta, weighed, den[:rows])
+                np.divide(mu, den_rows, out=mu)
+                denom_mag = np.abs(den_rows, out=mag[:rows])
+                denom_mag *= factor(levels)
+            if checks.add(levels, mu, denom_mag):
+                yield levels, mu, denom_mag
+        checks.close(factor, floor)
 
-    return mu_of
+    return w0.periodic and grid.spans_period(w0.domain.length), blocks_of
+
+
+def beltrami_blocks(w: SampledFunction, grid: HalfPlaneGrid):
+    """The dilatation field of w on `grid`, streamed: (periodic, blocks).
+
+    `periodic` is the field's `BeltramiField.periodic`, and `blocks`
+    yields the field one block of the plan's levels at a time, ascending,
+    as (levels, mu rows, denom_mag rows), each (rows, nx) and finite, in
+    buffers that the next block overwrites: a consumer that keeps rows
+    copies them, as `beltrami` does.  The plan is built, and w and the
+    grid checked, before this returns; the checks of `beltrami` run over
+    every block and raise after the last, so a block that is not finite
+    is not yielded, and no block after it."""
+    periodic, blocks_of = _dilatation_map(w, grid)
+    return periodic, blocks_of(w)
+
+
+def _collect(grid: HalfPlaneGrid, periodic: bool, blocks, magnitudes: bool = True):
+    """(field, its smallest denominator magnitude) from the `blocks` of a
+    dilatation field; the field keeps its magnitudes given `magnitudes`."""
+    values = np.empty((grid.ny, grid.nx), dtype=complex)
+    denom_mag = np.empty((grid.ny, grid.nx)) if magnitudes else None
+    smallest = np.inf
+    for levels, mu, mag in blocks:
+        values[levels] = mu
+        if magnitudes:
+            denom_mag[levels] = mag
+        smallest = min(smallest, float(np.min(mag)))
+    return BeltramiField(grid, values, denom_mag, periodic=periodic), smallest
 
 
 def beltrami(w: SampledFunction, grid: HalfPlaneGrid) -> BeltramiField:
-    """Complex dilatation mu = (e^w * alpha_y) / (e^w * beta_y) on `grid`.
+    """Complex dilatation mu = (e^w * alpha_y) / (e^w * beta_y) on `grid`,
+    collected from `beltrami_blocks`.
 
     The ratio is evaluated with the weight recentered by a constant (the
     mean of w), which leaves mu unchanged and keeps e^w in floating range.
@@ -824,7 +898,8 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid) -> BeltramiField:
     the denominator is unresolved, not vanishing, and ResolutionError is
     raised.  A mu or magnitude that is not finite raises ResolutionError.
     """
-    return _dilatation_map(w, grid)(w)
+    periodic, blocks = beltrami_blocks(w, grid)
+    return _collect(grid, periodic, blocks)[0]
 
 
 # ---------------------------------------------------------------------------

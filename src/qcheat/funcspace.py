@@ -53,22 +53,15 @@ def _prefix_sums(vals: np.ndarray, copies: int = 1) -> np.ndarray:
 
 
 def _window_sums(vals: np.ndarray, copies: int = 1, lead: int = 0):
-    """Sums of vals along its last axis over index windows [start, stop),
-    read on `copies` periods of vals laid end to end from `lead` periods
-    before index 0.  One cumulative sum serves every window: the returned
-    map takes index arrays (start, stop)."""
-    off = lead * vals.shape[-1]
+    """Sums of the 1-D vals over index windows [start, stop), read on
+    `copies` periods of vals laid end to end from `lead` periods before
+    index 0.  One cumulative sum serves every window: the returned map
+    takes index arrays (start, stop)."""
+    off = lead * vals.size
     pref = _prefix_sums(vals, copies)
-    # windows index the leading axis of the transpose: cheap on 1-D data,
-    # and 2-D sums come back column-major, as `pref[:, idx]` would give
-    # them, which fixes the summation order of the Carleson quadratures'
-    # matrix products
-    pref_t = pref.T
 
     def sums(start, stop):
-        if off:
-            start, stop = start + off, stop + off
-        return (pref_t[stop] - pref_t[start]).T
+        return pref[stop + off] - pref[start + off]
 
     return sums
 

@@ -24,6 +24,9 @@ from .extension import (BeltramiField, ExtensionField, HalfPlaneGrid,
                         _periodic_parts)
 
 
+PERIODIC_DISK = "push_to_disk needs a field periodic over one unit period"
+
+
 @dataclass(frozen=True)
 class CircleHomeo:
     """Sense-preserving circle homeomorphism via its lifted angle map.
@@ -106,6 +109,12 @@ def lift(u: SampledFunction) -> SampledFunction:
     return SampledFunction(Domain.line(0.0, 1.0, periodic=True), u.values.copy())
 
 
+def disk_phase(grid: HalfPlaneGrid) -> np.ndarray:
+    """zeta / conj(zeta) = exp(4*pi*i*x) at the grid's x nodes: rows of a
+    half-plane field mu push to the disk as -mu * disk_phase(grid)."""
+    return np.exp(4j * np.pi * grid.x)
+
+
 def push_to_disk(mu: BeltramiField) -> BeltramiField:
     """Transfer a periodic half-plane dilatation field to the disk:
     nu(zeta) = -mu(z) * zeta / conj(zeta) at zeta = exp(2*pi*i*z).
@@ -113,11 +122,9 @@ def push_to_disk(mu: BeltramiField) -> BeltramiField:
     if not isinstance(mu.grid, HalfPlaneGrid):
         raise DomainError("push_to_disk expects a half-plane field")
     if not mu.periodic:
-        raise DomainError("push_to_disk needs a field periodic over one unit period")
+        raise DomainError(PERIODIC_DISK)
     disk = DiskGrid.from_halfplane(mu.grid)
-    phase = np.exp(4j * np.pi * mu.grid.x)
-    nu = -mu.values * phase[None, :]
-    return BeltramiField(disk, nu, mu.denom_mag, periodic=True)
+    return BeltramiField(disk, -mu.values * disk_phase(mu.grid), mu.denom_mag, periodic=True)
 
 
 def inverse_L(u: SampledFunction) -> CircleHomeo:

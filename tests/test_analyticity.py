@@ -17,15 +17,16 @@ def _const_field(grid, value):
 
 def _synthetic_probe(grid, fn, epsilon=0.1, n_contour=32, at=(0.0,)):
     """Probe whose fields are fn(zeta) * unit normalized field (hybrid 1),
-    built by the same streaming loop as build_probe."""
+    each one block of every level with magnitudes 1, built by the same
+    streaming loop as build_probe."""
     ones = _const_field(grid, 1.0)
     unit = BeltramiField(grid, ones.values / qc.hybrid_norm(ones), periodic=True)
 
-    def make(zeta):
-        return BeltramiField(grid, fn(zeta) * unit.values, periodic=True)
+    def blocks_at(zeta):
+        yield slice(None), fn(zeta) * unit.values, np.ones((grid.ny, grid.nx))
 
     w = qc.sine(0.1, 1, grid.nx)
-    return analyticity._stream_probe(w, w, epsilon, n_contour, at, make)
+    return analyticity._stream_probe(w, w, epsilon, n_contour, at, grid, True, blocks_at)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +258,13 @@ def test_probe_does_not_shrink_epsilon_on_a_resolution_error(monkeypatch, small_
     # from the first field instead of halving epsilon
     from qcheat import extension
     calls = []
-    real = extension._dilatation
+    real = extension._DilatationChecks.close
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(extension, "_dilatation", counted)
+    monkeypatch.setattr(extension._DilatationChecks, "close", counted)
     w0 = qc.lift(qc.step(20.0, 256))
     w1 = qc.lift(qc.sine(0.1, 1, 256))
     with pytest.raises(qc.ResolutionError, match="rounding floor"):
@@ -343,10 +344,14 @@ def test_probe_fields_equal_independent_beltrami_calls(name):
     extra = [0.003 + 0.001j, 0.003 + 0.001j + 0.0025]
     fields = (p.fields + [p.builder(tau) for tau in p.contour_nodes]
               + [p.dilatation_at(z) for z in extra])
+    # of the center fields only the one at 0 keeps its magnitudes
+    assert [f.denom_mag is None for f in p.fields] == [False, True, True, True, True]
     for zeta, f in zip(list(nodes) + extra, fields):
         direct = qc.beltrami(w0.with_values(w0.values + zeta * w1.values), grid)
         assert np.max(np.abs(f.values - direct.values)) <= 1e-14
-        assert np.max(np.abs(f.denom_mag - direct.denom_mag)) <= 1e-14 * np.max(direct.denom_mag)
+        if f.denom_mag is not None:
+            assert (np.max(np.abs(f.denom_mag - direct.denom_mag))
+                    <= 1e-14 * np.max(direct.denom_mag))
         assert f.periodic == direct.periodic
 
 

@@ -215,3 +215,38 @@ def test_disk_norm_against_sector_loop(small_grid):
         running = max(running, v)
         assert entry.scale == h
         assert entry.value == pytest.approx(running, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# block-fed sums
+
+def _fed(sums, values, parts):
+    for levels in parts:
+        sums.add(levels, values[levels])
+    return repr(sums.report())
+
+
+@pytest.mark.parametrize("name", ["reference", "part_period"])
+def test_sums_read_a_field_the_same_whole_per_level_or_in_blocks(name):
+    from qcheat.extension import _SpectralPlan
+
+    if name == "reference":
+        w, grid = qc.lift(qc.random_trig(8, 0.2, 2, 2048)), qc.HalfPlaneGrid.build()
+    else:
+        w = qc.lift(qc.sawtooth(0.3, 256))
+        grid = qc.HalfPlaneGrid.build(x_min=0.1, x_max=0.6, nx=128, y_min=1 / 64, y_max=1.0)
+    mu = qc.beltrami(w, grid)
+    blocks = [block[0] for block in _SpectralPlan(w, grid).blocks()]
+    assert len(blocks) > 1
+    splits = ([slice(None)], [slice(j, j + 1) for j in range(grid.ny)], blocks)
+    cases = [(lambda: qc.HalfPlaneSums(grid, mu.periodic), mu.values)]
+    if mu.periodic:
+        nu = qc.push_to_disk(mu)
+        cases.append((lambda: qc.DiskSums(nu.grid), nu.values))
+    for make, values in cases:
+        reports = {_fed(make(), values, parts) for parts in splits}
+        assert len(reports) == 1
+    # the whole-field calls feed the same sums
+    assert _fed(cases[0][0](), mu.values, blocks) == repr(qc.carleson_norm_halfplane(mu))
+    if mu.periodic:
+        assert _fed(cases[1][0](), nu.values, blocks) == repr(qc.carleson_norm_disk(nu))

@@ -121,6 +121,82 @@ def test_extend_failing_in_a_late_block_writes_nothing(tmp_path, capsys, monkeyp
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize("argv", [["transfer", "--builtin", "random-trig:8,0.2,2"],
+                                  ["carleson", "--builtin", "sawtooth:0.3"]],
+                         ids=["transfer", "carleson"])
+def test_carleson_commands_never_hold_a_whole_field(tmp_path, argv):
+    # on the reference grid mu takes 3 MiB, and |mu|^2 with its prefix sums
+    # and nu as much again: whole-field estimators peaked at 14.5 MiB
+    # (transfer) and 11.5 MiB (carleson)
+    argv = argv + ["--out", str(tmp_path / "o")]
+    assert run(argv) == 0  # first-use allocations
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("command", ["beltrami", "carleson", "transfer"])
+def test_step_below_the_rounding_floor_writes_nothing(tmp_path, capsys, command):
+    # the checks decide after the last block, and the field's blocks are
+    # streamed by then: the command still fails as it did on whole arrays
+    out = tmp_path / "o"
+    assert run([command, "--builtin", "step:20", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error kind=resolution detail=\"dilatation denominator 0.000e+00 at (x, y) = "
+        "(0.155762, 0.000976562) is below the engine's rounding floor 2.613e+01 "
+        "(e^w spans too wide a range)\""]
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", ["beltrami", "carleson", "transfer"])
+def test_dilatation_failing_in_a_late_block_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                           command):
+    from qcheat.extension import _DilatationChecks
+
+    add = _DilatationChecks.add
+    blocks = []
+
+    def poisoned(self, levels, mu, denom_mag):
+        blocks.append(levels)
+        if levels.stop == self.grid.ny:
+            mu[-1, -1] = np.nan  # the last node of the top level
+        return add(self, levels, mu, denom_mag)
+
+    monkeypatch.setattr(_DilatationChecks, "add", poisoned)
+    out = tmp_path / "o"
+    assert run([command, "--builtin", "sine:0.3,1", "--out", str(out)] + GRID_ARGS) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=resolution")
+    assert "mu is not finite at x = 0.996094, y = 2" in err[0]
+    # the earlier blocks were read before the last failed
+    assert len(blocks) > 1
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_beltrami_report_that_is_not_finite_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the report is checked before the streamed mu.csv is renamed into place
+    from qcheat import kernels
+
+    monkeypatch.setattr(kernels, "envelope_constant", lambda k: float("nan"))
+    out = tmp_path / "o"
+    assert run(["beltrami", "--builtin", "sine:0.3,1", "--out", str(out)] + GRID_ARGS) == 3
+    assert "error kind=nonfinite" in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_transfer_on_part_of_a_period_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["transfer", "--builtin", "sine:0.3,1", "--x-max", "0.5", "--out", str(out)]
+    assert run(argv + GRID_ARGS) == 2
+    err = capsys.readouterr().err
+    assert "error kind=validation" in err and "periodic over one unit period" in err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_carleson_report_keys(tmp_path):
     out = str(tmp_path / "o")
     assert run(["carleson", "--builtin", "sine:0.3,1", "--out", out] + GRID_ARGS) == 0

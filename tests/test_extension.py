@@ -724,17 +724,22 @@ def test_denom_mag_is_the_per_level_window_mean_magnitude(name, small_grid):
 # the checks of a dilatation field across blocks, and its memory
 
 def _check_reference(mu_at=(), mag_at=(), factor=lambda levels: 1.0, floor=1e-20):
-    """`_dilatation` on synthetic arrays of the reference grid (15 blocks of
-    levels): mu = 1 and denom_mag = 1 but for the (level, node): value
-    entries of `mu_at` and `mag_at`."""
+    """The running checks of a dilatation field fed synthetic arrays of the
+    reference grid block by block, over its 15 blocks of levels: mu = 1
+    and denom_mag = 1 but for the (level, node): value entries of `mu_at`
+    and `mag_at`."""
     grid = qc.HalfPlaneGrid.build()
-    assert len(list(_SpectralPlan(qc.constant(0.0, 2048), grid).blocks())) == 15
+    blocks = [block[0] for block in _SpectralPlan(qc.constant(0.0, 2048), grid).blocks()]
+    assert len(blocks) == 15
     mu = np.ones((grid.ny, grid.nx), dtype=complex)
     denom_mag = np.ones((grid.ny, grid.nx))
     for a, entries in ((mu, mu_at), (denom_mag, mag_at)):
         for at, value in entries:
             a[at] = value
-    return extension._dilatation(grid, mu, denom_mag, factor, floor, True)
+    checks = extension._DilatationChecks(grid)
+    for levels in blocks:
+        checks.add(levels, mu[levels], denom_mag[levels])
+    checks.close(factor, floor)
 
 
 # each message as the checks gave it when they read whole arrays of the
@@ -771,6 +776,24 @@ def test_singular_denominator_names_the_first_smallest_node():
     err = exc.value
     assert (err.x, err.y, err.magnitude) == (0.00439453125, 0.005524271728019903, 5e-13)
     assert "5.000e-13 below 1e-12 at (x, y) = (0.00439453, 0.00552427)" in str(err)
+
+
+@pytest.mark.parametrize("name", ["reference", "line"])
+def test_beltrami_collects_the_blocks_it_streams(name):
+    if name == "reference":
+        w, grid = qc.lift(qc.sawtooth(0.3, 2048)), qc.HalfPlaneGrid.build()
+    else:
+        x = np.linspace(-10.0, 10.0, 1025)
+        w = SampledFunction(Domain.line(-10.0, 10.0), 0.2 * np.cos(x) + 0.1j * np.sin(x))
+        grid = qc.HalfPlaneGrid.build(x_min=-1.0, x_max=1.0, nx=64, y_min=0.2, y_max=1.0)
+    periodic, blocks = qc.beltrami_blocks(w, grid)
+    # each block's rows are read before the next block overwrites them
+    rows = [(levels, mu.copy(), mag.copy()) for levels, mu, mag in blocks]
+    f = qc.beltrami(w, grid)
+    assert [levels for levels, _, _ in rows] == [b[0] for b in _SpectralPlan(w, grid).blocks()]
+    assert np.array_equal(np.concatenate([mu for _, mu, _ in rows]), f.values)
+    assert np.array_equal(np.concatenate([mag for _, _, mag in rows]), f.denom_mag)
+    assert periodic == f.periodic == (name == "reference")
 
 
 def test_beltrami_fills_its_field_block_by_block_in_place():

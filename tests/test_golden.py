@@ -3,7 +3,10 @@
 The digests were recorded from the CLI before the dilatation engine wrote
 its fields block by block in place; they hold the engine to the bits of
 that design on folding circle grids (the reference grid among them), a
-part-period grid (the chirp-z route) and line data.  A report is hashed
+part-period grid (the chirp-z route) and line data.  The reference-grid
+`carleson` and `transfer` digests were recorded while the Carleson norms
+still read whole fields; they hold the block-by-block sums to the bits of
+the whole-field ones.  A report is hashed
 without its `config.out`, the one key that names the test's own
 directory.
 """
@@ -38,6 +41,8 @@ def _jobs():
     # the reference grid: 15 blocks of at most 8 levels
     for datum in ("const:0", "sawtooth:0.3"):
         yield f"reference-beltrami-{datum}", ["beltrami", "--builtin", datum]
+    yield "reference-carleson", ["carleson", "--builtin", "sawtooth:0.3"]
+    yield "reference-transfer", ["transfer", "--builtin", "random-trig:8,0.2,2"]
     yield "line-beltrami", ["beltrami", "--input", "line.json", *LINE]
 
 
@@ -177,6 +182,14 @@ DIGESTS = {
             "ea40b124dc565d548faa847210772fb0b6ac398102b8990ef7d5d99ff53d0e1e",
         "mu.csv":
             "15bda18298a3ebf82f2b1cd9e514ef726e092f03adc04e5b95f0f619cc35b0a4",
+    },
+    "reference-carleson": {
+        "carleson.json":
+            "06fe4974614ea69135683ab6af300afa209c0334138ea976a7203700456b7ef4",
+    },
+    "reference-transfer": {
+        "transfer.json":
+            "87557578ac82270022af5686b4a4494e4d5e47226562f1433b4c5307c825ea15",
     },
     "line-beltrami": {
         "beltrami.json":
