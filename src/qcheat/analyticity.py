@@ -8,11 +8,15 @@ measures the discrete Cauchy-Riemann residual in zeta, reconstructs interior
 values by the Cauchy integral, and tests difference-quotient convergence to
 the contour-derived derivative, all in the hybrid norm.
 
-The contour is streamed: the probe is built for the points zeta0 it must
-serve and adds each contour field, block by block as the dilatation map
-yields it, into two running sums per point (the Cauchy value and the
-first derivative), so its memory does not grow with the number of contour
-nodes and no contour field is ever held whole.
+Every statistic is a reduction over streamed blocks of levels.  The probe
+keeps the field at 0 whole and, for each point zeta0 it was built for, two
+running contour sums (the Cauchy value and the first derivative), into
+which each contour field is added block by block as the dilatation map
+yields it; so its memory does not grow with the number of contour nodes.
+The four off-center fields fold into the Cauchy-Riemann residual as they
+come, and the Cauchy error and the quotient distances feed their rows to a
+`carleson.HalfPlaneSums`, which reads a field the same to the bit whole or
+in any blocks; no field other than the one at 0 is held after the build.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carleson import hybrid_norm
+from .carleson import HalfPlaneSums
 from .data import SampledFunction
 from .errors import DomainError, ProbeFailure, ResolutionError, SingularDenominatorError
 from .extension import (_CHUNK_ENTRIES, BeltramiField, HalfPlaneGrid, _collect,
@@ -34,15 +38,17 @@ SAFE_DENOMINATOR = 1e-6
 class HolomorphyProbe:
     """Dilatation fields of the directional family zeta -> w0 + zeta*w1.
 
-    `fields` holds the fields at `center_nodes` = [0, delta, -delta,
-    i*delta, -i*delta]; only the field at 0 keeps its `denom_mag`, the
-    others their values alone.  The fields on the contour |zeta| =
-    2*epsilon (`contour_nodes`) are not kept: for each point zeta0 the
-    probe was built for, `averages[zeta0]` holds the contour averages
-    (1/n) * sum of mu(tau) * tau/(tau - zeta0) (the Cauchy value) and of
-    mu(tau) * tau/(tau - zeta0)**2 (the first derivative), read-only.
-    `builder` recomputes the field at any zeta so quotient tests can take
-    extra samples.
+    `fields` holds only the field at 0, with its `denom_mag`; the fields at
+    the other `center_nodes` (delta, -delta, i*delta, -i*delta) were
+    folded, block by block, into `residual`, the discrete Cauchy-Riemann
+    residual that `cr_residual` returns.  The fields on the contour
+    |zeta| = 2*epsilon (`contour_nodes`) are not kept either: for each
+    point zeta0 the probe was built for, `averages[zeta0]` holds the
+    contour averages (1/n) * sum of mu(tau) * tau/(tau - zeta0) (the Cauchy
+    value) and of mu(tau) * tau/(tau - zeta0)**2 (the first derivative),
+    read-only.  `blocks_at(zeta)` streams the blocks of the field at any
+    zeta, as `extension.beltrami_blocks` yields them, and `builder(zeta)`
+    collects them, so every node but 0 is rebuilt on demand.
     """
 
     w0: SampledFunction
@@ -52,7 +58,8 @@ class HolomorphyProbe:
     contour_nodes: np.ndarray
     fields: list = field(repr=False)
     averages: dict = field(repr=False)
-    builder: object = field(repr=False, default=None)
+    residual: float
+    blocks_at: object = field(repr=False)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -62,12 +69,14 @@ class HolomorphyProbe:
     def delta(self) -> float:
         return self.epsilon / 8.0
 
+    def builder(self, zeta: complex) -> BeltramiField:
+        """The field at zeta, collected whole from `blocks_at`."""
+        center = self.fields[0]
+        return _collect(center.grid, center.periodic, self.blocks_at(zeta))[0]
+
     def dilatation_at(self, zeta: complex) -> BeltramiField:
-        for i, node in enumerate(self.center_nodes):
-            if abs(node - zeta) < 1e-15 * max(1.0, abs(zeta)):
-                return self.fields[i]
-        if self.builder is None:
-            raise DomainError("probe has no builder for off-node evaluation")
+        if abs(zeta) < 1e-15:
+            return self.fields[0]
         return self.builder(zeta)
 
     def contour_averages(self, zeta0: complex) -> tuple:
@@ -104,14 +113,20 @@ def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, grid, periodic: bo
                   blocks_at) -> HolomorphyProbe:
     """Build the probe from `blocks_at(zeta)`, the blocks of the field at
     zeta, halving epsilon (at most 6 times) until every node field has
-    denominator magnitude >= SAFE_DENOMINATOR.  The center fields keep
-    their values and the one at 0 its magnitudes too; each contour field
-    is added block by block into the running sums of every served point,
-    in contour order, and never held whole.  A halving discards the
-    sums."""
-    def builder(zeta: complex) -> BeltramiField:
-        return _collect(grid, periodic, blocks_at(zeta))[0]
+    denominator magnitude >= SAFE_DENOMINATOR, checked node by node in the
+    order 0, delta, -delta, i*delta, -i*delta, then the contour.
 
+    The field at 0 is collected whole, with its magnitudes.  The values at
+    +delta are collected into one buffer, which the blocks at -delta turn
+    in place into (mu(delta) - mu(-delta)) / (2 delta); the values at
+    +i*delta into a second, and each block at -i*delta then gives the
+    maximum of |that + i*(mu(i delta) - mu(-i delta)) / (2 delta)| over its
+    rows, the operands in the order of the whole-array formula, so the
+    residual (half the largest block maximum) is the same to the bit and
+    a NaN propagates.  Both buffers are dropped before the contour, whose
+    running sums are allocated at its first node and take each contour
+    field block by block, in contour order.  A halving discards all of
+    this state."""
     shape = (grid.ny, grid.nx)
     term = np.empty((max(1, _CHUNK_ENTRIES // grid.nx), grid.nx), dtype=complex)
     eps = float(epsilon)
@@ -120,18 +135,31 @@ def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, grid, periodic: bo
         delta = eps / 8.0
         centers = np.array([0.0, delta, -delta, 1j * delta, -1j * delta], dtype=complex)
         contour, weights = _contour(eps, n_contour, at)
-        fields = []
-        sums = {z: (np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
-                for z in weights}
+        # held: the values at +delta, turned into the x quotient, then the
+        # values at +i*delta; maxima: the residual's block maxima
+        held, maxima, sums = [], [], None
         for k, node in enumerate(np.concatenate([centers, contour])):
+            blocks = blocks_at(node)
             try:
-                if k < centers.size:
+                if k == 0:
                     # cauchy_reconstruct reads the magnitudes at the center
-                    f, smallest = _collect(grid, periodic, blocks_at(node), magnitudes=k == 0)
-                    fields.append(f)
+                    center, smallest = _collect(grid, periodic, blocks)
+                elif k in (1, 3):
+                    f, smallest = _collect(grid, periodic, blocks, magnitudes=False)
+                    held.append(f.values)
+                elif k == 2:
+                    smallest = _each_block(blocks, lambda levels, mu: _x_quotient(
+                        held[0][levels], mu, 2 * delta))
+                elif k == 4:
+                    smallest = _each_block(blocks, lambda levels, mu: maxima.append(
+                        _cr_maximum(held[0][levels], held[1][levels], mu, 2 * delta)))
+                    residual = float(np.max(maxima) / 2.0)
+                    held.clear()
                 else:
-                    smallest = _add_contour_field(blocks_at(node), k - centers.size,
-                                                  weights, sums, term)
+                    if sums is None:
+                        sums = {z: (np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
+                                for z in weights}
+                    smallest = _add_contour_field(blocks, k - centers.size, weights, sums, term)
             except SingularDenominatorError:
                 smallest = 0.0  # below any safe magnitude
             if smallest < SAFE_DENOMINATOR:
@@ -141,7 +169,8 @@ def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, grid, periodic: bo
             for acc in (a for pair in sums.values() for a in pair):
                 acc /= n_contour
                 acc.flags.writeable = False
-            return HolomorphyProbe(w0, w1, eps, centers, contour, fields, sums, builder=builder)
+            return HolomorphyProbe(w0, w1, eps, centers, contour, [center], sums, residual,
+                                   blocks_at)
         eps /= 2.0
     raise ProbeFailure(
         f"no safe evaluation disk after 6 retries; last singular node zeta = {last_bad}",
@@ -149,19 +178,41 @@ def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, grid, periodic: bo
     )
 
 
-def _add_contour_field(blocks, j: int, weights: dict, sums: dict, term: np.ndarray) -> float:
-    """Add the field of `blocks`, at contour node j, into the running sums
-    of every served point through the block buffer `term`; its smallest
+def _each_block(blocks, take) -> float:
+    """Call take(levels, mu rows) on each block of `blocks`; the smallest
     denominator magnitude."""
     smallest = np.inf
     for levels, mu, mag in blocks:
         smallest = min(smallest, float(np.min(mag)))
+        take(levels, mu)
+    return smallest
+
+
+def _x_quotient(rows: np.ndarray, mu: np.ndarray, step: float):
+    """rows <- (rows - mu) / step, in place."""
+    np.subtract(rows, mu, out=rows)
+    rows /= step
+
+
+def _cr_maximum(x_quotient: np.ndarray, plus_i: np.ndarray, mu: np.ndarray,
+                step: float):
+    """max |x_quotient + i*(plus_i - mu) / step| over the rows, in the
+    operand order of the whole-array residual."""
+    return np.max(np.abs(x_quotient + 1j * (plus_i - mu) / step))
+
+
+def _add_contour_field(blocks, j: int, weights: dict, sums: dict, term: np.ndarray) -> float:
+    """Add the field of `blocks`, at contour node j, into the running sums
+    of every served point through the block buffer `term`; its smallest
+    denominator magnitude."""
+    def take(levels, mu):
         t = term[:mu.shape[0]]
         for z, (value, deriv) in weights.items():
             value_sum, deriv_sum = sums[z]
             value_sum[levels] += np.multiply(mu, value[j], out=t)
             deriv_sum[levels] += np.multiply(mu, deriv[j], out=t)
-    return smallest
+
+    return _each_block(blocks, take)
 
 
 def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
@@ -198,30 +249,38 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
 
 def cr_residual(p: HolomorphyProbe) -> float:
     """Sup over the grid of the discrete d/d(conj zeta) at the center:
-    |(mu(d) - mu(-d))/(2d) + i*(mu(id) - mu(-id))/(2d)| / 2."""
-    d = p.delta
-    mu_p = p.fields[1].values
-    mu_m = p.fields[2].values
-    mu_ip = p.fields[3].values
-    mu_im = p.fields[4].values
-    res = (mu_p - mu_m) / (2 * d) + 1j * (mu_ip - mu_im) / (2 * d)
-    return float(np.max(np.abs(res)) / 2.0)
+    |(mu(d) - mu(-d))/(2d) + i*(mu(id) - mu(-id))/(2d)| / 2, taken block by
+    block as the probe was built."""
+    return p.residual
+
+
+def _hybrid_norm_of_rows(grid: HalfPlaneGrid, periodic: bool, blocks) -> float:
+    """The hybrid norm of the field on `grid` whose rows `blocks` yields as
+    (levels, rows), which `HalfPlaneSums` reads as it would the whole
+    field."""
+    sums = HalfPlaneSums(grid, periodic)
+    for levels, rows in blocks:
+        sums.add(levels, rows)
+    return sums.report().hybrid_norm
 
 
 def cauchy_reconstruct(p: HolomorphyProbe, zeta0: complex,
                        check_resolution: bool = False):
     """Cauchy-integral reconstruction of the field at zeta0 from the
-    contour, compared to the directly computed field in hybrid norm.
-    Returns (reconstructed field, hybrid-norm error)."""
+    contour, compared to the directly computed field in hybrid norm, whose
+    difference is fed to the norm a block of levels at a time.  Returns
+    (reconstructed field, hybrid-norm error)."""
     if abs(zeta0) >= p.epsilon:
         raise DomainError("reconstruction point must satisfy |zeta0| < epsilon")
     recon_vals, _ = p.contour_averages(zeta0)
     direct = p.dilatation_at(zeta0)
     recon = BeltramiField(direct.grid, recon_vals, direct.denom_mag,
                           periodic=direct.periodic)
-    diff = BeltramiField(direct.grid, recon_vals - direct.values,
-                         periodic=direct.periodic)
-    err = hybrid_norm(diff)
+    grid = direct.grid
+    step = max(1, _CHUNK_ENTRIES // grid.nx)
+    blocks = (slice(i, i + step) for i in range(0, grid.ny, step))
+    err = _hybrid_norm_of_rows(grid, direct.periodic, (
+        (levels, recon_vals[levels] - direct.values[levels]) for levels in blocks))
     if check_resolution:
         doubled = build_probe(p.w0, p.w1, p.epsilon, 2 * p.contour_nodes.size,
                               direct.grid, at=(zeta0,))
@@ -252,15 +311,11 @@ def quotient_convergence(p: HolomorphyProbe, zeta0: complex, steps):
         raise DomainError("quotient nodes must stay inside radius epsilon")
     D = contour_derivative(p, zeta0)
     base = p.dilatation_at(zeta0)
-    dists, quot = [], None
-    for s in steps:
-        # one buffer takes each quotient in place; the shifted field is
-        # dropped before the next is built
-        quot = np.subtract(p.dilatation_at(zeta0 + s).values, base.values, out=quot)
-        quot /= s
-        quot -= D
-        dists.append(hybrid_norm(BeltramiField(base.grid, quot, periodic=base.periodic)))
-    dists = np.array(dists)
+    # each quotient is taken block by block from the shifted field's
+    # blocks, which is never collected
+    dists = np.array([_hybrid_norm_of_rows(base.grid, base.periodic, (
+        (levels, (mu - base.values[levels]) / s - D[levels])
+        for levels, mu, _ in p.blocks_at(zeta0 + s))) for s in steps])
     if not np.all(np.isfinite(dists)):
         raise ResolutionError(f"difference quotients at epsilon {p.epsilon:.3e} "
                               f"are not finite: distances {dists}")

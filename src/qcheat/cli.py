@@ -225,11 +225,18 @@ def _atomic_write(path: str, chunks):
     """Write the chunks of `chunks`, bytes or ASCII strings, to `path`
     through a temporary file in the same directory, renamed over `path`
     only once every chunk is written; on any failure the temporary file is
-    removed."""
+    removed, and so is each directory this call created, deepest first,
+    while it is empty."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    created = []
+    parent = directory
+    while not os.path.exists(parent):
+        created.append(parent)
+        parent = os.path.dirname(parent)
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
@@ -239,8 +246,15 @@ def _atomic_write(path: str, chunks):
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        for made in created:
+            try:
+                os.rmdir(made)
+            except FileNotFoundError:  # makedirs stopped short of it
+                continue
+            except OSError:  # not empty: nor are its parents
+                break
         raise
 
 

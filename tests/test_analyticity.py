@@ -15,15 +15,18 @@ def _const_field(grid, value):
                          periodic=True)
 
 
-def _synthetic_probe(grid, fn, epsilon=0.1, n_contour=32, at=(0.0,)):
+def _synthetic_probe(grid, fn, epsilon=0.1, n_contour=32, at=(0.0,), mag=lambda zeta: 1.0):
     """Probe whose fields are fn(zeta) * unit normalized field (hybrid 1),
-    each one block of every level with magnitudes 1, built by the same
+    each in blocks of 8 levels with magnitudes mag(zeta), built by the same
     streaming loop as build_probe."""
     ones = _const_field(grid, 1.0)
     unit = BeltramiField(grid, ones.values / qc.hybrid_norm(ones), periodic=True)
 
     def blocks_at(zeta):
-        yield slice(None), fn(zeta) * unit.values, np.ones((grid.ny, grid.nx))
+        for i in range(0, grid.ny, 8):
+            levels = slice(i, min(i + 8, grid.ny))
+            rows = unit.values[levels]
+            yield levels, fn(zeta) * rows, np.full(rows.shape, mag(zeta))
 
     w = qc.sine(0.1, 1, grid.nx)
     return analyticity._stream_probe(w, w, epsilon, n_contour, at, grid, True, blocks_at)
@@ -80,7 +83,8 @@ def sine_probe():
 
 def test_sine_probe_fields_differ_across_directions(sine_probe):
     _, p = sine_probe
-    assert np.max(np.abs(p.fields[1].values - p.fields[2].values)) > 1e-6
+    plus, minus = (p.dilatation_at(z) for z in p.center_nodes[1:3])
+    assert np.max(np.abs(plus.values - minus.values)) > 1e-6
 
 
 def test_cr_residual_vanishes_second_order(sine_probe):
@@ -143,10 +147,12 @@ def test_probe_serves_only_the_points_it_was_built_for(sine_probe, small_grid):
 
 
 def _probe_peak_bytes(w0, w1, grid, n_contour):
-    """tracemalloc peak of one probe built, reconstructed and tested."""
+    """tracemalloc peak of one probe built, its residual read, reconstructed
+    and tested."""
     tracemalloc.start()
     try:
         p = qc.build_probe(w0, w1, 0.1, n_contour, grid)
+        qc.cr_residual(p)
         qc.cauchy_reconstruct(p, 0.0)
         qc.quotient_convergence(p, 0.0, [0.01, 0.005, 0.0025])
         del p
@@ -167,13 +173,19 @@ def test_probe_memory_does_not_grow_with_contour_nodes(small_grid):
 
 
 def test_reference_probe_holds_no_whole_field_temporaries():
-    # 12 contour nodes on the reference grid: the 5 center fields, the two
-    # running averages and the quotient buffer are live; the whole-field
-    # products, terms and quotients of each field put the peak at 56.2 MiB
+    # 12 contour nodes on the reference grid (2048 x 97), where a field's
+    # values take 3.03 MiB: the field at 0 with its magnitudes (1.5 such
+    # arrays) and the values at +delta and +i*delta (2) peak at 5.7 arrays,
+    # with the plan's rows and the block buffers; the running averages (2)
+    # replace the two buffers before the contour, and the Cauchy error and
+    # the quotients only feed rows to the norm.  The bound leaves 0.8 of an
+    # array for allocator and numpy changes; holding the four off-center
+    # fields whole peaks at 11.9.
     w0, w1 = qc.lift(qc.constant(0.0, 2048)), qc.lift(qc.sine(0.5, 2, 2048))
     grid = qc.HalfPlaneGrid.build()
+    field_bytes = grid.ny * grid.nx * 16
     _probe_peak_bytes(w0, w1, grid, 12)  # first-use allocations
-    assert _probe_peak_bytes(w0, w1, grid, 12) <= 46 * 2 ** 20
+    assert _probe_peak_bytes(w0, w1, grid, 12) <= 6.5 * field_bytes
 
 
 def test_non_finite_quotient_distance_is_a_resolution_error(small_grid):
@@ -220,7 +232,7 @@ def test_real_direction_restriction_is_differentiable(sine_probe):
 
 def test_probe_boundedness_on_nodes(sine_probe):
     _, p = sine_probe
-    norms = [qc.hybrid_norm(f) for f in p.fields]
+    norms = [qc.hybrid_norm(p.dilatation_at(z)) for z in p.center_nodes]
     assert np.all(np.isfinite(norms))
     assert max(norms) < 5.0
 
@@ -287,7 +299,7 @@ def test_integral_type_property_of_hybrid_norm(small_grid, sine_small):
 def test_trivial_probe_has_zero_fields(small_grid):
     w0 = qc.lift(qc.constant(0.0, 256))
     p = qc.build_probe(w0, w0.with_values(np.zeros(256) + 0j), 0.1, 8, small_grid)
-    assert max(f.sup_norm for f in p.fields) <= 1e-12
+    assert max(p.dilatation_at(z).sup_norm for z in p.center_nodes) <= 1e-12
 
 
 def test_cauchy_resolution_check_passes_on_converged_contour(sine_probe):
@@ -342,16 +354,16 @@ def test_probe_fields_equal_independent_beltrami_calls(name):
     # the contour fields, the builder's off-node field and a quotient step
     # share the plan too
     extra = [0.003 + 0.001j, 0.003 + 0.001j + 0.0025]
-    fields = (p.fields + [p.builder(tau) for tau in p.contour_nodes]
+    fields = ([p.dilatation_at(z) for z in p.center_nodes]
+              + [p.builder(tau) for tau in p.contour_nodes]
               + [p.dilatation_at(z) for z in extra])
-    # of the center fields only the one at 0 keeps its magnitudes
-    assert [f.denom_mag is None for f in p.fields] == [False, True, True, True, True]
+    # the probe keeps only the field at 0; every other node is rebuilt
+    assert len(p.fields) == 1 and fields[0] is p.fields[0]
     for zeta, f in zip(list(nodes) + extra, fields):
         direct = qc.beltrami(w0.with_values(w0.values + zeta * w1.values), grid)
         assert np.max(np.abs(f.values - direct.values)) <= 1e-14
-        if f.denom_mag is not None:
-            assert (np.max(np.abs(f.denom_mag - direct.denom_mag))
-                    <= 1e-14 * np.max(direct.denom_mag))
+        assert (np.max(np.abs(f.denom_mag - direct.denom_mag))
+                <= 1e-14 * np.max(direct.denom_mag))
         assert f.periodic == direct.periodic
 
 
@@ -371,3 +383,64 @@ def test_probe_builds_its_multiplier_tables_once(monkeypatch, small_grid):
         qc.build_probe(w0, w1, 0.1, n_contour, small_grid)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# the streamed statistics against their whole-array formulas
+
+def _whole_array_cr_residual(fields, d):
+    """The residual from four whole fields at d, -d, i*d and -i*d."""
+    mu_p, mu_m, mu_ip, mu_im = (f.values for f in fields)
+    res = (mu_p - mu_m) / (2 * d) + 1j * (mu_ip - mu_im) / (2 * d)
+    return float(np.max(np.abs(res)) / 2.0)
+
+
+@pytest.mark.parametrize("name", ["reference", "partial_period", "line"])
+def test_streamed_probe_statistics_equal_the_whole_array_formulas(name):
+    w0, w1, grid = _plan_case(name)
+    p = qc.build_probe(w0, w1, 0.1, 4, grid)
+
+    def direct(zeta):
+        return qc.beltrami(w0.with_values(w0.values + zeta * w1.values), grid)
+
+    assert qc.cr_residual(p) == _whole_array_cr_residual(
+        [direct(z) for z in p.center_nodes[1:]], p.delta)
+    center = direct(0.0)
+    value, deriv = p.contour_averages(0.0)
+    diff = BeltramiField(grid, value - center.values, periodic=center.periodic)
+    assert qc.cauchy_reconstruct(p, 0.0)[1] == qc.hybrid_norm(diff)
+    steps = np.array([0.01, 0.005, 0.0025 + 0.001j])
+    dists = []
+    for s in steps:
+        quot = (direct(s).values - center.values) / s - deriv
+        dists.append(qc.hybrid_norm(BeltramiField(grid, quot, periodic=center.periodic)))
+    mags = np.abs(steps)
+    got, slope = qc.quotient_convergence(p, 0.0, steps)
+    assert np.array_equal(got, dists)
+    assert slope == float(np.dot(mags, dists) / np.dot(mags, mags))
+
+
+def test_halving_on_a_streamed_node_discards_the_first_try(small_grid):
+    # the field at -i*delta, the last one the residual streams, has a
+    # magnitude below SAFE_DENOMINATOR at epsilon 0.1 only
+    def fn(zeta):
+        return zeta.real ** 3  # residual delta^2 / 2: 4 times larger at 0.1
+
+    def mag(zeta):
+        return 1e-7 if abs(zeta + 0.0125j) < 1e-15 else 1.0
+
+    p = _synthetic_probe(small_grid, fn, mag=mag)
+    assert p.epsilon == 0.05
+    ones = _const_field(small_grid, 1.0)
+    unit = ones.values / qc.hybrid_norm(ones)
+    assert qc.cr_residual(p) == _whole_array_cr_residual(
+        [BeltramiField(small_grid, fn(z) * unit) for z in p.center_nodes[1:]], p.delta)
+    assert 0 < qc.cr_residual(p) < qc.cr_residual(_synthetic_probe(small_grid, fn))
+    # a probe built at the halved epsilon to begin with is the same to the bit
+    q = _synthetic_probe(small_grid, fn, epsilon=0.05)
+    assert qc.cr_residual(p) == qc.cr_residual(q)
+    assert len(p.fields) == 1 and np.array_equal(p.fields[0].values, q.fields[0].values)
+    assert np.array_equal(p.center_nodes, q.center_nodes)
+    assert np.array_equal(p.contour_nodes, q.contour_nodes)
+    for a, b in zip(p.contour_averages(0.0), q.contour_averages(0.0)):
+        assert np.array_equal(a, b)

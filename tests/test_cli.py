@@ -118,7 +118,7 @@ def test_extend_failing_in_a_late_block_writes_nothing(tmp_path, capsys, monkeyp
     assert "U is not finite at x = 0.996094, y = 2" in err[0]
     # the earlier blocks were written before the last failed
     assert len(blocks) > 1
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["transfer", "--builtin", "random-trig:8,0.2,2"],
@@ -149,7 +149,7 @@ def test_step_below_the_rounding_floor_writes_nothing(tmp_path, capsys, command)
         "error kind=resolution detail=\"dilatation denominator 0.000e+00 at (x, y) = "
         "(0.155762, 0.000976562) is below the engine's rounding floor 2.613e+01 "
         "(e^w spans too wide a range)\""]
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["beltrami", "carleson", "transfer"])
@@ -174,7 +174,7 @@ def test_dilatation_failing_in_a_late_block_writes_nothing(tmp_path, capsys, mon
     assert "mu is not finite at x = 0.996094, y = 2" in err[0]
     # the earlier blocks were read before the last failed
     assert len(blocks) > 1
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_beltrami_report_that_is_not_finite_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -185,7 +185,7 @@ def test_beltrami_report_that_is_not_finite_writes_nothing(tmp_path, capsys, mon
     out = tmp_path / "o"
     assert run(["beltrami", "--builtin", "sine:0.3,1", "--out", str(out)] + GRID_ARGS) == 3
     assert "error kind=nonfinite" in capsys.readouterr().err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_transfer_on_part_of_a_period_is_a_validation_error(tmp_path, capsys):
@@ -194,7 +194,7 @@ def test_transfer_on_part_of_a_period_is_a_validation_error(tmp_path, capsys):
     assert run(argv + GRID_ARGS) == 2
     err = capsys.readouterr().err
     assert "error kind=validation" in err and "periodic over one unit period" in err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_carleson_report_keys(tmp_path):
@@ -550,7 +550,7 @@ def test_beltrami_overflow_exits_3_as_resolution(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "error kind=resolution" in err and "floating range" in err
-    assert not (tmp_path / "o").exists() or not os.listdir(tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("values_re", [
@@ -560,7 +560,7 @@ def test_beltrami_overflow_exits_3_as_resolution(tmp_path, capsys):
 def test_beltrami_out_of_range_line_datum_writes_nothing(tmp_path, capsys, values_re):
     assert _beltrami_of_line_datum(tmp_path, values_re) == 3
     assert "error kind=resolution" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists() or not os.listdir(tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 def test_step_below_the_rounding_floor_exits_3_as_resolution(tmp_path, capsys):
@@ -570,7 +570,7 @@ def test_step_below_the_rounding_floor_exits_3_as_resolution(tmp_path, capsys):
     assert run(["beltrami", "--builtin", "step:20", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "error kind=resolution" in err and "rounding floor" in err
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +772,7 @@ def test_contract_needs_a_t_value(tmp_path, capsys):
     assert run(["contract", "--builtin", "sine:0.3,1", "--t", ",", "--out", str(out)]
                + GRID_ARGS) == 2
     assert "error kind=validation" in capsys.readouterr().err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,given", [(["beltrami", "--builtin", "sine:0.2", "--n", "-5"], -5),
@@ -799,6 +799,29 @@ def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):
         _atomic_write(str(tmp_path / "f.csv"), chunks())
     assert os.listdir(tmp_path) == ["f.csv"]
     assert (tmp_path / "f.csv").read_text() == "old\n"
+
+
+def test_atomic_write_removes_only_the_empty_directories_it_created(tmp_path):
+    def chunks():
+        yield "x,y,re,im\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(str(tmp_path / "a" / "b" / "f.csv"), chunks())
+    assert os.listdir(tmp_path) == []
+    # a directory that was there before stays, empty or not
+    (tmp_path / "kept").mkdir()
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(str(tmp_path / "kept" / "b" / "f.csv"), chunks())
+    assert os.listdir(tmp_path) == ["kept"] and os.listdir(tmp_path / "kept") == []
+    # a directory that another file now shares is not removed
+    def shared():
+        (tmp_path / "new" / "other.csv").write_text("x\n")
+        yield from chunks()
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(str(tmp_path / "new" / "f.csv"), shared())
+    assert os.listdir(tmp_path / "new") == ["other.csv"]
 
 
 def test_cli_import_loads_no_scipy():
