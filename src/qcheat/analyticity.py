@@ -8,47 +8,64 @@ measures the discrete Cauchy-Riemann residual in zeta, reconstructs interior
 values by the Cauchy integral, and tests difference-quotient convergence to
 the contour-derived derivative, all in the hybrid norm.
 
-Every statistic is a reduction over streamed blocks of levels.  The probe
-keeps the field at 0 whole and, for each point zeta0 it was built for, two
-running contour sums (the Cauchy value and the first derivative), into
-which each contour field is added block by block as the dilatation map
-yields it; so its memory does not grow with the number of contour nodes.
-The four off-center fields fold into the Cauchy-Riemann residual as they
-come, and the Cauchy error and the quotient distances feed their rows to a
-`carleson.HalfPlaneSums`, which reads a field the same to the bit whole or
-in any blocks; no field other than the one at 0 is held after the build.
+A probe walks the blocks of levels once, block-outer (`_walk`).  In each
+block it evaluates every node in turn: 0, delta, -delta, i*delta,
+-i*delta, the contour, then, for each point zeta0 it serves, the field at
+zeta0 (unless it is 0) and the quotient nodes zeta0 + s.  Each node's rows
+fold at once into every statistic: the block maxima of the Cauchy-Riemann
+residual; per point, the block rows of the two contour sums (the Cauchy
+value and the first derivative), added in contour order; and a
+`carleson.HalfPlaneSums` for the Cauchy error and for each quotient
+distance, which reads a field the same to the bit whole or in any blocks.
+So a probe holds no whole field: a node keeps only its weighed spectrum,
+and a statistic a few rows of one block.  The accessors that return whole
+arrays walk again and collect them, only when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .carleson import HalfPlaneSums
 from .data import SampledFunction
-from .errors import DomainError, ProbeFailure, ResolutionError, SingularDenominatorError
+from .errors import (DomainError, ProbeFailure, QcheatError, ResolutionError,
+                     SingularDenominatorError)
 from .extension import (_CHUNK_ENTRIES, BeltramiField, HalfPlaneGrid, _collect,
-                        _dilatation_map)
+                        _datum_blocks, _DilatationMap)
 
 SAFE_DENOMINATOR = 1e-6
+# the walk's probe nodes: 0, +-delta, +-i*delta, then the contour
+_CENTERS = 5
+
+
+class _Family(_DilatationMap):
+    """The dilatation fields of zeta -> w0 + zeta*w1 on `grid`, walked
+    through one dilatation map; `at(zeta)` is the walk's datum of the
+    field at zeta."""
+
+    def __init__(self, w0: SampledFunction, w1: SampledFunction, grid: HalfPlaneGrid):
+        super().__init__(w0, grid)
+        self._w0, self._w1 = w0, w1
+
+    def at(self, zeta: complex):
+        return self.datum(lambda: self._w0.values + zeta * self._w1.values)
 
 
 @dataclass(frozen=True)
 class HolomorphyProbe:
-    """Dilatation fields of the directional family zeta -> w0 + zeta*w1.
+    """What one walk of the directional family zeta -> w0 + zeta*w1 found.
 
-    `fields` holds only the field at 0, with its `denom_mag`; the fields at
-    the other `center_nodes` (delta, -delta, i*delta, -i*delta) were
-    folded, block by block, into `residual`, the discrete Cauchy-Riemann
-    residual that `cr_residual` returns.  The fields on the contour
-    |zeta| = 2*epsilon (`contour_nodes`) are not kept either: for each
-    point zeta0 the probe was built for, `averages[zeta0]` holds the
-    contour averages (1/n) * sum of mu(tau) * tau/(tau - zeta0) (the Cauchy
-    value) and of mu(tau) * tau/(tau - zeta0)**2 (the first derivative),
-    read-only.  `blocks_at(zeta)` streams the blocks of the field at any
-    zeta, as `extension.beltrami_blocks` yields them, and `builder(zeta)`
-    collects them, so every node but 0 is rebuilt on demand.
+    `residual` is the discrete Cauchy-Riemann residual at the center, from
+    the fields at the `center_nodes` 0, delta, -delta, i*delta and
+    -i*delta, and `served` maps each point zeta0 the probe was built for
+    to its `_Served` statistics: the Cauchy error of the contour
+    |zeta| = 2*epsilon (`contour_nodes`) and the quotient distances at the
+    steps it was built with.  No field is kept: `family` walks the
+    fields of any zeta again, through the probe's one dilatation map, for
+    the accessors that return whole arrays.
     """
 
     w0: SampledFunction
@@ -56,10 +73,9 @@ class HolomorphyProbe:
     epsilon: float
     center_nodes: np.ndarray
     contour_nodes: np.ndarray
-    fields: list = field(repr=False)
-    averages: dict = field(repr=False)
     residual: float
-    blocks_at: object = field(repr=False)
+    served: dict = field(repr=False)
+    family: object = field(repr=False)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -69,23 +85,50 @@ class HolomorphyProbe:
     def delta(self) -> float:
         return self.epsilon / 8.0
 
-    def builder(self, zeta: complex) -> BeltramiField:
-        """The field at zeta, collected whole from `blocks_at`."""
-        center = self.fields[0]
-        return _collect(center.grid, center.periodic, self.blocks_at(zeta))[0]
+    @property
+    def fields(self) -> list:
+        """The whole fields the probe keeps: none."""
+        return []
 
     def dilatation_at(self, zeta: complex) -> BeltramiField:
-        if abs(zeta) < 1e-15:
-            return self.fields[0]
-        return self.builder(zeta)
+        """The field at zeta, walked alone and collected whole."""
+        family = self.family
+        return _collect(family.grid, family.periodic, _datum_blocks(family.walk, family.at(zeta)))
 
-    def contour_averages(self, zeta0: complex) -> tuple:
-        """(Cauchy value, derivative) contour averages at zeta0."""
+    def point(self, zeta0: complex) -> "_Served":
+        """The statistics of a served point zeta0."""
         try:
-            return self.averages[complex(zeta0)]
+            return self.served[complex(zeta0)]
         except KeyError:
             raise DomainError(f"probe was not built for zeta0 = {zeta0}; "
-                              f"it serves {list(self.averages)}") from None
+                              f"it serves {list(self.served)}") from None
+
+
+@dataclass(frozen=True)
+class _Served:
+    """What a walk found for one point zeta0: the hybrid-norm Cauchy error,
+    the quotient steps walked (none where a node zeta0 + s would leave the
+    disk) and their distances, and the first error of the point's own
+    nodes, the field at zeta0 (`failure`) and then the quotient nodes in
+    step order (`quotient_failure`); a statistic that a failure leaves
+    unread is None.  Given `keep`, `whole` holds the contour averages of
+    the Cauchy value and the derivative and the field's denominator
+    magnitudes at zeta0, whole."""
+
+    cauchy_error: float | None
+    steps: np.ndarray
+    distances: np.ndarray | None
+    failure: QcheatError | None
+    quotient_failure: QcheatError | None
+    whole: tuple | None = None
+
+
+class _Walk(NamedTuple):
+    centers: np.ndarray
+    contour: np.ndarray
+    bad: complex | None
+    residual: float | None
+    served: dict
 
 
 def _contour(eps: float, n_contour: int, at) -> tuple:
@@ -109,68 +152,168 @@ def _contour(eps: float, n_contour: int, at) -> tuple:
     return contour, weights
 
 
-def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, grid, periodic: bool,
-                  blocks_at) -> HolomorphyProbe:
-    """Build the probe from `blocks_at(zeta)`, the blocks of the field at
-    zeta, halving epsilon (at most 6 times) until every node field has
-    denominator magnitude >= SAFE_DENOMINATOR, checked node by node in the
-    order 0, delta, -delta, i*delta, -i*delta, then the contour.
+class _Point:
+    """The running state of one served point zeta0 in a walk: its contour
+    weights, its own nodes, and the block rows of its contour sums and of
+    its field (`sums`, `base`)."""
 
-    The field at 0 is collected whole, with its magnitudes.  The values at
-    +delta are collected into one buffer, which the blocks at -delta turn
-    in place into (mu(delta) - mu(-delta)) / (2 delta); the values at
-    +i*delta into a second, and each block at -i*delta then gives the
-    maximum of |that + i*(mu(i delta) - mu(-i delta)) / (2 delta)| over its
-    rows, the operands in the order of the whole-array formula, so the
-    residual (half the largest block maximum) is the same to the bit and
-    a NaN propagates.  Both buffers are dropped before the contour, whose
-    running sums are allocated at its first node and take each contour
-    field block by block, in contour order.  A halving discards all of
-    this state."""
-    shape = (grid.ny, grid.nx)
-    term = np.empty((max(1, _CHUNK_ENTRIES // grid.nx), grid.nx), dtype=complex)
+    def __init__(self, zeta0, weights, own, quotient, steps, grid, periodic, shape, keep):
+        self.zeta0, self.weights, self.own, self.quotient, self.steps = (
+            zeta0, weights, own, quotient, steps)
+        self.sums = np.zeros((2,) + shape, dtype=complex)
+        self.base = np.zeros(shape, dtype=complex)
+        self.error = HalfPlaneSums(grid, periodic)
+        self.distances = [HalfPlaneSums(grid, periodic) for _ in steps]
+        self.whole = (np.empty((grid.ny, grid.nx), dtype=complex),
+                      np.empty((grid.ny, grid.nx), dtype=complex),
+                      np.empty((grid.ny, grid.nx))) if keep else None
+
+    def take_field(self, levels, m, mu, mag):
+        self.base[:m] = mu
+        if self.whole:
+            self.whole[2][levels] = mag
+
+    def take_contour(self, j, m, mu, term, n_contour):
+        value_sum, deriv_sum = self.sums[:, :m]
+        value, deriv = self.weights
+        value_sum += np.multiply(mu, value[j], out=term)
+        deriv_sum += np.multiply(mu, deriv[j], out=term)
+        if j == n_contour - 1:
+            self.sums[:, :m] /= n_contour
+
+    def take_quotient(self, j, levels, m, mu):
+        self.distances[j].add(levels, (mu - self.base[:m]) / self.steps[j] - self.sums[1, :m])
+
+    def end_block(self, levels, m):
+        value_avg, deriv_avg = self.sums[:, :m]
+        self.error.add(levels, value_avg - self.base[:m])
+        if self.whole:
+            self.whole[0][levels] = value_avg
+            self.whole[1][levels] = deriv_avg
+        self.sums[:, :m] = 0
+
+    def close(self, data) -> _Served:
+        """Close the point's own nodes in order and read its statistics."""
+        failure = quotient_failure = None
+        if self.own:  # the field at 0 is a probe node, decided with them
+            try:
+                data[self.own].close()
+            except QcheatError as e:
+                failure = e
+        for k in self.quotient if failure is None else ():
+            try:
+                data[k].close()
+            except QcheatError as e:
+                quotient_failure = e
+                break
+        for acc in self.whole or ():
+            acc.flags.writeable = False
+        unread = failure is not None
+        return _Served(
+            None if unread else self.error.report().hybrid_norm, self.steps,
+            None if unread or quotient_failure is not None
+            else np.array([d.report().hybrid_norm for d in self.distances]),
+            failure, quotient_failure, self.whole)
+
+
+def _walk(family, eps: float, n_contour: int, at, steps=(), keep: bool = False) -> _Walk:
+    """The probe at `eps`: one walk of `family` over the blocks of levels.
+
+    The nodes are 0, delta, -delta, i*delta, -i*delta, the contour, then
+    for each point zeta0 of `at` inside radius eps the field at zeta0
+    (unless it is 0) and the nodes zeta0 + s for the quotient `steps`
+    (none if one would leave the disk).  In each block every node's rows
+    fold into the statistics in this order.  The values at delta are
+    copied into one block buffer, which the rows at -delta turn in place
+    into (mu(delta) - mu(-delta)) / (2 delta); the values at i*delta into
+    a second, and the rows at -i*delta then give the block's maximum of
+    |that + i*(mu(i delta) - mu(-i delta)) / (2 delta)|, the operands in
+    the order of the whole-array formula, so the residual (half the
+    largest block maximum) is the same to the bit.  Each point's contour
+    sums start at 0 in each block and take the contour rows in contour
+    order, then are divided by n_contour: the same bits as whole sums.
+
+    After the walk the probe nodes (the center nodes and the contour) are
+    decided in order: `bad` is the first whose checks raise
+    SingularDenominatorError or whose smallest denominator magnitude is
+    below SAFE_DENOMINATOR; any other error of the first failing node is
+    raised.  Only when every probe node passed are the statistics read,
+    and each point's own errors recorded in its `_Served`.  A node whose
+    checks failed feeds no further rows, and every block buffer starts at
+    0, so no reduction reads a value that is not finite."""
+    grid = family.grid
+    delta = eps / 8.0
+    centers = np.array([0.0, delta, -delta, 1j * delta, -1j * delta], dtype=complex)
+    contour, weights = _contour(eps, n_contour, at)
+    steps = np.asarray(steps, dtype=complex)
+    shape = (min(grid.ny, max(1, _CHUNK_ENTRIES // grid.nx)), grid.nx)
+    zetas = list(centers) + list(contour)
+    # node index -> the point whose field it is, or (point, step index)
+    points, field_of, quotient_of = [], {}, {}
+    for zeta0, w in weights.items():
+        own = 0 if abs(zeta0) < 1e-15 else len(zetas)
+        if own:
+            zetas.append(zeta0)
+        walked = steps if np.all(np.abs(zeta0 + steps) < eps) else steps[:0]
+        quotient = range(len(zetas), len(zetas) + walked.size)
+        zetas.extend(zeta0 + walked)
+        pt = _Point(zeta0, w, own, quotient, walked, grid, family.periodic, shape, keep)
+        points.append(pt)
+        field_of[own] = pt
+        quotient_of.update((k, (pt, j)) for j, k in enumerate(quotient))
+    data = [family.at(zeta) for zeta in zetas]
+    smallest = np.full(len(zetas), np.inf)
+    x_quotient, plus_i, term = (np.zeros(shape, dtype=complex) for _ in range(3))
+    maxima = []
+    step = 2 * delta
+    for levels, rows in family.walk(data):
+        m = levels.stop - levels.start
+        for k, got in enumerate(rows):
+            if got is None:
+                continue
+            mu, mag = got
+            smallest[k] = min(smallest[k], float(np.min(mag)))
+            if k in field_of:
+                field_of[k].take_field(levels, m, mu, mag)
+            if k == 1:
+                x_quotient[:m] = mu
+            elif k == 2:
+                np.subtract(x_quotient[:m], mu, out=x_quotient[:m])
+                x_quotient[:m] /= step
+            elif k == 3:
+                plus_i[:m] = mu
+            elif k == 4:
+                maxima.append(np.max(np.abs(x_quotient[:m] + 1j * (plus_i[:m] - mu) / step)))
+            elif _CENTERS <= k < _CENTERS + n_contour:
+                for pt in points:
+                    pt.take_contour(k - _CENTERS, m, mu, term[:m], n_contour)
+            elif k in quotient_of:
+                pt, j = quotient_of[k]
+                pt.take_quotient(j, levels, m, mu)
+        for pt in points:
+            pt.end_block(levels, m)
+    for k in range(_CENTERS + n_contour):
+        try:
+            data[k].close()
+        except SingularDenominatorError:
+            smallest[k] = 0.0  # below any safe magnitude
+        if smallest[k] < SAFE_DENOMINATOR:
+            return _Walk(centers, contour, zetas[k], None, {})
+    return _Walk(centers, contour, None, float(np.max(maxima) / 2.0),
+                 {pt.zeta0: pt.close(data) for pt in points})
+
+
+def _probe(family, w0, w1, epsilon: float, n_contour: int, at, steps) -> HolomorphyProbe:
+    """Walk `family` at epsilon, halving it (at most 6 times) while a probe
+    node is unsafe (`_walk`); a halving discards the whole walk."""
     eps = float(epsilon)
     last_bad = None
     for _ in range(7):
-        delta = eps / 8.0
-        centers = np.array([0.0, delta, -delta, 1j * delta, -1j * delta], dtype=complex)
-        contour, weights = _contour(eps, n_contour, at)
-        # held: the values at +delta, turned into the x quotient, then the
-        # values at +i*delta; maxima: the residual's block maxima
-        held, maxima, sums = [], [], None
-        for k, node in enumerate(np.concatenate([centers, contour])):
-            blocks = blocks_at(node)
-            try:
-                if k == 0:
-                    # cauchy_reconstruct reads the magnitudes at the center
-                    center, smallest = _collect(grid, periodic, blocks)
-                elif k in (1, 3):
-                    f, smallest = _collect(grid, periodic, blocks, magnitudes=False)
-                    held.append(f.values)
-                elif k == 2:
-                    smallest = _each_block(blocks, lambda levels, mu: _x_quotient(
-                        held[0][levels], mu, 2 * delta))
-                elif k == 4:
-                    smallest = _each_block(blocks, lambda levels, mu: maxima.append(
-                        _cr_maximum(held[0][levels], held[1][levels], mu, 2 * delta)))
-                    residual = float(np.max(maxima) / 2.0)
-                    held.clear()
-                else:
-                    if sums is None:
-                        sums = {z: (np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
-                                for z in weights}
-                    smallest = _add_contour_field(blocks, k - centers.size, weights, sums, term)
-            except SingularDenominatorError:
-                smallest = 0.0  # below any safe magnitude
-            if smallest < SAFE_DENOMINATOR:
-                last_bad = node
-                break
-        else:
-            for acc in (a for pair in sums.values() for a in pair):
-                acc /= n_contour
-                acc.flags.writeable = False
-            return HolomorphyProbe(w0, w1, eps, centers, contour, [center], sums, residual,
-                                   blocks_at)
+        walked = _walk(family, eps, n_contour, at, () if steps is None else steps(eps))
+        if walked.bad is None:
+            return HolomorphyProbe(w0, w1, eps, walked.centers, walked.contour,
+                                   walked.residual, walked.served, family)
+        last_bad = walked.bad
         eps /= 2.0
     raise ProbeFailure(
         f"no safe evaluation disk after 6 retries; last singular node zeta = {last_bad}",
@@ -178,56 +321,21 @@ def _stream_probe(w0, w1, epsilon: float, n_contour: int, at, grid, periodic: bo
     )
 
 
-def _each_block(blocks, take) -> float:
-    """Call take(levels, mu rows) on each block of `blocks`; the smallest
-    denominator magnitude."""
-    smallest = np.inf
-    for levels, mu, mag in blocks:
-        smallest = min(smallest, float(np.min(mag)))
-        take(levels, mu)
-    return smallest
-
-
-def _x_quotient(rows: np.ndarray, mu: np.ndarray, step: float):
-    """rows <- (rows - mu) / step, in place."""
-    np.subtract(rows, mu, out=rows)
-    rows /= step
-
-
-def _cr_maximum(x_quotient: np.ndarray, plus_i: np.ndarray, mu: np.ndarray,
-                step: float):
-    """max |x_quotient + i*(plus_i - mu) / step| over the rows, in the
-    operand order of the whole-array residual."""
-    return np.max(np.abs(x_quotient + 1j * (plus_i - mu) / step))
-
-
-def _add_contour_field(blocks, j: int, weights: dict, sums: dict, term: np.ndarray) -> float:
-    """Add the field of `blocks`, at contour node j, into the running sums
-    of every served point through the block buffer `term`; its smallest
-    denominator magnitude."""
-    def take(levels, mu):
-        t = term[:mu.shape[0]]
-        for z, (value, deriv) in weights.items():
-            value_sum, deriv_sum = sums[z]
-            value_sum[levels] += np.multiply(mu, value[j], out=t)
-            deriv_sum[levels] += np.multiply(mu, deriv[j], out=t)
-
-    return _each_block(blocks, take)
-
-
 def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
                 n_contour: int = 64, grid: HalfPlaneGrid | None = None,
-                at=(0.0,)) -> HolomorphyProbe:
+                at=(0.0,), steps=None) -> HolomorphyProbe:
     """Build the probe for the points `at` (each |zeta0| < epsilon) whose
-    contour averages it keeps, shrinking epsilon (at most 6 times) until
-    every node field has denominator magnitude >= 1e-6 everywhere.  Epsilon
+    statistics it keeps, shrinking epsilon (at most 6 times) until every
+    node field has denominator magnitude >= 1e-6 everywhere.  Epsilon
     halves only on a small or vanishing denominator
     (SingularDenominatorError); any other error, a ResolutionError among
     them (a denominator below the engine's rounding floor, say), propagates
     at once.  A point that a halved epsilon no longer covers is dropped.
-    Every field, here and from the probe's builder, comes from one
-    dilatation map of w0's lattice and `grid`, so its plan (and on a
-    folding grid each block's multiplier rows) is built once."""
+    `steps`, if given, maps the probe's epsilon to the quotient steps it
+    walks at each point (`quotient_convergence` reads their distances).
+    Every field, here and from the probe's accessors, comes from one
+    dilatation map of w0's lattice and `grid`, so its plan is built
+    once."""
     if w0.n != w1.n or w0.domain != w1.domain:
         raise DomainError("probe data must share one grid and domain")
     if not (np.isfinite(epsilon) and epsilon > 0):
@@ -239,83 +347,81 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
     _contour(epsilon, n_contour, at)
     if grid is None:
         grid = HalfPlaneGrid.build(nx=max(64, w0.n))
-    periodic, blocks_of = _dilatation_map(w0, grid)
+    return _probe(_Family(w0, w1, grid), w0, w1, epsilon, n_contour, at, steps)
 
-    def blocks_at(zeta: complex):
-        return blocks_of(w0.with_values(w0.values + zeta * w1.values))
 
-    return _stream_probe(w0, w1, epsilon, n_contour, at, grid, periodic, blocks_at)
+def _walk_again(p: HolomorphyProbe, zeta0: complex, steps=(), keep: bool = False) -> _Served:
+    """The point zeta0 from a new walk of the probe at its epsilon."""
+    return _walk(p.family, p.epsilon, p.contour_nodes.size, (zeta0,), steps, keep).served[
+        complex(zeta0)]
 
 
 def cr_residual(p: HolomorphyProbe) -> float:
     """Sup over the grid of the discrete d/d(conj zeta) at the center:
     |(mu(d) - mu(-d))/(2d) + i*(mu(id) - mu(-id))/(2d)| / 2, taken block by
-    block as the probe was built."""
+    block as the probe was walked."""
     return p.residual
 
 
-def _hybrid_norm_of_rows(grid: HalfPlaneGrid, periodic: bool, blocks) -> float:
-    """The hybrid norm of the field on `grid` whose rows `blocks` yields as
-    (levels, rows), which `HalfPlaneSums` reads as it would the whole
-    field."""
-    sums = HalfPlaneSums(grid, periodic)
-    for levels, rows in blocks:
-        sums.add(levels, rows)
-    return sums.report().hybrid_norm
-
-
-def cauchy_reconstruct(p: HolomorphyProbe, zeta0: complex,
-                       check_resolution: bool = False):
-    """Cauchy-integral reconstruction of the field at zeta0 from the
-    contour, compared to the directly computed field in hybrid norm, whose
-    difference is fed to the norm a block of levels at a time.  Returns
-    (reconstructed field, hybrid-norm error)."""
+def cauchy_error(p: HolomorphyProbe, zeta0: complex, check_resolution: bool = False) -> float:
+    """Hybrid-norm distance between the Cauchy-integral reconstruction of
+    the field at zeta0 from the contour and the field itself, as the walk
+    found it.  With `check_resolution`, a probe with twice the contour
+    nodes must not give a larger error, or ResolutionError is raised."""
     if abs(zeta0) >= p.epsilon:
         raise DomainError("reconstruction point must satisfy |zeta0| < epsilon")
-    recon_vals, _ = p.contour_averages(zeta0)
-    direct = p.dilatation_at(zeta0)
-    recon = BeltramiField(direct.grid, recon_vals, direct.denom_mag,
-                          periodic=direct.periodic)
-    grid = direct.grid
-    step = max(1, _CHUNK_ENTRIES // grid.nx)
-    blocks = (slice(i, i + step) for i in range(0, grid.ny, step))
-    err = _hybrid_norm_of_rows(grid, direct.periodic, (
-        (levels, recon_vals[levels] - direct.values[levels]) for levels in blocks))
+    served = p.point(zeta0)
+    if served.failure is not None:
+        raise served.failure
+    err = served.cauchy_error
     if check_resolution:
         doubled = build_probe(p.w0, p.w1, p.epsilon, 2 * p.contour_nodes.size,
-                              direct.grid, at=(zeta0,))
-        _, err2 = cauchy_reconstruct(doubled, zeta0)
+                              p.family.grid, at=(zeta0,))
+        err2 = cauchy_error(doubled, zeta0)
         if err2 > err and err > 1e-14:
             raise ResolutionError(
                 f"contour too coarse: error {err:.3e} does not decrease "
                 f"when doubled ({err2:.3e})"
             )
-    return recon, err
+    return err
+
+
+def cauchy_reconstruct(p: HolomorphyProbe, zeta0: complex,
+                       check_resolution: bool = False):
+    """Cauchy-integral reconstruction of the field at zeta0 from the
+    contour, with its `cauchy_error`.  Returns (reconstructed field,
+    hybrid-norm error); the field, with the magnitudes of the field at
+    zeta0, is collected from a new walk."""
+    err = cauchy_error(p, zeta0, check_resolution)
+    value, _, denom_mag = _walk_again(p, zeta0, keep=True).whole
+    return BeltramiField(p.family.grid, value, denom_mag, periodic=p.family.periodic), err
 
 
 def contour_derivative(p: HolomorphyProbe, zeta0: complex) -> np.ndarray:
     """d(mu)/d(zeta) at zeta0 from the contour (Cauchy integral for the
-    first derivative), read-only."""
+    first derivative), collected from a new walk, read-only."""
     if abs(zeta0) >= p.epsilon:
         raise DomainError("derivative point must satisfy |zeta0| < epsilon")
-    return p.contour_averages(zeta0)[1]
+    p.point(zeta0)
+    return _walk_again(p, zeta0, keep=True).whole[1]
 
 
 def quotient_convergence(p: HolomorphyProbe, zeta0: complex, steps):
     """Hybrid-norm distances between difference quotients at zeta0 and the
     contour-derived derivative, with the fitted linear slope in |step|.
-    Returns (distances, slope); a distance that is not finite raises
+    Steps the probe was not built with take a new walk.  Returns
+    (distances, slope); a distance that is not finite raises
     ResolutionError."""
     steps = np.asarray(steps, dtype=complex)
     if np.any(np.abs(zeta0 + steps) >= p.epsilon) or abs(zeta0) >= p.epsilon:
         raise DomainError("quotient nodes must stay inside radius epsilon")
-    D = contour_derivative(p, zeta0)
-    base = p.dilatation_at(zeta0)
-    # each quotient is taken block by block from the shifted field's
-    # blocks, which is never collected
-    dists = np.array([_hybrid_norm_of_rows(base.grid, base.periodic, (
-        (levels, (mu - base.values[levels]) / s - D[levels])
-        for levels, mu, _ in p.blocks_at(zeta0 + s))) for s in steps])
+    served = p.point(zeta0)
+    if not np.array_equal(served.steps, steps):
+        served = _walk_again(p, zeta0, steps)
+    for failure in (served.failure, served.quotient_failure):
+        if failure is not None:
+            raise failure
+    dists = served.distances
     if not np.all(np.isfinite(dists)):
         raise ResolutionError(f"difference quotients at epsilon {p.epsilon:.3e} "
                               f"are not finite: distances {dists}")

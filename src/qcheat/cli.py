@@ -9,7 +9,8 @@ window of half-width 8y at the grid's lowest level must hold 32 lattice
 nodes, on line data one; a grid that leaves fewer is a resolution error.
 Exit codes:
 0 success, 2 validation error, 3 numerical failure, each with one
-machine-parsable line on stderr.
+machine-parsable line on stderr.  BLAS runs on one thread unless
+OPENBLAS_NUM_THREADS is set.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ import sys
 import tempfile
 from types import SimpleNamespace
 
-import numpy as np
+# one BLAS thread unless the user chose a count: the CLI's BLAS calls are a
+# few small products, and an idle OpenBLAS worker thread only costs start-up
+# time.  OpenBLAS reads the variable when numpy loads, so it is set before;
+# `import qcheat` loads no numpy, which lets `python -m qcheat.cli` get here
+# first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import analyticity, carleson, data, extension, funcspace, transfer
 from .data import Domain, SampledFunction
@@ -590,16 +598,20 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
+def _quotient_steps(eps: float) -> list:
+    return [eps / 10, eps / 20, eps / 40]
+
+
 def cmd_probe(args) -> int:
     w1 = _lifted(load_datum(args))
     w0 = _lifted(load_datum_file(args.w0_input) if args.w0_input
                  else parse_builtin(args.w0 or "const:0", args.n, args.seed))
+    # one walk of the blocks gives every statistic: no whole field is built
     probe = analyticity.build_probe(w0, w1, args.eps, args.contour_nodes,
-                                    _grid_from(args), at=(0.0,))
+                                    _grid_from(args), at=(0.0,), steps=_quotient_steps)
     cr = analyticity.cr_residual(probe)
-    _, cauchy_err = analyticity.cauchy_reconstruct(probe, 0.0)
-    steps = [probe.epsilon / 10, probe.epsilon / 20, probe.epsilon / 40]
-    _, slope = analyticity.quotient_convergence(probe, 0.0, steps)
+    cauchy_err = analyticity.cauchy_error(probe, 0.0)
+    _, slope = analyticity.quotient_convergence(probe, 0.0, _quotient_steps(probe.epsilon))
     report = {
         "cr_residual": cr,
         "cauchy_error": cauchy_err,

@@ -32,12 +32,14 @@ and each level is computed alone, so the block size changes no bit.
 Both fields have one block protocol.  `extend_blocks` streams the
 extension field block by block, which is how the CLI writes it without
 holding a whole field, and `extend` fills its arrays from the same
-blocks.  `beltrami_blocks` streams the dilatation field the same way,
-from a dilatation map (`_dilatation_map`, one per probe) that keeps each
-block's ALPHA and BETA rows and writes every block into the same
-block-sized buffers; the field's checks are running state, decided
-after the last block.  `beltrami`, the holomorphy probe and the CLI's
-`beltrami`, `carleson` and `transfer` all consume these blocks.
+blocks.  A dilatation map (`_DilatationMap`, one per probe) walks the
+dilatation fields of any number of data the same way, block-outer: it
+builds each block's ALPHA and BETA rows when the walk reaches the block,
+and writes every datum's rows into the same block-sized buffers; each
+field's checks are running state, decided after the last block.
+`beltrami_blocks` is its walk of one datum, which `beltrami` and the
+CLI's `beltrami`, `carleson` and `transfer` consume; the holomorphy
+probe walks all of its nodes at once.
 
 For circle data gamma splits into a linear part (integrated in closed form)
 plus a periodic part p0 obtained by spectral antiderivative; the vertical
@@ -698,19 +700,21 @@ def extend(w: SampledFunction, grid: HalfPlaneGrid) -> ExtensionField:
 
 
 def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
-    """The map u -> factor, for real data u on the lattice of w0:
-    factor(levels) turns |e^(w - mean w) * beta_y| on a slice of levels
-    into the recorded magnitude, u = Re w, as one value or (rows, nx).
-    Line data record |e^w * beta_y|: the factor is e^(mean u) on every
-    level.  Circle data record |e^(w - w_I) * beta_y|, I(x, y) = (x - y,
-    x + y): the factor is e^(mean u - mean of u over I) on the levels
-    whose window is shorter than the period, read from one prefix sum
-    (`funcspace._prefix_sums`) of three periods of u, and exactly 1 on
-    every other level and on every level of a grid whose x nodes are not
-    the lattice nodes."""
+    """The map values -> factor, for a function `values()` that gives the
+    samples of a datum w on the lattice of w0: factor(levels) turns
+    |e^(w - mean w) * beta_y| on a slice of levels into the recorded
+    magnitude, u = Re w, as one value or (rows, nx).  Line data record
+    |e^w * beta_y|: the factor is e^(mean u) on every level.  Circle data
+    record |e^(w - w_I) * beta_y|, I(x, y) = (x - y, x + y): the factor is
+    e^(mean u - mean of u over I) on the levels whose window is shorter
+    than the period, read from a prefix sum (`funcspace._prefix_sums`) of
+    three periods of u, and exactly 1 on every other level and on every
+    level of a grid whose x nodes are not the lattice nodes.  The prefix
+    sum is built again from `values()` on each call that reads it (about
+    3n adds), so a datum keeps no copy of its samples."""
     if not w0.periodic:
-        def line(u: np.ndarray):
-            scale = np.exp(float(np.mean(u)))
+        def line(values):
+            scale = np.exp(float(np.mean(values().real)))
             return lambda levels: scale
         return line
     n = w0.n
@@ -724,17 +728,17 @@ def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
         half_widths = [int(m) for m in np.floor(grid.y_levels / h) if 2 * m + 1 < n]
     shift = int(round(offset)) % n
 
-    def circle(u: np.ndarray):
+    def circle(values):
         if not half_widths:
             return lambda levels: 1.0
-        mean = float(np.mean(u))
-        # grid node i is lattice node i + shift, read in the middle period
-        pref = _prefix_sums(np.roll(u, -shift), 3)
+        mean = float(np.mean(values().real))
 
         def factor(levels: slice):
             ms = half_widths[levels]
             if not ms:
                 return 1.0
+            # grid node i is lattice node i + shift, read in the middle period
+            pref = _prefix_sums(np.roll(values().real, -shift), 3)
             rows = np.ones((levels.stop - levels.start, n))
             for row, m in zip(rows, ms):
                 np.subtract(pref[n + m + 1:2 * n + m + 1], pref[n - m:2 * n - m], out=row)
@@ -808,50 +812,99 @@ class _DilatationChecks:
                 raise self.not_finite[name]
 
 
-def _dilatation_map(w0: SampledFunction, grid: HalfPlaneGrid):
-    """(periodic, blocks_of): whether dilatation fields on `grid` of data
-    on the lattice of w0 are periodic, and the map w -> the blocks of the
-    dilatation field of w, as `beltrami_blocks` yields them.
+@dataclass
+class _Datum:
+    """One datum's share of a dilatation walk (`_DilatationMap.datum`):
+    its weighed spectrum, the magnitude factor of its Re w, the rounding
+    floor of its denominator and its running checks."""
 
-    Every datum shares what the grid fixes, built here: one plan and, per
-    block of levels, its ALPHA and BETA `entries`, and the windows of the
-    local means of Re w.  Each datum then costs its own FFT and, block by
-    block, the products with the multipliers and the inverse transforms,
-    written in place into three block buffers that every block and datum
-    shares: the numerator into the rows of mu, which the quotient then
-    takes over, the denominator, and its magnitude into the rows of
-    denom_mag.  So the rows a block yields are overwritten by the next
-    block, of this datum or another: read them, or copy them, first.
+    weighed: np.ndarray
+    factor: object
+    floor: float
+    checks: _DilatationChecks
+
+    def close(self):
+        """Raise what the checks found over the blocks walked."""
+        self.checks.close(self.factor, self.floor)
+
+
+class _DilatationMap:
+    """The dilatation fields on `grid` of data on the lattice of w0, walked
+    block by block.
+
+    Every datum shares what the grid fixes, built here: one plan, the
+    windows of the local means of Re w, and three block buffers.  A datum
+    costs its own FFT (`datum`), and a walk (`walk`) builds each block's
+    ALPHA and BETA `entries` when it reaches the block and drops them
+    after it; for every datum it takes the products with them and the
+    inverse transforms, written in place into the block buffers: the
+    numerator into the rows of mu, which the quotient then takes over, the
+    denominator, and its magnitude into the rows of denom_mag.  So the
+    rows the walk gives are overwritten by the next datum's or block's:
+    read them, or copy them, first.  `periodic` is the fields'
+    `BeltramiField.periodic`.
     """
-    plan = _SpectralPlan(w0, grid)
-    entries = [(block, plan.entries(block, ALPHA, BETA)) for block in plan.blocks()]
-    shape = (max(block[0].stop - block[0].start for block, _ in entries), grid.nx)
-    num, den, mag = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape)
-    magnitude_factor = _magnitude_factor(w0, grid)
 
-    def blocks_of(w: SampledFunction):
-        checks = _DilatationChecks(grid)
-        # e^w out of floating range shows as a non-finite field; the state
-        # is set per step: it must not reach the consumer
+    def __init__(self, w0: SampledFunction, grid: HalfPlaneGrid):
+        self.plan = _SpectralPlan(w0, grid)
+        self.grid = grid
+        self.periodic = w0.periodic and grid.spans_period(w0.domain.length)
+        self._lattice = w0
+        shape = (max(levels.stop - levels.start for levels, _, _ in self.plan.blocks()), grid.nx)
+        self._num, self._den = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        self._mag = np.empty(shape)
+        self._magnitude_factor = _magnitude_factor(w0, grid)
+
+    def datum(self, values) -> _Datum:
+        """The share of a walk of the datum whose samples on the lattice of
+        w0 `values()` gives (samples that are not finite raise
+        DomainError).  `values` is called again by each block whose
+        magnitude factor reads Re w, so the datum keeps only its weighed
+        spectrum."""
+        # samples out of floating range raise DomainError, and e^w out of it
+        # shows as a non-finite field; the state is set per step: it must
+        # not reach the consumer
         with np.errstate(all="ignore"):
+            w = self._lattice.with_values(values())
             _, ew = _recentered(w)
-            weighed = plan.weigh(np.fft.fft(ew))
-            factor = magnitude_factor(w.values.real)
+            weighed = self.plan.weigh(np.fft.fft(ew))
+            factor = self._magnitude_factor(values)
             floor = FFT_ROUNDING_FLOOR * float(np.mean(np.abs(ew)))
-        for block, (alpha, beta) in entries:
-            levels = block[0]
-            rows = levels.stop - levels.start
-            with np.errstate(all="ignore"):
-                mu = plan.apply_block(block, alpha, weighed, num[:rows])
-                den_rows = plan.apply_block(block, beta, weighed, den[:rows])
-                np.divide(mu, den_rows, out=mu)
-                denom_mag = np.abs(den_rows, out=mag[:rows])
-                denom_mag *= factor(levels)
-            if checks.add(levels, mu, denom_mag):
-                yield levels, mu, denom_mag
-        checks.close(factor, floor)
+        return _Datum(weighed, factor, floor, _DilatationChecks(self.grid))
 
-    return w0.periodic and grid.spans_period(w0.domain.length), blocks_of
+    def walk(self, data):
+        """The fields of `data` (each from `datum`), block by block: for
+        each block of levels, ascending, (levels, rows), where `rows`
+        yields for each datum in turn its (mu rows, denom_mag rows) on the
+        block, each (rows, nx) and finite, or None once the datum's checks
+        have failed in this block or an earlier one.  Such a datum's later
+        blocks are still computed and checked, so its checks keep the
+        precedence they have on whole arrays; `_Datum.close` raises what
+        they found.  Read each datum's rows before asking for the next."""
+        plan = self.plan
+        for block in plan.blocks():
+            alpha, beta = plan.entries(block, ALPHA, BETA)
+            yield block[0], (self._rows(block, alpha, beta, d) for d in data)
+
+    def _rows(self, block, alpha, beta, d: _Datum):
+        levels = block[0]
+        rows = levels.stop - levels.start
+        with np.errstate(all="ignore"):
+            mu = self.plan.apply_block(block, alpha, d.weighed, self._num[:rows])
+            den = self.plan.apply_block(block, beta, d.weighed, self._den[:rows])
+            np.divide(mu, den, out=mu)
+            denom_mag = np.abs(den, out=self._mag[:rows])
+            denom_mag *= d.factor(levels)
+        return (mu, denom_mag) if d.checks.add(levels, mu, denom_mag) else None
+
+
+def _datum_blocks(walk, d: _Datum):
+    """The blocks of one datum's field, walked alone, as `beltrami_blocks`
+    yields them; its checks raise after the last block."""
+    for levels, (rows,) in walk([d]):
+        if rows is not None:
+            yield (levels, *rows)
+    d.close()
 
 
 def beltrami_blocks(w: SampledFunction, grid: HalfPlaneGrid):
@@ -864,23 +917,20 @@ def beltrami_blocks(w: SampledFunction, grid: HalfPlaneGrid):
     copies them, as `beltrami` does.  The plan is built, and w and the
     grid checked, before this returns; the checks of `beltrami` run over
     every block and raise after the last, so a block that is not finite
-    is not yielded, and no block after it."""
-    periodic, blocks_of = _dilatation_map(w, grid)
-    return periodic, blocks_of(w)
+    is not yielded, and no block after it.  It is the one-datum walk of a
+    `_DilatationMap`."""
+    dmap = _DilatationMap(w, grid)
+    return dmap.periodic, _datum_blocks(dmap.walk, dmap.datum(lambda: w.values))
 
 
-def _collect(grid: HalfPlaneGrid, periodic: bool, blocks, magnitudes: bool = True):
-    """(field, its smallest denominator magnitude) from the `blocks` of a
-    dilatation field; the field keeps its magnitudes given `magnitudes`."""
+def _collect(grid: HalfPlaneGrid, periodic: bool, blocks) -> BeltramiField:
+    """The field whose `blocks` a dilatation walk yields, collected whole."""
     values = np.empty((grid.ny, grid.nx), dtype=complex)
-    denom_mag = np.empty((grid.ny, grid.nx)) if magnitudes else None
-    smallest = np.inf
+    denom_mag = np.empty((grid.ny, grid.nx))
     for levels, mu, mag in blocks:
         values[levels] = mu
-        if magnitudes:
-            denom_mag[levels] = mag
-        smallest = min(smallest, float(np.min(mag)))
-    return BeltramiField(grid, values, denom_mag, periodic=periodic), smallest
+        denom_mag[levels] = mag
+    return BeltramiField(grid, values, denom_mag, periodic=periodic)
 
 
 def beltrami(w: SampledFunction, grid: HalfPlaneGrid) -> BeltramiField:
@@ -899,7 +949,7 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid) -> BeltramiField:
     raised.  A mu or magnitude that is not finite raises ResolutionError.
     """
     periodic, blocks = beltrami_blocks(w, grid)
-    return _collect(grid, periodic, blocks)[0]
+    return _collect(grid, periodic, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,21 +16,39 @@ def _const_field(grid, value):
                          periodic=True)
 
 
-def _synthetic_probe(grid, fn, epsilon=0.1, n_contour=32, at=(0.0,), mag=lambda zeta: 1.0):
-    """Probe whose fields are fn(zeta) * unit normalized field (hybrid 1),
-    each in blocks of 8 levels with magnitudes mag(zeta), built by the same
-    streaming loop as build_probe."""
-    ones = _const_field(grid, 1.0)
-    unit = BeltramiField(grid, ones.values / qc.hybrid_norm(ones), periodic=True)
+class _SyntheticFamily:
+    """Fields fn(zeta) * a unit normalized field (hybrid 1), walked block
+    by block (8 levels) as a dilatation map walks its data, with
+    magnitudes mag(zeta); the datum at zeta raises failure(zeta), unless
+    None, when it is closed."""
 
-    def blocks_at(zeta):
-        for i in range(0, grid.ny, 8):
-            levels = slice(i, min(i + 8, grid.ny))
-            rows = unit.values[levels]
-            yield levels, fn(zeta) * rows, np.full(rows.shape, mag(zeta))
+    def __init__(self, grid, fn, mag, failure):
+        ones = _const_field(grid, 1.0)
+        self.unit = ones.values / qc.hybrid_norm(ones)
+        self.grid, self.periodic = grid, True
+        self.fn, self.mag, self.failure = fn, mag, failure
 
+    def at(self, zeta):
+        def close():
+            if self.failure(zeta) is not None:
+                raise self.failure(zeta)
+        return SimpleNamespace(zeta=zeta, close=close)
+
+    def walk(self, data):
+        for i in range(0, self.grid.ny, 8):
+            levels = slice(i, min(i + 8, self.grid.ny))
+            rows = self.unit[levels]
+            yield levels, ((self.fn(d.zeta) * rows, np.full(rows.shape, self.mag(d.zeta)))
+                           for d in data)
+
+
+def _synthetic_probe(grid, fn, epsilon=0.1, n_contour=32, at=(0.0,), mag=lambda zeta: 1.0,
+                     steps=None, failure=lambda zeta: None):
+    """Probe of a `_SyntheticFamily`, built by the same walk and halving
+    loop as build_probe."""
     w = qc.sine(0.1, 1, grid.nx)
-    return analyticity._stream_probe(w, w, epsilon, n_contour, at, grid, True, blocks_at)
+    family = _SyntheticFamily(grid, fn, mag, failure)
+    return analyticity._probe(family, w, w, epsilon, n_contour, at, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -114,23 +133,20 @@ def test_contour_average_accumulates_like_the_plain_sum(sine_probe):
     # plain sum over freshly built contour fields
     _, p = sine_probe
     taus = p.contour_nodes
-    contour_fields = [p.builder(tau) for tau in taus]
+    contour_fields = [p.dilatation_at(tau) for tau in taus]
     for zeta0 in SINE_PROBE_POINTS:
-        value = np.zeros_like(p.fields[0].values)
+        value = np.zeros_like(contour_fields[0].values)
         deriv = np.zeros_like(value)
         for tau, f in zip(taus, contour_fields):
             value = value + f.values * (tau / (tau - zeta0))
             deriv = deriv + f.values * (tau / (tau - zeta0) ** 2)
-        got_value, got_deriv = p.contour_averages(zeta0)
-        assert np.array_equal(got_value, value / taus.size)
-        assert np.array_equal(got_deriv, deriv / taus.size)
         assert np.array_equal(qc.contour_derivative(p, zeta0), deriv / taus.size)
         assert np.array_equal(qc.cauchy_reconstruct(p, zeta0)[0].values, value / taus.size)
 
 
 def test_probe_serves_only_the_points_it_was_built_for(sine_probe, small_grid):
     _, p = sine_probe
-    assert set(p.averages) == {complex(z) for z in SINE_PROBE_POINTS}
+    assert set(p.served) == {complex(z) for z in SINE_PROBE_POINTS}
     with pytest.raises(qc.DomainError, match="not built for"):
         qc.cauchy_reconstruct(p, 0.001)
     with pytest.raises(qc.DomainError, match="not built for"):
@@ -141,20 +157,23 @@ def test_probe_serves_only_the_points_it_was_built_for(sine_probe, small_grid):
     w = qc.lift(qc.sine(0.3, 1, 256))
     with pytest.raises(qc.DomainError, match="epsilon"):
         qc.build_probe(w, w, 0.1, 8, small_grid, at=(0.1,))
-    # the stored averages are read-only
+    # the collected averages are read-only
     with pytest.raises(ValueError):
         qc.contour_derivative(p, 0.0)[0, 0] = 0
 
 
 def _probe_peak_bytes(w0, w1, grid, n_contour):
-    """tracemalloc peak of one probe built, its residual read, reconstructed
-    and tested."""
+    """tracemalloc peak of the CLI's probe: one probe built with the
+    quotient steps, its residual, Cauchy error and quotient slope read."""
+    def steps(eps):
+        return [eps / 10, eps / 20, eps / 40]
+
     tracemalloc.start()
     try:
-        p = qc.build_probe(w0, w1, 0.1, n_contour, grid)
+        p = qc.build_probe(w0, w1, 0.1, n_contour, grid, steps=steps)
         qc.cr_residual(p)
-        qc.cauchy_reconstruct(p, 0.0)
-        qc.quotient_convergence(p, 0.0, [0.01, 0.005, 0.0025])
+        qc.cauchy_error(p, 0.0)
+        qc.quotient_convergence(p, 0.0, steps(p.epsilon))
         del p
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -162,8 +181,8 @@ def _probe_peak_bytes(w0, w1, grid, n_contour):
 
 
 def test_probe_memory_does_not_grow_with_contour_nodes(small_grid):
-    # the contour is streamed: 64 nodes may peak at most one field (mu and
-    # denom_mag) above 8 nodes
+    # a node keeps only its weighed spectrum: 64 nodes may peak at most one
+    # field (mu and denom_mag) above 8 nodes
     w0, w1 = qc.lift(qc.sine(0.3, 1, 256)), qc.lift(qc.sine(1.0, 1, 256))
     _probe_peak_bytes(w0, w1, small_grid, 8)  # first-use allocations
     peak8 = _probe_peak_bytes(w0, w1, small_grid, 8)
@@ -173,19 +192,19 @@ def test_probe_memory_does_not_grow_with_contour_nodes(small_grid):
 
 
 def test_reference_probe_holds_no_whole_field_temporaries():
-    # 12 contour nodes on the reference grid (2048 x 97), where a field's
-    # values take 3.03 MiB: the field at 0 with its magnitudes (1.5 such
-    # arrays) and the values at +delta and +i*delta (2) peak at 5.7 arrays,
-    # with the plan's rows and the block buffers; the running averages (2)
-    # replace the two buffers before the contour, and the Cauchy error and
-    # the quotients only feed rows to the norm.  The bound leaves 0.8 of an
-    # array for allocator and numpy changes; holding the four off-center
-    # fields whole peaks at 11.9.
+    # the reference grid (2048 x 97), where a field's values take 3.03 MiB:
+    # the walk holds no whole field, only each node's weighed spectrum
+    # (32 KiB), block rows and the half-plane sums of the Cauchy error and
+    # the three quotients.  It peaks at 3.6 such arrays at 12 nodes and 4.2
+    # at 64; walking the nodes one whole field after another peaked at
+    # 5.67.  The bounds leave about 0.4 of an array for allocator and numpy
+    # changes.
     w0, w1 = qc.lift(qc.constant(0.0, 2048)), qc.lift(qc.sine(0.5, 2, 2048))
     grid = qc.HalfPlaneGrid.build()
     field_bytes = grid.ny * grid.nx * 16
     _probe_peak_bytes(w0, w1, grid, 12)  # first-use allocations
-    assert _probe_peak_bytes(w0, w1, grid, 12) <= 6.5 * field_bytes
+    for n_contour, bound in ((12, 4.0), (64, 4.6)):
+        assert _probe_peak_bytes(w0, w1, grid, n_contour) <= bound * field_bytes
 
 
 def test_non_finite_quotient_distance_is_a_resolution_error(small_grid):
@@ -316,7 +335,7 @@ def test_cauchy_resolution_check_rebuilds_on_the_probe_grid(monkeypatch):
 
     def spy(*args, **kwargs):
         probe = build(*args, **kwargs)
-        seen.append((probe.fields[0].grid, probe.contour_nodes.size, list(probe.averages)))
+        seen.append((probe.family.grid, probe.contour_nodes.size, list(probe.served)))
         return probe
 
     p = qc.build_probe(w0, qc.lift(qc.sine(0.5, 1, 256)), 0.05, 8, grid, at=(0.0, 0.001))
@@ -351,14 +370,12 @@ def test_probe_fields_equal_independent_beltrami_calls(name):
     w0, w1, grid = _plan_case(name)
     p = qc.build_probe(w0, w1, 0.1, 4, grid)
     nodes = np.concatenate([p.center_nodes, p.contour_nodes])
-    # the contour fields, the builder's off-node field and a quotient step
-    # share the plan too
+    # the contour fields, an off-node field and a quotient step share the
+    # plan too
     extra = [0.003 + 0.001j, 0.003 + 0.001j + 0.0025]
-    fields = ([p.dilatation_at(z) for z in p.center_nodes]
-              + [p.builder(tau) for tau in p.contour_nodes]
-              + [p.dilatation_at(z) for z in extra])
-    # the probe keeps only the field at 0; every other node is rebuilt
-    assert len(p.fields) == 1 and fields[0] is p.fields[0]
+    fields = [p.dilatation_at(z) for z in list(p.center_nodes) + list(p.contour_nodes) + extra]
+    # the probe keeps no field; every node is walked again
+    assert p.fields == []
     for zeta, f in zip(list(nodes) + extra, fields):
         direct = qc.beltrami(w0.with_values(w0.values + zeta * w1.values), grid)
         assert np.max(np.abs(f.values - direct.values)) <= 1e-14
@@ -397,8 +414,11 @@ def _whole_array_cr_residual(fields, d):
 
 @pytest.mark.parametrize("name", ["reference", "partial_period", "line"])
 def test_streamed_probe_statistics_equal_the_whole_array_formulas(name):
+    # every statistic of the one walk against whole fields built apart,
+    # each formula as the probe evaluated it before it walked block-outer
     w0, w1, grid = _plan_case(name)
-    p = qc.build_probe(w0, w1, 0.1, 4, grid)
+    steps = np.array([0.01, 0.005, 0.0025 + 0.001j])
+    p = qc.build_probe(w0, w1, 0.1, 4, grid, steps=lambda eps: steps)
 
     def direct(zeta):
         return qc.beltrami(w0.with_values(w0.values + zeta * w1.values), grid)
@@ -406,18 +426,61 @@ def test_streamed_probe_statistics_equal_the_whole_array_formulas(name):
     assert qc.cr_residual(p) == _whole_array_cr_residual(
         [direct(z) for z in p.center_nodes[1:]], p.delta)
     center = direct(0.0)
-    value, deriv = p.contour_averages(0.0)
+    fields = [direct(tau) for tau in p.contour_nodes]
+    value = np.zeros_like(center.values)
+    deriv = np.zeros_like(value)
+    for tau, f in zip(p.contour_nodes, fields):
+        value += f.values * (tau / (tau - 0.0))
+        deriv += f.values * (tau / (tau - 0.0) ** 2)
+    value /= p.contour_nodes.size
+    deriv /= p.contour_nodes.size
     diff = BeltramiField(grid, value - center.values, periodic=center.periodic)
-    assert qc.cauchy_reconstruct(p, 0.0)[1] == qc.hybrid_norm(diff)
-    steps = np.array([0.01, 0.005, 0.0025 + 0.001j])
+    assert qc.cauchy_error(p, 0.0) == qc.hybrid_norm(diff)
     dists = []
     for s in steps:
         quot = (direct(s).values - center.values) / s - deriv
         dists.append(qc.hybrid_norm(BeltramiField(grid, quot, periodic=center.periodic)))
     mags = np.abs(steps)
+    assert np.array_equal(p.point(0.0).distances, dists)
     got, slope = qc.quotient_convergence(p, 0.0, steps)
     assert np.array_equal(got, dists)
     assert slope == float(np.dot(mags, dists) / np.dot(mags, mags))
+    # the accessors that return whole arrays collect them from a new walk
+    assert np.array_equal(qc.contour_derivative(p, 0.0), deriv)
+    recon, err = qc.cauchy_reconstruct(p, 0.0)
+    assert np.array_equal(recon.values, value)
+    assert np.array_equal(recon.denom_mag, center.denom_mag)
+    assert err == qc.cauchy_error(p, 0.0)
+
+
+def test_singular_quotient_node_surfaces_only_in_quotient_convergence(small_grid):
+    # every probe node is safe, so a quotient node's error neither halves
+    # epsilon nor hides the other statistics: quotient_convergence raises
+    # the error of the first failing node in step order
+    def steps(eps):
+        return [eps / 10, eps / 20, eps / 40]
+
+    second, third = (complex(s) for s in steps(0.1)[1:])
+    errors = {second: qc.SingularDenominatorError("at the second step", magnitude=0.0),
+              third: qc.ResolutionError("at the third step")}
+
+    def fn(zeta):
+        return zeta * zeta
+
+    p = _synthetic_probe(small_grid, fn, steps=steps, failure=lambda z: errors.get(complex(z)))
+    q = _synthetic_probe(small_grid, fn, steps=steps)
+    assert p.epsilon == q.epsilon == 0.1
+    assert qc.cr_residual(p) == qc.cr_residual(q)
+    assert qc.cauchy_error(p, 0.0) == qc.cauchy_error(q, 0.0)
+    with pytest.raises(qc.SingularDenominatorError, match="second step"):
+        qc.quotient_convergence(p, 0.0, steps(p.epsilon))
+    assert np.all(np.isfinite(qc.quotient_convergence(q, 0.0, steps(q.epsilon))[0]))
+    # with the second step safe, the third one's error surfaces
+    errors.pop(second)
+    with pytest.raises(qc.ResolutionError, match="third step"):
+        qc.quotient_convergence(
+            _synthetic_probe(small_grid, fn, steps=steps, failure=lambda z: errors.get(complex(z))),
+            0.0, steps(0.1))
 
 
 def test_halving_on_a_streamed_node_discards_the_first_try(small_grid):
@@ -439,8 +502,10 @@ def test_halving_on_a_streamed_node_discards_the_first_try(small_grid):
     # a probe built at the halved epsilon to begin with is the same to the bit
     q = _synthetic_probe(small_grid, fn, epsilon=0.05)
     assert qc.cr_residual(p) == qc.cr_residual(q)
-    assert len(p.fields) == 1 and np.array_equal(p.fields[0].values, q.fields[0].values)
+    assert np.array_equal(p.dilatation_at(0.0).values, q.dilatation_at(0.0).values)
     assert np.array_equal(p.center_nodes, q.center_nodes)
     assert np.array_equal(p.contour_nodes, q.contour_nodes)
-    for a, b in zip(p.contour_averages(0.0), q.contour_averages(0.0)):
-        assert np.array_equal(a, b)
+    assert qc.cauchy_error(p, 0.0) == qc.cauchy_error(q, 0.0)
+    assert np.array_equal(qc.cauchy_reconstruct(p, 0.0)[0].values,
+                          qc.cauchy_reconstruct(q, 0.0)[0].values)
+    assert np.array_equal(qc.contour_derivative(p, 0.0), qc.contour_derivative(q, 0.0))

@@ -432,11 +432,7 @@ def test_loading_a_datum_file_imports_no_jsonschema(tmp_path):
         "w = load_datum_file(sys.argv[1])\n"
         "print(w.n, sorted(m for m in sys.modules if m.partition('.')[0] == 'jsonschema'))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.split() == ["16", "[]"]
+    assert _fresh_python(code, str(path)).split() == ["16", "[]"]
 
 
 @pytest.mark.parametrize("bad", [float("inf"), 10 ** 400])
@@ -633,14 +629,25 @@ def test_probe_report_is_pinned_to_its_bits(tmp_path, args, pins):
                                     "--eps=nan", "--eps=-0.1", "--eps=0", "--eps=1e-300"])
 def test_probe_rejects_bad_arguments_before_any_field(tmp_path, monkeypatch, capsys, option):
     built = []
-    real = analyticity._dilatation_map
-    monkeypatch.setattr(analyticity, "_dilatation_map",
+    real = analyticity._Family
+    monkeypatch.setattr(analyticity, "_Family",
                         lambda *a: built.append(a) or real(*a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(PROBE_ARGS + [option, "--out", str(tmp_path / "o")]) == 2
     assert "error kind=validation" in capsys.readouterr().err
     assert built == []
+
+
+def test_probe_direction_out_of_floating_range_is_a_validation_error(tmp_path, capsys):
+    # w0 + zeta*w1 overflows at the first node off the center: one error
+    # line, and no RuntimeWarning from computing the samples
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["probe", "--builtin", "sine:1e300,1", "--eps", "1e10", "--contour-nodes", "4",
+                    "--out", str(tmp_path / "o")] + GRID_ARGS) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error kind=validation detail='values must be finite'"]
 
 
 def test_transfer_computes_the_bmo_norm_once(tmp_path, monkeypatch):
@@ -824,34 +831,76 @@ def test_atomic_write_removes_only_the_empty_directories_it_created(tmp_path):
     assert os.listdir(tmp_path / "new") == ["other.csv"]
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_python(code, *args, env=(), cwd=None):
+    """The stdout of `code`, with `args`, in a fresh interpreter that imports
+    the package from this checkout, in the directory `cwd`; `env` sets
+    environment variables, a value of None unsets one."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    environ = dict(os.environ, PYTHONPATH=src)
+    for name, value in dict(env).items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    res = subprocess.run([sys.executable, "-c", code, *args], env=environ, cwd=cwd,
+                         capture_output=True, text=True, check=True)
+    return res.stdout.strip()
+
+
+FRESH_IMPORTS = {
     # no route of the package loads a scipy module: the CLI import and a field
-    code = (
-        "import sys\n"
-        "import qcheat.cli\n"
-        "import qcheat as qc\n"
-        "qc.beltrami(qc.sine(0.3, 1, 256), qc.HalfPlaneGrid.build(nx=64, y_min=0.01, y_max=0.5))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert res.stdout.strip() == "[]"
-
-
-def test_cli_import_loads_no_fractions_or_decimal():
+    "no-scipy": ("import sys, qcheat.cli, qcheat as qc\n"
+                 "qc.beltrami(qc.sine(0.3, 1, 256), "
+                 "qc.HalfPlaneGrid.build(nx=64, y_min=0.01, y_max=0.5))\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))", {}, "[]"),
     # the formatter's tables are built from ints and numpy on first use
-    code = (
-        "import sys\n"
-        "import qcheat.cli\n"
-        "print(sorted(m for m in sys.modules if m.lstrip('_') in ('fractions', 'decimal', 'pydecimal')))\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert res.stdout.strip() == "[]"
+    "no-fractions-or-decimal": (
+        "import sys, qcheat.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.lstrip('_') in ('fractions', 'decimal', 'pydecimal')))", {}, "[]"),
+    # the multipliers evaluate their polynomials inline
+    "no-numpy-polynomial": (
+        "import sys, qcheat.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))", {}, "[]"),
+    # the public names load with their modules, on first access
+    "package-without-numpy": (
+        "import sys, qcheat\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))", {}, "[]"),
+    "every-public-name": (
+        "import qcheat\n"
+        "print([n for n in qcheat.__all__ if n not in dir(qcheat)],\n"
+        "      all(getattr(qcheat, n) is not None for n in qcheat.__all__))", {}, "[] True"),
+    # the CLI runs BLAS on one thread unless the user chose a count
+    "blas-one-thread": ("import os, qcheat.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+                        {"OPENBLAS_NUM_THREADS": None}, "1"),
+    "blas-threads-chosen": ("import os, qcheat.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+                            {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+}
+
+
+@pytest.mark.parametrize("case", list(FRESH_IMPORTS))
+def test_fresh_interpreter_import(case):
+    code, env, want = FRESH_IMPORTS[case]
+    assert _fresh_python(code, env=env) == want
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # BLAS serves only the Carleson quadratures (carleson, transfer) and the
+    # probe's quotient slope; each side runs in its own directory with the
+    # same --out, which the reports echo
+    jobs = ["carleson", "transfer", "probe --contour-nodes 8"]
+    code = ("import sys\nfrom qcheat.cli import run\n"
+            "for job in sys.argv[1:]:\n"
+            "    assert run(job.split() + ['--builtin', 'random-trig:8,0.5,3', '--out', 'o']) == 0")
+    outputs = []
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        _fresh_python(code, *jobs, env={"OPENBLAS_NUM_THREADS": threads}, cwd=work)
+        outputs.append({path.relative_to(work): path.read_bytes()
+                        for path in sorted(work.rglob("*")) if path.is_file()})
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
 
 
 def _imported_top_level_names(path):
@@ -903,18 +952,3 @@ def test_pyproject_declares_only_numpy():
     with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert [re.split(r"[<>=!~ \[;]", d)[0] for d in deps] == ["numpy"]
-
-
-def test_cli_import_loads_no_numpy_polynomial():
-    # the multipliers evaluate their polynomials inline, so the CLI import
-    # loads no numpy.polynomial module
-    code = (
-        "import sys\n"
-        "import qcheat.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert res.stdout.strip() == "[]"

@@ -797,8 +797,8 @@ def test_beltrami_collects_the_blocks_it_streams(name):
 
 
 def test_beltrami_fills_its_field_block_by_block_in_place():
-    # mu and denom_mag take 4.5 MiB and each block's banded ALPHA/BETA rows
-    # 2.1 MiB; block-sized temporaries add the rest
+    # mu and denom_mag take 4.5 MiB; one block's banded ALPHA/BETA rows and
+    # block-sized temporaries add the rest (7.2 MiB in all)
     w, grid = qc.lift(qc.random_trig(8, 0.2, 1, 2048)), qc.HalfPlaneGrid.build()
     qc.beltrami(w, grid)  # first-use allocations
     tracemalloc.start()
