@@ -8,24 +8,25 @@ measures the discrete Cauchy-Riemann residual in zeta, reconstructs interior
 values by the Cauchy integral, and tests difference-quotient convergence to
 the contour-derived derivative, all in the hybrid norm.
 
-A probe walks the blocks of levels once, block-outer (`_walk`).  In each
-block it evaluates every node in turn: 0, delta, -delta, i*delta,
--i*delta, the contour, then, for each point zeta0 it serves, the field at
-zeta0 (unless it is 0) and the quotient nodes zeta0 + s.  Each node's rows
-fold at once into every statistic: the block maxima of the Cauchy-Riemann
-residual; per point, the block rows of the two contour sums (the Cauchy
-value and the first derivative), added in contour order; and a
-`carleson.HalfPlaneSums` for the Cauchy error and for each quotient
-distance, which reads a field the same to the bit whole or in any blocks.
-So a probe holds no whole field: a node keeps only its weighed spectrum,
-and a statistic a few rows of one block.  The accessors that return whole
-arrays walk again and collect them, only when called.
+A probe walks the blocks of levels once (`_walk`), through the one walk of
+the spectral plan that also builds the extension field.  In each block it
+evaluates every node in turn: 0, delta, -delta, i*delta, -i*delta, the
+contour, then, for each point zeta0 it serves, the field at zeta0 (unless
+it is 0) and the quotient nodes zeta0 + s.  Each node's rows go at once to
+the readers it carries: the residual's (`_Residual`) fold the block maxima
+of the Cauchy-Riemann residual; a point's (`_Point`) fold the block rows of
+the two contour sums (the Cauchy value and the first derivative), added in
+contour order, and a `carleson.HalfPlaneSums` for the Cauchy error and for
+each quotient distance, which reads a field the same to the bit whole or in
+any blocks.  So a probe holds no whole field: a node keeps only its weighed
+spectrum, and a statistic a few rows of one block.  The accessors that
+return whole arrays walk again and collect them, only when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import partial
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from .extension import (_CHUNK_ENTRIES, BeltramiField, HalfPlaneGrid, _collect,
                         _datum_blocks, _DilatationMap)
 
 SAFE_DENOMINATOR = 1e-6
-# the walk's probe nodes: 0, +-delta, +-i*delta, then the contour
-_CENTERS = 5
 
 
 class _Family(_DilatationMap):
@@ -61,7 +60,7 @@ class HolomorphyProbe:
     `residual` is the discrete Cauchy-Riemann residual at the center, from
     the fields at the `center_nodes` 0, delta, -delta, i*delta and
     -i*delta, and `served` maps each point zeta0 the probe was built for
-    to its `_Served` statistics: the Cauchy error of the contour
+    to its closed `_Point`: the Cauchy error of the contour
     |zeta| = 2*epsilon (`contour_nodes`) and the quotient distances at the
     steps it was built with.  No field is kept: `family` walks the
     fields of any zeta again, through the probe's one dilatation map, for
@@ -95,7 +94,7 @@ class HolomorphyProbe:
         family = self.family
         return _collect(family.grid, family.periodic, _datum_blocks(family.walk, family.at(zeta)))
 
-    def point(self, zeta0: complex) -> "_Served":
+    def point(self, zeta0: complex) -> "_Point":
         """The statistics of a served point zeta0."""
         try:
             return self.served[complex(zeta0)]
@@ -104,39 +103,19 @@ class HolomorphyProbe:
                               f"it serves {list(self.served)}") from None
 
 
-@dataclass(frozen=True)
-class _Served:
-    """What a walk found for one point zeta0: the hybrid-norm Cauchy error,
-    the quotient steps walked (none where a node zeta0 + s would leave the
-    disk) and their distances, and the first error of the point's own
-    nodes, the field at zeta0 (`failure`) and then the quotient nodes in
-    step order (`quotient_failure`); a statistic that a failure leaves
-    unread is None.  Given `keep`, `whole` holds the contour averages of
-    the Cauchy value and the derivative and the field's denominator
-    magnitudes at zeta0, whole."""
-
-    cauchy_error: float | None
-    steps: np.ndarray
-    distances: np.ndarray | None
-    failure: QcheatError | None
-    quotient_failure: QcheatError | None
-    whole: tuple | None = None
+def _nodes(eps: float, n_contour: int) -> tuple:
+    """The probe nodes at eps: the center nodes 0, delta, -delta, i*delta
+    and -i*delta, and the contour |tau| = 2*eps."""
+    delta = eps / 8.0
+    return (np.array([0.0, delta, -delta, 1j * delta, -1j * delta], dtype=complex),
+            2 * eps * np.exp(2j * np.pi * np.arange(n_contour) / n_contour))
 
 
-class _Walk(NamedTuple):
-    centers: np.ndarray
-    contour: np.ndarray
-    bad: complex | None
-    residual: float | None
-    served: dict
-
-
-def _contour(eps: float, n_contour: int, at) -> tuple:
-    """The contour |tau| = 2*eps and, for each point of `at` inside radius
-    eps, the weights tau/(tau - zeta0) and tau/(tau - zeta0)**2 per node.
-    A weight that is not finite and nonzero (an epsilon too small for the
-    contour arithmetic, say) raises DomainError."""
-    contour = 2 * eps * np.exp(2j * np.pi * np.arange(n_contour) / n_contour)
+def _weights(eps: float, contour: np.ndarray, at) -> dict:
+    """For each point of `at` inside radius eps, the weights tau/(tau -
+    zeta0) and tau/(tau - zeta0)**2 per contour node.  A weight that is not
+    finite and nonzero (an epsilon too small for the contour arithmetic,
+    say) raises DomainError."""
     weights = {}
     for zeta0 in at:
         if abs(zeta0) >= eps:
@@ -149,171 +128,186 @@ def _contour(eps: float, n_contour: int, at) -> tuple:
             raise DomainError(f"epsilon {eps:.3e} is too small for the contour arithmetic "
                               f"at zeta0 = {zeta0}: a contour weight is 0 or not finite")
         weights[complex(zeta0)] = (value, deriv)
-    return contour, weights
+    return weights
+
+
+class _Residual:
+    """The readers of the discrete Cauchy-Riemann residual at the center.
+    The rows at delta are copied into one block buffer, which the rows at
+    -delta turn in place into (mu(delta) - mu(-delta)) / (2 delta); the
+    rows at i*delta into a second, and the rows at -i*delta then give the
+    block's maximum of |that + i*(mu(i delta) - mu(-i delta)) / (2 delta)|,
+    the operands in the order of the whole-array formula, so the residual
+    (half the largest block maximum) is the same to the bit."""
+
+    def __init__(self, delta: float, shape):
+        self.step, self.maxima = 2 * delta, []
+        self.x_quotient, self.plus_i = np.zeros((2,) + shape, dtype=complex)
+
+    def readers(self):
+        return [self._plus, self._minus, self._plus_i, self._minus_i]
+
+    def _plus(self, levels, mu, mag):
+        self.x_quotient[:len(mu)] = mu
+
+    def _minus(self, levels, mu, mag):
+        q = self.x_quotient[:len(mu)]
+        np.subtract(q, mu, out=q)
+        q /= self.step
+
+    def _plus_i(self, levels, mu, mag):
+        self.plus_i[:len(mu)] = mu
+
+    def _minus_i(self, levels, mu, mag):
+        q, plus_i = self.x_quotient[:len(mu)], self.plus_i[:len(mu)]
+        self.maxima.append(np.max(np.abs(q + 1j * (plus_i - mu) / self.step)))
 
 
 class _Point:
-    """The running state of one served point zeta0 in a walk: its contour
-    weights, its own nodes, and the block rows of its contour sums and of
-    its field (`sums`, `base`)."""
+    """One served point zeta0 of a walk.  Its readers fold block rows: the
+    field at zeta0 (`field`) into a block buffer, the contour rows
+    (`contour`) into the block rows of the two contour sums, and the Cauchy
+    error (`end_block`) and each quotient distance (`quotient`) into a
+    `carleson.HalfPlaneSums`.
+    `term` is a block buffer the points of a walk share.  After `close` it
+    holds what the walk found: the `cauchy_error`, the quotient `steps`
+    walked (none where a node zeta0 + s would leave the disk) and their
+    `distances`, and the first error of the field at zeta0 (`failure`) and
+    then of the quotient nodes in step order (`quotient_failure`); a
+    statistic that a failure leaves unread is None.  With `keep`, `whole`
+    collects the contour averages of the Cauchy value and the derivative
+    and the denominator magnitudes at zeta0, whole."""
 
-    def __init__(self, zeta0, weights, own, quotient, steps, grid, periodic, shape, keep):
-        self.zeta0, self.weights, self.own, self.quotient, self.steps = (
-            zeta0, weights, own, quotient, steps)
-        self.sums = np.zeros((2,) + shape, dtype=complex)
-        self.base = np.zeros(shape, dtype=complex)
-        self.error = HalfPlaneSums(grid, periodic)
-        self.distances = [HalfPlaneSums(grid, periodic) for _ in steps]
-        self.whole = (np.empty((grid.ny, grid.nx), dtype=complex),
-                      np.empty((grid.ny, grid.nx), dtype=complex),
-                      np.empty((grid.ny, grid.nx))) if keep else None
+    def __init__(self, zeta0, weights, steps, grid, periodic, term, keep):
+        self.zeta0, self.steps, self._weights, self._term = zeta0, steps, weights, term
+        # the field at 0 is a probe node, decided with them
+        self.own_field = abs(zeta0) >= 1e-15
+        self._sums = np.zeros((2,) + term.shape, dtype=complex)
+        self._base = np.zeros(term.shape, dtype=complex)
+        self._error = HalfPlaneSums(grid, periodic)
+        self._quotients = [HalfPlaneSums(grid, periodic) for _ in steps]
+        self.whole = tuple(np.empty((grid.ny, grid.nx), dtype=t)
+                           for t in (complex, complex, float)) if keep else None
 
-    def take_field(self, levels, m, mu, mag):
-        self.base[:m] = mu
+    def field(self, levels, mu, mag):
+        self._base[:len(mu)] = mu
         if self.whole:
             self.whole[2][levels] = mag
 
-    def take_contour(self, j, m, mu, term, n_contour):
-        value_sum, deriv_sum = self.sums[:, :m]
-        value, deriv = self.weights
-        value_sum += np.multiply(mu, value[j], out=term)
-        deriv_sum += np.multiply(mu, deriv[j], out=term)
-        if j == n_contour - 1:
-            self.sums[:, :m] /= n_contour
+    def contour(self, j, levels, mu, mag):
+        m, (value, deriv) = len(mu), self._weights
+        value_sum, deriv_sum = self._sums[:, :m]
+        value_sum += np.multiply(mu, value[j], out=self._term[:m])
+        deriv_sum += np.multiply(mu, deriv[j], out=self._term[:m])
+        if j == value.size - 1:
+            self._sums[:, :m] /= value.size
 
-    def take_quotient(self, j, levels, m, mu):
-        self.distances[j].add(levels, (mu - self.base[:m]) / self.steps[j] - self.sums[1, :m])
+    def quotient(self, j, levels, mu, mag):
+        m = len(mu)
+        self._quotients[j].add(levels, (mu - self._base[:m]) / self.steps[j] - self._sums[1, :m])
 
-    def end_block(self, levels, m):
-        value_avg, deriv_avg = self.sums[:, :m]
-        self.error.add(levels, value_avg - self.base[:m])
+    def end_block(self, levels):
+        m = levels.stop - levels.start
+        value_avg, deriv_avg = self._sums[:, :m]
+        self._error.add(levels, value_avg - self._base[:m])
         if self.whole:
             self.whole[0][levels] = value_avg
             self.whole[1][levels] = deriv_avg
-        self.sums[:, :m] = 0
+        self._sums[:, :m] = 0
 
-    def close(self, data) -> _Served:
-        """Close the point's own nodes in order and read its statistics."""
-        failure = quotient_failure = None
-        if self.own:  # the field at 0 is a probe node, decided with them
+    def close(self, own):
+        """Decide the point's own nodes, `own` in node order: the field at
+        zeta0 unless it is a probe node (`own_field`), then the quotient
+        nodes in step order; read its statistics and drop its running
+        state."""
+        self.failure = self.quotient_failure = None
+        for i, d in enumerate(own):  # up to the first error
             try:
-                data[self.own].close()
+                d.close()
             except QcheatError as e:
-                failure = e
-        for k in self.quotient if failure is None else ():
-            try:
-                data[k].close()
-            except QcheatError as e:
-                quotient_failure = e
+                if i == 0 and self.own_field:
+                    self.failure = e
+                else:
+                    self.quotient_failure = e
                 break
         for acc in self.whole or ():
             acc.flags.writeable = False
-        unread = failure is not None
-        return _Served(
-            None if unread else self.error.report().hybrid_norm, self.steps,
-            None if unread or quotient_failure is not None
-            else np.array([d.report().hybrid_norm for d in self.distances]),
-            failure, quotient_failure, self.whole)
+        unread = self.failure is not None
+        self.cauchy_error = None if unread else self._error.report().hybrid_norm
+        self.distances = (None if unread or self.quotient_failure is not None
+                          else np.array([q.report().hybrid_norm for q in self._quotients]))
+        del self._sums, self._base, self._term, self._error, self._quotients
 
 
-def _walk(family, eps: float, n_contour: int, at, steps=(), keep: bool = False) -> _Walk:
+def _walk(family, eps: float, n_contour: int, at, steps=(), keep: bool = False):
     """The probe at `eps`: one walk of `family` over the blocks of levels.
 
     The nodes are 0, delta, -delta, i*delta, -i*delta, the contour, then
     for each point zeta0 of `at` inside radius eps the field at zeta0
     (unless it is 0) and the nodes zeta0 + s for the quotient `steps`
-    (none if one would leave the disk).  In each block every node's rows
-    fold into the statistics in this order.  The values at delta are
-    copied into one block buffer, which the rows at -delta turn in place
-    into (mu(delta) - mu(-delta)) / (2 delta); the values at i*delta into
-    a second, and the rows at -i*delta then give the block's maximum of
-    |that + i*(mu(i delta) - mu(-i delta)) / (2 delta)|, the operands in
-    the order of the whole-array formula, so the residual (half the
-    largest block maximum) is the same to the bit.  Each point's contour
-    sums start at 0 in each block and take the contour rows in contour
-    order, then are divided by n_contour: the same bits as whole sums.
-
-    After the walk the probe nodes (the center nodes and the contour) are
-    decided in order: `bad` is the first whose checks raise
+    (none if one would leave the disk).  In each block every node's rows go
+    to its readers in node order, then each point ends the block: a
+    point's contour sums take the contour rows in contour order and are
+    divided by n_contour, the same bits as whole sums.  Then the probe
+    nodes are decided in order: the first whose checks raise
     SingularDenominatorError or whose smallest denominator magnitude is
-    below SAFE_DENOMINATOR; any other error of the first failing node is
-    raised.  Only when every probe node passed are the statistics read,
-    and each point's own errors recorded in its `_Served`.  A node whose
+    below SAFE_DENOMINATOR is returned as (bad node, None, {}); any other
+    error of the first failing node is raised.  Only then is each point
+    closed, and (None, residual, {zeta0: point}) returned.  A node whose
     checks failed feeds no further rows, and every block buffer starts at
     0, so no reduction reads a value that is not finite."""
     grid = family.grid
-    delta = eps / 8.0
-    centers = np.array([0.0, delta, -delta, 1j * delta, -1j * delta], dtype=complex)
-    contour, weights = _contour(eps, n_contour, at)
+    centers, contour = _nodes(eps, n_contour)
+    weights = _weights(eps, contour, at)
     steps = np.asarray(steps, dtype=complex)
-    shape = (min(grid.ny, max(1, _CHUNK_ENTRIES // grid.nx)), grid.nx)
-    zetas = list(centers) + list(contour)
-    # node index -> the point whose field it is, or (point, step index)
-    points, field_of, quotient_of = [], {}, {}
+    term = np.zeros((min(grid.ny, max(1, _CHUNK_ENTRIES // grid.nx)), grid.nx), dtype=complex)
+    residual = _Residual(eps / 8.0, term.shape)
+    # (zeta, readers, the point that decides it, or None for a probe node)
+    nodes = [(zeta, [], None) for zeta in np.concatenate([centers, contour])]
+    for (_, readers, _), read in zip(nodes[1:], residual.readers()):
+        readers.append(read)
+    on_contour = [readers for _, readers, _ in nodes[centers.size:]]
+    points = []
     for zeta0, w in weights.items():
-        own = 0 if abs(zeta0) < 1e-15 else len(zetas)
-        if own:
-            zetas.append(zeta0)
         walked = steps if np.all(np.abs(zeta0 + steps) < eps) else steps[:0]
-        quotient = range(len(zetas), len(zetas) + walked.size)
-        zetas.extend(zeta0 + walked)
-        pt = _Point(zeta0, w, own, quotient, walked, grid, family.periodic, shape, keep)
+        pt = _Point(zeta0, w, walked, grid, family.periodic, term, keep)
+        for j, readers in enumerate(on_contour):
+            readers.append(partial(pt.contour, j))
+        if pt.own_field:
+            nodes.append((zeta0, [pt.field], pt))
+        else:
+            nodes[0][1].append(pt.field)
+        nodes.extend((zeta0 + s, [partial(pt.quotient, j)], pt) for j, s in enumerate(walked))
         points.append(pt)
-        field_of[own] = pt
-        quotient_of.update((k, (pt, j)) for j, k in enumerate(quotient))
-    data = [family.at(zeta) for zeta in zetas]
-    smallest = np.full(len(zetas), np.inf)
-    x_quotient, plus_i, term = (np.zeros(shape, dtype=complex) for _ in range(3))
-    maxima = []
-    step = 2 * delta
+    data = [family.at(zeta) for zeta, _, _ in nodes]
     for levels, rows in family.walk(data):
-        m = levels.stop - levels.start
-        for k, got in enumerate(rows):
-            if got is None:
-                continue
-            mu, mag = got
-            smallest[k] = min(smallest[k], float(np.min(mag)))
-            if k in field_of:
-                field_of[k].take_field(levels, m, mu, mag)
-            if k == 1:
-                x_quotient[:m] = mu
-            elif k == 2:
-                np.subtract(x_quotient[:m], mu, out=x_quotient[:m])
-                x_quotient[:m] /= step
-            elif k == 3:
-                plus_i[:m] = mu
-            elif k == 4:
-                maxima.append(np.max(np.abs(x_quotient[:m] + 1j * (plus_i[:m] - mu) / step)))
-            elif _CENTERS <= k < _CENTERS + n_contour:
-                for pt in points:
-                    pt.take_contour(k - _CENTERS, m, mu, term[:m], n_contour)
-            elif k in quotient_of:
-                pt, j = quotient_of[k]
-                pt.take_quotient(j, levels, m, mu)
+        for (_, readers, _), got in zip(nodes, rows):
+            for read in readers if got is not None else ():
+                read(levels, *got)
         for pt in points:
-            pt.end_block(levels, m)
-    for k in range(_CENTERS + n_contour):
-        try:
-            data[k].close()
-        except SingularDenominatorError:
-            smallest[k] = 0.0  # below any safe magnitude
-        if smallest[k] < SAFE_DENOMINATOR:
-            return _Walk(centers, contour, zetas[k], None, {})
-    return _Walk(centers, contour, None, float(np.max(maxima) / 2.0),
-                 {pt.zeta0: pt.close(data) for pt in points})
+            pt.end_block(levels)
+    for (zeta, _, point), d in zip(nodes, data):
+        if point is None:
+            try:
+                d.close()
+            except SingularDenominatorError:
+                return zeta, None, {}
+            if d.smallest < SAFE_DENOMINATOR:
+                return zeta, None, {}
+    for pt in points:
+        pt.close([d for (_, _, point), d in zip(nodes, data) if point is pt])
+    return None, float(np.max(residual.maxima) / 2.0), {pt.zeta0: pt for pt in points}
 
 
 def _probe(family, w0, w1, epsilon: float, n_contour: int, at, steps) -> HolomorphyProbe:
     """Walk `family` at epsilon, halving it (at most 6 times) while a probe
     node is unsafe (`_walk`); a halving discards the whole walk."""
     eps = float(epsilon)
-    last_bad = None
     for _ in range(7):
-        walked = _walk(family, eps, n_contour, at, () if steps is None else steps(eps))
-        if walked.bad is None:
-            return HolomorphyProbe(w0, w1, eps, walked.centers, walked.contour,
-                                   walked.residual, walked.served, family)
-        last_bad = walked.bad
+        last_bad, residual, served = _walk(family, eps, n_contour, at,
+                                           () if steps is None else steps(eps))
+        if last_bad is None:
+            return HolomorphyProbe(w0, w1, eps, *_nodes(eps, n_contour), residual, served, family)
         eps /= 2.0
     raise ProbeFailure(
         f"no safe evaluation disk after 6 retries; last singular node zeta = {last_bad}",
@@ -344,15 +338,15 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
         raise DomainError(f"probe needs n_contour >= 1, got {n_contour}")
     if not all(abs(zeta0) < epsilon for zeta0 in at):
         raise DomainError(f"probe points {list(at)} must satisfy |zeta0| < epsilon")
-    _contour(epsilon, n_contour, at)
+    _weights(epsilon, _nodes(epsilon, n_contour)[1], at)
     if grid is None:
         grid = HalfPlaneGrid.build(nx=max(64, w0.n))
     return _probe(_Family(w0, w1, grid), w0, w1, epsilon, n_contour, at, steps)
 
 
-def _walk_again(p: HolomorphyProbe, zeta0: complex, steps=(), keep: bool = False) -> _Served:
+def _walk_again(p: HolomorphyProbe, zeta0: complex, steps=(), keep: bool = False) -> _Point:
     """The point zeta0 from a new walk of the probe at its epsilon."""
-    return _walk(p.family, p.epsilon, p.contour_nodes.size, (zeta0,), steps, keep).served[
+    return _walk(p.family, p.epsilon, p.contour_nodes.size, (zeta0,), steps, keep)[2][
         complex(zeta0)]
 
 

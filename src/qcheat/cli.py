@@ -633,17 +633,16 @@ def cmd_contract(args) -> int:
     if not ts:
         raise DomainError("--t needs at least one value")
     ident = transfer.identity_homeo(datum.n)
-    dists = []
-    for t in ts:
-        homeo = transfer.contraction(datum, t)
-        dists.append(homeo.sup_distance(ident))
+    # every t is computed before any file is written
+    homeos = [transfer.contraction(datum, t) for t in ts]
+    for t, homeo in zip(ts, homeos):
         # a name that reads back as t, so two values never share a file
         name = f"{t:g}" if float(f"{t:g}") == t else repr(t)
         cells = _cell_words(np.column_stack([homeo.x, homeo.g]), ",\n")
         _atomic_write(os.path.join(args.out, f"contract_t{name}.csv"), [b"x,g\n", _joined(cells)])
     report = {
         "t": ts,
-        "sup_distance_to_identity": dists,
+        "sup_distance_to_identity": [homeo.sup_distance(ident) for homeo in homeos],
         "config": _config_echo(args),
     }
     write_report(os.path.join(args.out, "contract.json"), report)

@@ -22,24 +22,20 @@ over the lattice frequencies l and their aliases l + j n, |j| <= J, where
 k^ is the kernel's multiplier and a the first lattice node.  One spectral
 engine evaluates it for all data: a `_SpectralPlan` holds what the lattice
 and the grid fix, and the datum adds its FFTs, their products with the
-multipliers and the inverse transforms (a holomorphy probe shares one plan
-over all of its fields).  Both of the plan's routes follow one band rule: a
-level sums only the aliases whose Gaussian factor it leaves above e^-64.
-The plan works in blocks of levels (`_SpectralPlan.blocks`, 8 levels of
-the reference grid): a block builds its own multiplier rows, over the
-slots of its band only, or chirp-z rows and writes its levels in place,
-and each level is computed alone, so the block size changes no bit.
-Both fields have one block protocol.  `extend_blocks` streams the
-extension field block by block, which is how the CLI writes it without
-holding a whole field, and `extend` fills its arrays from the same
-blocks.  A dilatation map (`_DilatationMap`, one per probe) walks the
-dilatation fields of any number of data the same way, block-outer: it
-builds each block's ALPHA and BETA rows when the walk reaches the block,
-and writes every datum's rows into the same block-sized buffers; each
-field's checks are running state, decided after the last block.
-`beltrami_blocks` is its walk of one datum, which `beltrami` and the
-CLI's `beltrami`, `carleson` and `transfer` consume; the holomorphy
-probe walks all of its nodes at once.
+multipliers and the inverse transforms.  Both of the plan's routes follow
+one band rule: a level sums only the aliases whose Gaussian factor it
+leaves above e^-64.  One walk of the plan (`_SpectralPlan.walk`) builds
+every field, block by block of levels (8 levels of the reference grid):
+a block builds the multiplier rows, over the slots of its band only, or
+the chirp-z rows of every kernel asked for once, and applies them to each
+datum's spectra in place; each level is computed alone, so the block size
+changes no bit.  `extend_blocks` streams the extension field from that
+walk, which is how the CLI writes it without holding a whole field, and
+`extend` fills its arrays from the same blocks.  A dilatation map
+(`_DilatationMap`, one per probe) walks the dilatation fields of any
+number of data at once, each field's checks running state decided after
+the last block: `beltrami_blocks` is its walk of one datum, which
+`beltrami` and the CLI's `beltrami`, `carleson` and `transfer` consume.
 
 For circle data gamma splits into a linear part (integrated in closed form)
 plus a periodic part p0 obtained by spectral antiderivative; the vertical
@@ -349,12 +345,13 @@ class _SpectralPlan:
     every phase reduced modulo 1 by `_turns`.
 
     Both routes work in blocks of at most _CHUNK_ENTRIES / nx levels
-    (`blocks`), each inside one chunk: a block builds its own multiplier
-    rows or chirp-z rows and writes its levels of the result in place, and
-    every level is computed alone, so the block size changes no bit.  A
-    band narrower than n covers a run of consecutive slots modulo n (`_run`):
-    a block's rows hold that run only, and `apply_block` multiplies the
-    slots outside it as entries of 0.
+    (`blocks`), each inside one chunk, and one `walk` over the blocks
+    serves every convolution: a block builds its own multiplier rows or
+    chirp-z rows and writes its levels of the result in place, and every
+    level is computed alone, so the block size changes no bit.  A band
+    narrower than n covers a run of consecutive slots modulo n (`_run`): a
+    block's rows hold that run only, and the walk multiplies the slots
+    outside it as entries of 0.
     """
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid):
@@ -402,6 +399,8 @@ class _SpectralPlan:
             rows = max(1, _CHUNK_ENTRIES // (band.stop - band.start if self.fold else chirp.size))
             self._chunks.append((slice(i, min(i + rows, grid.ny)), band, chirp))
             i += rows
+        # the most levels a block holds
+        self.block_rows = max(levels.stop - levels.start for levels, _, _ in self.blocks())
 
     def _chirp(self, band: slice) -> np.ndarray:
         """The FFT of the chirp filter that sums over the band [lo, hi) of
@@ -424,11 +423,10 @@ class _SpectralPlan:
                 yield slice(i, min(i + step, levels.stop)), band, chirp
 
     def entries(self, block, *kerns):
-        """What `apply_block` takes for each of `kerns` on the levels of
+        """What `walk` applies for each of `kerns` on the levels of
         `block`: on a folding grid its multiplier rows over the slots of the
         block's band run (`_run`), stacked as (len(kerns), rows, size);
-        otherwise the kernel itself, whose multipliers `apply_block`
-        evaluates.
+        otherwise the kernel itself, whose multipliers `walk` evaluates.
 
         A slot's entry sums the multipliers of the band's aliases f that
         fall into it, each with the phase of the first grid node, in
@@ -464,10 +462,10 @@ class _SpectralPlan:
         return (self._f0 + band.start) % self.n, size
 
     def weigh(self, spectra: np.ndarray) -> np.ndarray:
-        """`spectra`, FFTs of lattice data, as `apply_block` reads them: on a
+        """`spectra`, FFTs of lattice data, as `walk` reads them: on a
         folding grid as they are; otherwise at the aliased frequencies
         times the pre-chirp, with the zero frequency set to 0 and its term
-        spectra[..., 0] / n appended last.  `apply_block` adds that term
+        spectra[..., 0] / n appended last.  `walk` adds that term
         exactly, so that the chirp-z rounds relative to the oscillating
         part of the data."""
         if self.fold:
@@ -478,21 +476,38 @@ class _SpectralPlan:
         weighted[..., -1] = spectra[..., 0] / self.n
         return weighted
 
-    def apply_block(self, block, entry, weighed: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write into `out`, shaped (..., rows, nx), (1/n) * the sum over
+    def walk(self, data):
+        """The convolutions of `data`, items (weighed, kernels, outs) of
+        `weigh`ed spectra (..., N) and one buffer (..., `block_rows`, nx) a
+        kernel.  For each block of levels, ascending, it builds the
+        `entries` of every kernel named once and yields (levels, convs):
+        `convs` gives, item by item as read, each kernel's (1/n) * sum over
         the aliased frequencies f of k^(f y / P) * spectra[..., f mod n] *
-        exp(2 pi i f x_rel) at every grid node on the levels of `block`, for
-        one of the block's `entries` and the `weigh`ed spectra."""
+        exp(2 pi i f x_rel) at the grid nodes on the levels, written into
+        the leading rows of its buffer.  Items may share buffers: read an
+        item's rows before the next item or block overwrites them."""
+        kernels = tuple(dict.fromkeys(k for _, kerns, _ in data for k in kerns))
+        for block in self.blocks():
+            with np.errstate(all="ignore"):
+                entries = dict(zip(kernels, self.entries(block, *kernels)))
+            yield block[0], (self._apply(block, entries, *item) for item in data)
+
+    def _apply(self, block, entries, weighed, kerns, outs):
         levels, band, chirp = block
-        if self.fold:
-            # with nx = n the products go straight into `out`, which the
-            # inverse FFT then transforms in place
-            acc = out if self.n == self.grid.nx else None
-            return self._fold(self._products(band, entry, weighed, acc), out)
-        nu = self._ys[levels, None] * self._f[band]
-        self._czt(weighed[..., None, band] * kq.multiplier(entry, nu), chirp, out)
-        out += weighed[..., -1, None, None] * kq.multiplier(entry, 0.0)
-        return out
+        outs = [out[..., :levels.stop - levels.start, :] for out in outs]
+        # e^w out of floating range shows as a field the consumer reports
+        with np.errstate(all="ignore"):
+            for kern, out in zip(kerns, outs):
+                if self.fold:
+                    # with nx = n the products go straight into `out`, which
+                    # the inverse FFT then transforms in place
+                    acc = out if self.n == self.grid.nx else None
+                    self._fold(self._products(band, entries[kern], weighed, acc), out)
+                else:
+                    mult = kq.multiplier(entries[kern], self._ys[levels, None] * self._f[band])
+                    self._czt(weighed[..., None, band] * mult, chirp, out)
+                    out += weighed[..., -1, None, None] * kq.multiplier(entries[kern], 0.0)
+        return outs
 
     def series(self, spectrum: np.ndarray) -> np.ndarray:
         """(1/n) * sum over the n lattice frequencies of spectrum * exp(2 pi
@@ -584,24 +599,6 @@ class _SpectralEngine:
         self._spectra = np.stack([np.fft.fft(self.ew), fft_p0])
         self._weighed = self.plan.weigh(self._spectra)
 
-    def convolve_block(self, block, ew_kernels=(), gamma_kernels=()):
-        """The convolutions of e^(w - mean w) against each of `ew_kernels`
-        and of p0 against each of `gamma_kernels` on the levels of `block`,
-        one of the plan's `blocks`, as two lists of (rows, nx) arrays.  Each
-        kernel's entries serve every spectrum that asks for it at once."""
-        asked = (ew_kernels, gamma_kernels)
-        kernels = tuple(dict.fromkeys(ew_kernels + gamma_kernels))
-        levels = block[0]
-        out = ([None] * len(ew_kernels), [None] * len(gamma_kernels))
-        for kern, entry in zip(kernels, self.plan.entries(block, *kernels)):
-            which = [i for i, ks in enumerate(asked) if kern in ks]
-            convs = np.empty((len(which), levels.stop - levels.start, self.grid.nx),
-                             dtype=complex)
-            self.plan.apply_block(block, entry, self._weighed[which[0]:which[-1] + 1], convs)
-            for i, conv in zip(which, convs):
-                out[i][asked[i].index(kern)] = conv
-        return out
-
     def gamma_at_nodes(self):
         x = self.grid.x
         if self.w.periodic:
@@ -636,11 +633,12 @@ def extend_blocks(w: SampledFunction, grid: HalfPlaneGrid):
     gamma holds the boundary curve at the x nodes, and `blocks` yields the
     field one block of the plan's levels at a time, ascending, as (levels,
     rows, residuals): `rows` maps each of FIELD_NAMES to its (rows, nx)
-    array on `levels`, and `residuals` holds the identity residuals of
-    `ExtensionField` over every level yielded so far, so the last block's
-    are the field's.  The engine is built, and w and the grid checked,
-    before this returns; a gamma that is not finite raises ResolutionError
-    here, and a block that is not finite raises it before it is yielded."""
+    array on `levels`, in buffers that the next block overwrites, and
+    `residuals` holds the identity residuals of `ExtensionField` over every
+    level yielded so far, so the last block's are the field's.  The engine
+    is built, and w and the grid checked, before this returns; a gamma
+    that is not finite raises ResolutionError here, and a block that is not
+    finite raises it before it is yielded."""
     # e^w out of floating range shows as a non-finite field, reported below
     with np.errstate(all="ignore"):
         eng = _SpectralEngine(w, grid)
@@ -650,22 +648,23 @@ def extend_blocks(w: SampledFunction, grid: HalfPlaneGrid):
 
 
 def _field_blocks(eng: _SpectralEngine):
-    grid = eng.grid
+    grid, plan = eng.grid, eng.plan
     s, mhat = eng.scale, eng.mhat
     with np.errstate(all="ignore"):
         shift = mhat * grid.x - eng.anchor
+    shape = (plan.block_rows, grid.nx)
+    # the kernels of both spectra apply to both at once; one buffer a kernel
+    walk = plan.walk([(eng._weighed, (PHI, PSI, PHI_SECOND), np.empty((3, 2) + shape, complex)),
+                      (eng._weighed[0], (ALPHA, BETA), np.empty((2,) + shape, complex)),
+                      (eng._weighed[1], (_V_RATE,), np.empty((1,) + shape, complex))])
     residuals = {"uy_half_vx": 0.0, "vy_identity": 0.0}
-    for block in eng.plan.blocks():
-        levels = block[0]
+    for levels, convs in walk:
+        ((U_x, U), (V_x, V), (vy_check, U_y)), (F_zbar, F_z), (V_y,) = convs
         y = grid.y_levels[levels, None]
         # the state is set per block: it must not reach the consumer
         with np.errstate(all="ignore"):
-            # each kernel's multipliers serve both spectra; fields scale in place
-            on_ew, on_gamma = eng.convolve_block(block, (PHI, PSI, PHI_SECOND, ALPHA, BETA),
-                                                 (PHI, PSI, PHI_SECOND, _V_RATE))
-            U_x, V_x, vy_check, F_zbar, F_z = on_ew
-            U, V, U_y, V_y = on_gamma
-            for f in on_ew:
+            # fields scale in place
+            for f in (U_x, V_x, F_zbar, F_z, vy_check):
                 f *= s
             vy_check *= 0.5
             U += shift
@@ -823,6 +822,10 @@ class _Datum:
     floor: float
     checks: _DilatationChecks
 
+    @property
+    def smallest(self) -> float:
+        return self.checks.smallest
+
     def close(self):
         """Raise what the checks found over the blocks walked."""
         self.checks.close(self.factor, self.floor)
@@ -834,15 +837,13 @@ class _DilatationMap:
 
     Every datum shares what the grid fixes, built here: one plan, the
     windows of the local means of Re w, and three block buffers.  A datum
-    costs its own FFT (`datum`), and a walk (`walk`) builds each block's
-    ALPHA and BETA `entries` when it reaches the block and drops them
-    after it; for every datum it takes the products with them and the
-    inverse transforms, written in place into the block buffers: the
-    numerator into the rows of mu, which the quotient then takes over, the
-    denominator, and its magnitude into the rows of denom_mag.  So the
-    rows the walk gives are overwritten by the next datum's or block's:
-    read them, or copy them, first.  `periodic` is the fields'
-    `BeltramiField.periodic`.
+    costs its own FFT (`datum`), and a walk (`walk`) is the plan's walk of
+    every datum against ALPHA and BETA, each datum in turn written in place
+    into the block buffers: the numerator into the rows of mu, which the
+    quotient then takes over, the denominator, and its magnitude into the
+    rows of denom_mag.  So the rows the walk gives are overwritten by the
+    next datum's or block's: read them, or copy them, first.  `periodic`
+    is the fields' `BeltramiField.periodic`.
     """
 
     def __init__(self, w0: SampledFunction, grid: HalfPlaneGrid):
@@ -850,9 +851,8 @@ class _DilatationMap:
         self.grid = grid
         self.periodic = w0.periodic and grid.spans_period(w0.domain.length)
         self._lattice = w0
-        shape = (max(levels.stop - levels.start for levels, _, _ in self.plan.blocks()), grid.nx)
-        self._num, self._den = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-        self._mag = np.empty(shape)
+        shape = (self.plan.block_rows, grid.nx)
+        self._bufs, self._mag = np.empty((2,) + shape, dtype=complex), np.empty(shape)
         self._magnitude_factor = _magnitude_factor(w0, grid)
 
     def datum(self, values) -> _Datum:
@@ -881,19 +881,14 @@ class _DilatationMap:
         blocks are still computed and checked, so its checks keep the
         precedence they have on whole arrays; `_Datum.close` raises what
         they found.  Read each datum's rows before asking for the next."""
-        plan = self.plan
-        for block in plan.blocks():
-            alpha, beta = plan.entries(block, ALPHA, BETA)
-            yield block[0], (self._rows(block, alpha, beta, d) for d in data)
+        for levels, convs in self.plan.walk([(d.weighed, (ALPHA, BETA), self._bufs)
+                                             for d in data]):
+            yield levels, (self._rows(levels, d, *conv) for d, conv in zip(data, convs))
 
-    def _rows(self, block, alpha, beta, d: _Datum):
-        levels = block[0]
-        rows = levels.stop - levels.start
+    def _rows(self, levels: slice, d: _Datum, mu, den):
         with np.errstate(all="ignore"):
-            mu = self.plan.apply_block(block, alpha, d.weighed, self._num[:rows])
-            den = self.plan.apply_block(block, beta, d.weighed, self._den[:rows])
             np.divide(mu, den, out=mu)
-            denom_mag = np.abs(den, out=self._mag[:rows])
+            denom_mag = np.abs(den, out=self._mag[:levels.stop - levels.start])
             denom_mag *= d.factor(levels)
         return (mu, denom_mag) if d.checks.add(levels, mu, denom_mag) else None
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SampledFunction
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 from .kernels import TRUNCATION_RADIUS, Kernel
 
 
@@ -375,7 +375,11 @@ def analyze(f: SampledFunction, scales=None, lambdas=None) -> AnalyzerReport:
         peak = float(np.max(np.abs(f.values - f.values.mean())))
         top = max(peak, 1e-6)
         lambdas = np.linspace(top / 16, top * 1.25, 20)
-    weight = f.with_values(np.exp(f.values.real) + 0j)
+    with np.errstate(over="ignore"):
+        eu = np.exp(f.values.real)
+    if not np.all(np.isfinite(eu)):
+        raise ResolutionError("e^u left floating range: the weight e^(Re f) is not finite")
+    weight = f.with_values(eu + 0j)
     by_width = _oscillation_by_width(f)
     norm = max(v for _, v in by_width)
     jn = _john_nirenberg(f, (f.domain.a, f.domain.length), lambdas, norm)

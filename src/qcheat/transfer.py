@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Domain, SampledFunction
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 from .extension import (BeltramiField, ExtensionField, HalfPlaneGrid,
                         _periodic_parts)
 
@@ -43,6 +43,8 @@ class CircleHomeo:
         object.__setattr__(self, "g", gv)
         if gv.ndim != 1 or gv.size < 17:
             raise DomainError("angle map needs at least 17 samples on [0, 1]")
+        if not np.all(np.isfinite(gv)):
+            raise DomainError("angle map must be finite")
         if abs(gv[0]) > 1e-12 or abs(gv[-1] - 1.0) > 1e-12:
             raise DomainError("angle map must satisfy g(0) = 0 and g(1) = 1")
         if np.any(np.diff(gv) <= 0):
@@ -134,11 +136,13 @@ def inverse_L(u: SampledFunction) -> CircleHomeo:
         raise DomainError("inverse_L expects circle data")
     if not u.is_real:
         raise DomainError("inverse_L expects real-valued data")
-    _, mhat, _, p0 = _periodic_parts(u)
-    mhat = mhat.real
-    p_closed = np.append(p0.real, p0.real[0])
     n = u.n
-    g = np.arange(n + 1) / n + p_closed / mhat
+    # e^u out of floating range shows as an angle map that is not finite
+    with np.errstate(all="ignore"):
+        _, mhat, _, p0 = _periodic_parts(u)
+        g = np.arange(n + 1) / n + np.append(p0.real, p0.real[0]) / mhat.real
+    if not np.all(np.isfinite(g)):
+        raise ResolutionError("e^u left floating range: the angle map is not finite")
     g[0] = 0.0
     g[-1] = 1.0
     return CircleHomeo(g)

@@ -19,8 +19,8 @@ def _const_field(grid, value):
 class _SyntheticFamily:
     """Fields fn(zeta) * a unit normalized field (hybrid 1), walked block
     by block (8 levels) as a dilatation map walks its data, with
-    magnitudes mag(zeta); the datum at zeta raises failure(zeta), unless
-    None, when it is closed."""
+    magnitudes mag(zeta), the datum's smallest; the datum at zeta raises
+    failure(zeta), unless None, when it is closed."""
 
     def __init__(self, grid, fn, mag, failure):
         ones = _const_field(grid, 1.0)
@@ -32,7 +32,7 @@ class _SyntheticFamily:
         def close():
             if self.failure(zeta) is not None:
                 raise self.failure(zeta)
-        return SimpleNamespace(zeta=zeta, close=close)
+        return SimpleNamespace(zeta=zeta, close=close, smallest=self.mag(zeta))
 
     def walk(self, data):
         for i in range(0, self.grid.ny, 8):
@@ -160,6 +160,25 @@ def test_probe_serves_only_the_points_it_was_built_for(sine_probe, small_grid):
     # the collected averages are read-only
     with pytest.raises(ValueError):
         qc.contour_derivative(p, 0.0)[0, 0] = 0
+
+
+def test_served_points_read_the_same_bits_together_or_alone(sine_probe):
+    # a point's readers fold only the contour and its own nodes, so a probe
+    # serving every point gives each the statistics of a probe built for it
+    grid, p = sine_probe
+    steps = np.array([0.004, 0.002, 0.001 + 0.001j])
+
+    def probe(at):
+        return qc.build_probe(p.w0, p.w1, 0.1, 32, grid, at=at, steps=lambda eps: steps)
+
+    together = probe(SINE_PROBE_POINTS)
+    for zeta0 in SINE_PROBE_POINTS:
+        alone = probe((zeta0,))
+        assert np.array_equal(together.point(zeta0).steps, steps)
+        assert qc.cauchy_error(together, zeta0) == qc.cauchy_error(alone, zeta0)
+        dists, slope = qc.quotient_convergence(together, zeta0, steps)
+        assert np.array_equal(dists, qc.quotient_convergence(alone, zeta0, steps)[0])
+        assert slope == qc.quotient_convergence(alone, zeta0, steps)[1]
 
 
 def _probe_peak_bytes(w0, w1, grid, n_contour):

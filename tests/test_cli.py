@@ -98,19 +98,20 @@ def test_extend_never_holds_the_whole_field(tmp_path):
 
 
 def test_extend_failing_in_a_late_block_writes_nothing(tmp_path, capsys, monkeypatch):
-    from qcheat.extension import _SpectralEngine
+    from qcheat.extension import _SpectralPlan
 
-    convolve_block = _SpectralEngine.convolve_block
+    walk = _SpectralPlan.walk
     blocks = []
 
-    def poisoned(self, block, *kernels):
-        out = convolve_block(self, block, *kernels)
-        blocks.append(block[0])
-        if block[0].stop == self.grid.ny:
-            out[1][0][-1, -1] = np.nan  # U at the last node of the top level
-        return out
+    def poisoned(self, data):
+        for levels, convs in walk(self, data):
+            blocks.append(levels)
+            convs = list(convs)
+            if levels.stop == self.grid.ny:
+                convs[0][0][1, -1, -1] = np.nan  # U at the last node of the top level
+            yield levels, iter(convs)
 
-    monkeypatch.setattr(_SpectralEngine, "convolve_block", poisoned)
+    monkeypatch.setattr(_SpectralPlan, "walk", poisoned)
     out = tmp_path / "o"
     assert run(["extend", "--builtin", "sine:0.3,1", "--out", str(out)] + GRID_ARGS) == 3
     err = capsys.readouterr().err.splitlines()
@@ -557,6 +558,23 @@ def test_beltrami_out_of_range_line_datum_writes_nothing(tmp_path, capsys, value
     assert _beltrami_of_line_datum(tmp_path, values_re) == 3
     assert "error kind=resolution" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--builtin", "sine:800,1"], ["beltrami", "--builtin", "sine:800,1"],
+    ["carleson", "--builtin", "sine:800,1"], ["transfer", "--builtin", "sine:800,1"],
+    ["probe", "--w0", "sine:800,1", "--builtin", "sine:0.5,1", "--contour-nodes", "4"],
+    ["analyze", "--builtin", "sine:800,1"], ["contract", "--builtin", "sine:800,1", "--t", "1,0"],
+], ids=["extend", "beltrami", "carleson", "transfer", "probe", "analyze", "contract"])
+def test_weight_out_of_floating_range_exits_3_and_writes_nothing(tmp_path, capsys, argv):
+    # e^800 overflows: a finite datum whose weight leaves floating range is
+    # a resolution failure, with no RuntimeWarning and no file (contract
+    # computes every t before it writes one)
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)] + GRID_ARGS) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=resolution")
+    assert not out.exists()
 
 
 def test_step_below_the_rounding_floor_exits_3_as_resolution(tmp_path, capsys):

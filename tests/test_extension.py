@@ -23,14 +23,18 @@ def grid_points(grid):
 def _convolutions(eng, ew_kernels=(), gamma_kernels=()):
     """The engine's convolutions of e^(w - mean w) against each of
     `ew_kernels` and of p0 against each of `gamma_kernels` on every level,
-    as two (len(kernels), ny, nx) stacks assembled block by block."""
+    as two (len(kernels), ny, nx) stacks assembled block by block from one
+    walk of the plan."""
     shape = (eng.grid.ny, eng.grid.nx)
     out = (np.empty((len(ew_kernels),) + shape, dtype=complex),
            np.empty((len(gamma_kernels),) + shape, dtype=complex))
-    for block in eng.plan.blocks():
-        for stack, rows in zip(out, eng.convolve_block(block, ew_kernels, gamma_kernels)):
-            for t, row in zip(stack, rows):
-                t[block[0]] = row
+    rows = (eng.plan.block_rows, eng.grid.nx)
+    data = [(weighed, kerns, [np.empty(rows, dtype=complex) for _ in kerns])
+            for weighed, kerns in zip(eng._weighed, (ew_kernels, gamma_kernels))]
+    for levels, convs in eng.plan.walk(data):
+        for stack, conv in zip(out, convs):
+            for t, row in zip(stack, conv):
+                t[levels] = row
     return out
 
 
@@ -630,6 +634,24 @@ def test_banded_tables_give_the_alias_table_fields(name, small_grid, monkeypatch
     for got, want in pairs:
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
     assert np.array_equal(mu.denom_mag, want_mu.denom_mag)
+
+
+@pytest.mark.parametrize("name", ["reference", "partial_period", "line"])
+def test_extend_builds_each_blocks_entries_once(name, small_grid, monkeypatch):
+    # one walk serves every convolution of extend: each block builds the
+    # entries of its six distinct kernels in one call, on both routes
+    w, grid = _complex_case() if name == "line" else _circle_case(name, small_grid)
+    calls = []
+    entries = _SpectralPlan.entries
+
+    def counted(plan, block, *kerns):
+        calls.append((block[0], kerns))
+        return entries(plan, block, *kerns)
+
+    monkeypatch.setattr(_SpectralPlan, "entries", counted)
+    qc.extend(w, grid)
+    assert calls == [(block[0], (PHI, PSI, PHI_SECOND, ALPHA, BETA, _V_RATE))
+                     for block in _SpectralPlan(w, grid).blocks()]
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,14 @@ def test_trace_rejects_mismatched_field(small_grid, sine_small):
         qc.disk_extension_trace(qc.step(0.4, 256), field)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_angle_map_that_is_not_finite_is_rejected(bad):
+    g = np.arange(65) / 64
+    g[20] = bad
+    with pytest.raises(qc.DomainError, match="finite"):
+        qc.CircleHomeo(g)
+
+
 def test_forward_L_of_smooth_homeo_has_finite_bmo():
     # smooth Moebius-like angle map: strictly increasing, pinned endpoints
     n = 1024
