@@ -11,10 +11,12 @@ profile lookup.
 
 Both norms read a field block by block (`HalfPlaneSums`, `DiskSums`):
 each block of levels adds its per-level window sums of the density to a
-small (windows, levels) table per box width or sector height, and the
-quadrature across levels runs once, at the end, so the CLI never holds a
-whole field.  `carleson_norm_halfplane` and `carleson_norm_disk` feed a
-whole field to the same sums as one block.
+small table per box width or sector height, and the quadrature across
+levels runs once, at the end, so the CLI never holds a whole field.  A
+table keeps only the levels its quadrature weighs (a box of width L weighs
+y <= L), and the report pads it with zero columns back to every level
+before the same product.  `carleson_norm_halfplane` and
+`carleson_norm_disk` feed a whole field to the same sums as one block.
 
 The hybrid norm of a field is sup|mu| + sqrt(carleson norm), the natural
 size measure for dilatation fields with Carleson control.
@@ -78,29 +80,56 @@ def _logy_weights(ys: np.ndarray, y_top: float) -> np.ndarray:
 
 class _DensitySums:
     """Per-level window sums of a density |field|^2, taken in block by
-    block: per window family, a C-ordered (windows, levels) table whose
-    columns a block of levels fills from the prefix sums of its rows, and
-    sup|field| as a running maximum.  A level's sums do not depend on the
-    other levels, and the quadratures across levels read each table's
-    transpose, one column-major (levels, windows) array whatever the
-    blocks were: a field reads the same, to the bit, whether it comes
-    whole, level by level or in any blocks of levels."""
+    block, and sup|field| as a running maximum over every row.
+
+    Each window family comes with its weights across levels, known before
+    the first block, and keeps a C-ordered (windows, top) table of only
+    the levels below `top`, one past its last nonzero weight; rows at or
+    above every family's `top` are never summed.  A block fills each
+    table's columns from the prefix sums of its rows, and a level's sums
+    do not depend on the other levels.  `_whole` pads a table with zero
+    columns into a fresh (windows, levels) array, and the quadrature reads
+    its transpose, column-major (levels, windows), as it would read a
+    table of every level: a zero weight times a finite window sum is +0.
+    So a field reads the same, to the bit, whether it comes whole, level
+    by level or in any blocks of levels, and as if every level had been
+    kept.  Only a window sum that overflows to inf above a family's top
+    would read otherwise (0 * inf is NaN), and no dilatation field
+    reaches one: its |field| stays far below 1e150.  A field that is not
+    finite on any level still shows in `sup_norm`.
+    """
 
     def __init__(self, ny: int, families, copies: int):
-        # families: (starts, stops) index arrays into `copies` periods
-        self._families = families
+        # families: (starts, stops, weights) with index arrays into
+        # `copies` periods and the family's weights across the ny levels
+        self._ny = ny
         self._copies = copies
-        self._tables = [np.empty((starts.size, ny)) for starts, _ in families]
+        self._families = [(starts, stops) for starts, stops, _ in families]
+        self._weights = [gw for _, _, gw in families]
+        self._tops = [np.trim_zeros(gw, "b").size for gw in self._weights]
+        self._tables = [np.empty((starts.size, top))
+                        for (starts, _), top in zip(self._families, self._tops)]
+        self._reach = max(self._tops)
         self._sups = []
 
     def add(self, levels: slice, values: np.ndarray):
         """Take in the field's rows on `levels`."""
+        lo, hi, _ = levels.indices(self._ny)
         dens = np.abs(values)
         self._sups.append(np.max(dens))
+        dens = dens[:max(min(hi, self._reach) - lo, 0)]
         np.square(dens, out=dens)
         pref_t = _prefix_sums(dens, self._copies).T
-        for (starts, stops), table in zip(self._families, self._tables):
-            table[:, levels] = pref_t[stops] - pref_t[starts]
+        for (starts, stops), table, top in zip(self._families, self._tables, self._tops):
+            n = min(hi, top) - lo
+            if n > 0:
+                table[:, lo:lo + n] = pref_t[stops, :n] - pref_t[starts, :n]
+
+    def _whole(self, table: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """`table` times `scale`, padded with zero columns to every level."""
+        whole = np.zeros((table.shape[0], self._ny))
+        np.multiply(table, scale, out=whole[:, :table.shape[1]])
+        return whole
 
     @property
     def sup_norm(self) -> float:
@@ -118,7 +147,9 @@ class HalfPlaneSums(_DensitySums):
         self._widths = interval_family(grid.nx, periodic)
         if not self._widths:
             raise DomainError("empty box family: grid has fewer than 4 x cells")
-        super().__init__(grid.ny, [(starts, starts + c) for c, starts in self._widths],
+        ys = grid.y_levels
+        super().__init__(grid.ny, [(starts, starts + c, _logy_weights(ys, c * grid.hx))
+                                   for c, starts in self._widths],
                          2 if periodic else 1)
 
     def report(self) -> CarlesonReport:
@@ -128,11 +159,9 @@ class HalfPlaneSums(_DensitySums):
         best = -1.0
         argmax = {}
         per_width = []
-        for (c, starts), table in zip(self._widths, self._tables):
+        for (c, starts), table, gw in zip(self._widths, self._tables, self._weights):
             L = c * hx
-            rowint = table.T * hx
-            gw = _logy_weights(ys, L)
-            vals = (gw @ rowint) / L
+            vals = (gw @ self._whole(table, hx).T) / L
             k = int(np.argmax(vals))
             per_width.append((L, float(vals[k]), bool(np.count_nonzero(gw) < 2)))
             if vals[k] > best:
@@ -183,14 +212,17 @@ class DiskSums(_DensitySums):
             h /= 2
         if not self._hs:
             raise DomainError("empty sector family: no resolvable heights")
+        ys = grid.y_levels
         sectors = []
         for h in self._hs:
             half = np.pi * h
             i0 = np.ceil((self._theta0s - half) / self._dtheta - 1e-12).astype(int)
             i1 = np.floor((self._theta0s + half) / self._dtheta + 1e-12).astype(int)
             i0m = np.mod(i0, ntheta)
-            sectors.append((i0m, i0m + np.clip(i1 - i0 + 1, 0, ntheta)))
-        super().__init__(grid.y_levels.size, sectors, 2)
+            y_top = np.inf if h >= 1.0 else -np.log1p(-h) / (2 * np.pi)
+            sectors.append((i0m, i0m + np.clip(i1 - i0 + 1, 0, ntheta),
+                            _logy_weights(ys, min(y_top, float(ys[-1]) * 2))))
+        super().__init__(ys.size, sectors, 2)
 
     def report(self) -> CarlesonReport:
         ys = self.grid.y_levels
@@ -201,11 +233,8 @@ class DiskSums(_DensitySums):
         best = -1.0
         argmax = {}
         per_scale = []
-        for h, table in zip(self._hs, self._tables):
-            y_top = np.inf if h >= 1.0 else -np.log1p(-h) / (2 * np.pi)
-            gw = _logy_weights(ys, min(y_top, float(ys[-1]) * 2))
-            weights = gw * gdens
-            vals = (weights @ table.T) * self._dtheta / h
+        for h, table, gw in zip(self._hs, self._tables, self._weights):
+            vals = ((gw * gdens) @ self._whole(table).T) * self._dtheta / h
             k = int(np.argmax(vals))
             per_scale.append((h, float(vals[k]), bool(np.count_nonzero(gw) < 2)))
             if vals[k] > best:

@@ -375,10 +375,15 @@ def analyze(f: SampledFunction, scales=None, lambdas=None) -> AnalyzerReport:
         peak = float(np.max(np.abs(f.values - f.values.mean())))
         top = max(peak, 1e-6)
         lambdas = np.linspace(top / 16, top * 1.25, 20)
+    # the doubling constant sums three periods of the weight: a finite
+    # 3 * sum bounds every prefix sum, and e^u that underflows to 0 is no
+    # weight either
     with np.errstate(over="ignore"):
         eu = np.exp(f.values.real)
-    if not np.all(np.isfinite(eu)):
-        raise ResolutionError("e^u left floating range: the weight e^(Re f) is not finite")
+        total = 3 * eu.sum()
+    if not (np.isfinite(total) and np.all(eu > 0)):
+        raise ResolutionError("e^u left floating range: the weight e^(Re f) or its sums "
+                              "are not finite and positive")
     weight = f.with_values(eu + 0j)
     by_width = _oscillation_by_width(f)
     norm = max(v for _, v in by_width)

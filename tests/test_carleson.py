@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -250,3 +254,79 @@ def test_sums_read_a_field_the_same_whole_per_level_or_in_blocks(name):
     assert _fed(cases[0][0](), mu.values, blocks) == repr(qc.carleson_norm_halfplane(mu))
     if mu.periodic:
         assert _fed(cases[1][0](), nu.values, blocks) == repr(qc.carleson_norm_disk(nu))
+
+
+# ---------------------------------------------------------------------------
+# compact tables against every level
+
+def _whole_table_disagreements(name):
+    """The families whose report differs, in any bit, from the quadrature
+    over tables of every level: each table is the prefix sums of every
+    level of |field|^2, read as (table.T * hx) for boxes and table.T for
+    sectors, the route the sums took before they kept only the levels
+    their weights reach.  The windows are the sums' own."""
+    from qcheat.carleson import _logy_weights
+    from qcheat.funcspace import _cumulative_profile, _prefix_sums
+
+    if name == "reference":
+        w, grid = qc.lift(qc.random_trig(8, 0.2, 2, 2048)), qc.HalfPlaneGrid.build()
+    else:
+        w = qc.lift(qc.sawtooth(0.3, 256))
+        grid = qc.HalfPlaneGrid.build(x_min=0.1, x_max=0.6, nx=128, y_min=1 / 64, y_max=1.0)
+    mu = qc.beltrami(w, grid)
+    cases = [(qc.HalfPlaneSums(grid, mu.periodic), mu)]
+    if mu.periodic:
+        nu = qc.push_to_disk(mu)
+        cases.append((qc.DiskSums(nu.grid), nu))
+    wrong = []
+    for sums, field in cases:
+        ys = field.grid.y_levels
+        pref_t = _prefix_sums(np.abs(field.values) ** 2, 2 if field.periodic else 1).T
+        per_scale = []
+        for k, (starts, stops) in enumerate(sums._families):
+            table = np.empty((starts.size, ys.size))
+            table[:] = pref_t[stops] - pref_t[starts]
+            if isinstance(sums, qc.HalfPlaneSums):
+                scale = (stops[0] - starts[0]) * grid.hx
+                gw = _logy_weights(ys, scale)
+                vals = (gw @ (table.T * grid.hx)) / scale
+            else:
+                radii = field.grid.radii
+                scale = sums._hs[k]
+                y_top = np.inf if scale >= 1.0 else -np.log1p(-scale) / (2 * np.pi)
+                gw = _logy_weights(ys, min(y_top, float(ys[-1]) * 2))
+                gdens = 2 * np.pi * radii ** 2 / (1.0 - radii ** 2) * ys
+                vals = ((gw * gdens) @ table.T) * sums._dtheta / scale
+            per_scale.append((scale, float(np.max(vals)), bool(np.count_nonzero(gw) < 2)))
+        sums.add(slice(None), field.values)
+        rep = sums.report()
+        if rep.profile != _cumulative_profile(per_scale):
+            wrong.append(rep.convention)
+    return wrong
+
+
+@pytest.mark.parametrize("name", ["reference", "part_period"])
+def test_compact_tables_read_the_bits_of_every_level(name):
+    assert _whole_table_disagreements(name) == []
+
+
+def test_reference_box_tables_keep_only_the_weighed_levels():
+    # 2046 windows x 97 levels would be 198,462 entries; a box of width L
+    # weighs only the levels y <= L
+    sums = qc.HalfPlaneSums(qc.HalfPlaneGrid.build(), True)
+    assert [table.shape[1] for table in sums._tables] == list(range(81, 8, -8))
+    assert sum(table.size for table in sums._tables) == 34622
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_compact_tables_read_the_bits_of_every_level_on_other_cores(coretype):
+    # a fresh interpreter, so OpenBLAS picks the kernels of that core type
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from test_carleson import _whole_table_disagreements as d\n"
+            "print([d('reference'), d('part_period')])")
+    res = subprocess.run([sys.executable, "-c", code, here], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src,
+                                              OPENBLAS_CORETYPE=coretype))
+    assert res.stdout.strip() == "[[], []]"
