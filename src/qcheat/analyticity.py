@@ -420,6 +420,6 @@ def quotient_convergence(p: HolomorphyProbe, zeta0: complex, steps):
         raise ResolutionError(f"difference quotients at epsilon {p.epsilon:.3e} "
                               f"are not finite: distances {dists}")
     mags = np.abs(steps)
-    denom = float(np.dot(mags, mags))
-    slope = float(np.dot(mags, dists) / denom) if denom > 0 else 0.0
+    denom = float(np.sum(mags * mags))
+    slope = float(np.sum(mags * dists) / denom) if denom > 0 else 0.0
     return dists, slope

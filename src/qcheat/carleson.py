@@ -10,13 +10,13 @@ and every report carries the cutoff actually used.  The boxes are the
 profile lookup.
 
 Both norms read a field block by block (`HalfPlaneSums`, `DiskSums`):
-each block of levels adds its per-level window sums of the density to a
-small table per box width or sector height, and the quadrature across
-levels runs once, at the end, so the CLI never holds a whole field.  A
-table keeps only the levels its quadrature weighs (a box of width L weighs
-y <= L), and the report pads it with zero columns back to every level
-before the same product.  `carleson_norm_halfplane` and
-`carleson_norm_disk` feed a whole field to the same sums as one block.
+each box width or sector height keeps one running sum per window, and
+each block of levels adds its weighed per-level window sums of the
+density to them, so the CLI never holds a whole field.  The quadrature
+across levels is a sum of elementwise products taken in level order, not
+a BLAS product, so a report has the same bits whatever BLAS kernel the
+machine runs.  `carleson_norm_halfplane` and `carleson_norm_disk` feed a
+whole field to the same sums as one block.
 
 The hybrid norm of a field is sup|mu| + sqrt(carleson norm), the natural
 size measure for dilatation fields with Carleson control.
@@ -79,24 +79,19 @@ def _logy_weights(ys: np.ndarray, y_top: float) -> np.ndarray:
 
 
 class _DensitySums:
-    """Per-level window sums of a density |field|^2, taken in block by
-    block, and sup|field| as a running maximum over every row.
+    """Per-level window sums of a density |field|^2, weighed across levels
+    as blocks of levels come in, and sup|field| as a running maximum over
+    every row.
 
     Each window family comes with its weights across levels, known before
-    the first block, and keeps a C-ordered (windows, top) table of only
-    the levels below `top`, one past its last nonzero weight; rows at or
-    above every family's `top` are never summed.  A block fills each
-    table's columns from the prefix sums of its rows, and a level's sums
-    do not depend on the other levels.  `_whole` pads a table with zero
-    columns into a fresh (windows, levels) array, and the quadrature reads
-    its transpose, column-major (levels, windows), as it would read a
-    table of every level: a zero weight times a finite window sum is +0.
-    So a field reads the same, to the bit, whether it comes whole, level
-    by level or in any blocks of levels, and as if every level had been
-    kept.  Only a window sum that overflows to inf above a family's top
-    would read otherwise (0 * inf is NaN), and no dilatation field
-    reaches one: its |field| stays far below 1e150.  A field that is not
-    finite on any level still shows in `sup_norm`.
+    the first block, and keeps one running sum per window.  For each level
+    it weighs, in ascending level order, a block adds the weight times the
+    level's window sums to the family's running sums, with elementwise
+    ufuncs only: no BLAS product, whose summation order is the kernel's,
+    and no sum across levels, whose grouping would follow the blocks.  So a
+    field fed whole, level by level or in any blocks of levels in level
+    order reads the same, to the bit, on any machine's BLAS.  Rows above
+    every family's last weighed level are never summed.
     """
 
     def __init__(self, ny: int, families, copies: int):
@@ -104,12 +99,9 @@ class _DensitySums:
         # `copies` periods and the family's weights across the ny levels
         self._ny = ny
         self._copies = copies
-        self._families = [(starts, stops) for starts, stops, _ in families]
-        self._weights = [gw for _, _, gw in families]
-        self._tops = [np.trim_zeros(gw, "b").size for gw in self._weights]
-        self._tables = [np.empty((starts.size, top))
-                        for (starts, _), top in zip(self._families, self._tops)]
-        self._reach = max(self._tops)
+        self._families = families
+        self._sums = [np.zeros(starts.size) for starts, _, _ in families]
+        self._reach = max(np.trim_zeros(gw, "b").size for _, _, gw in families)
         self._sups = []
 
     def add(self, levels: slice, values: np.ndarray):
@@ -119,17 +111,10 @@ class _DensitySums:
         self._sups.append(np.max(dens))
         dens = dens[:max(min(hi, self._reach) - lo, 0)]
         np.square(dens, out=dens)
-        pref_t = _prefix_sums(dens, self._copies).T
-        for (starts, stops), table, top in zip(self._families, self._tables, self._tops):
-            n = min(hi, top) - lo
-            if n > 0:
-                table[:, lo:lo + n] = pref_t[stops, :n] - pref_t[starts, :n]
-
-    def _whole(self, table: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """`table` times `scale`, padded with zero columns to every level."""
-        whole = np.zeros((table.shape[0], self._ny))
-        np.multiply(table, scale, out=whole[:, :table.shape[1]])
-        return whole
+        for j, row in enumerate(_prefix_sums(dens, self._copies), lo):
+            for (starts, stops, gw), acc in zip(self._families, self._sums):
+                if gw[j]:
+                    acc += gw[j] * (row[stops] - row[starts])
 
     @property
     def sup_norm(self) -> float:
@@ -159,9 +144,9 @@ class HalfPlaneSums(_DensitySums):
         best = -1.0
         argmax = {}
         per_width = []
-        for (c, starts), table, gw in zip(self._widths, self._tables, self._weights):
+        for (c, starts), (_, _, gw), acc in zip(self._widths, self._families, self._sums):
             L = c * hx
-            vals = (gw @ self._whole(table, hx).T) / L
+            vals = acc * hx / L
             k = int(np.argmax(vals))
             per_width.append((L, float(vals[k]), bool(np.count_nonzero(gw) < 2)))
             if vals[k] > best:
@@ -213,6 +198,10 @@ class DiskSums(_DensitySums):
         if not self._hs:
             raise DomainError("empty sector family: no resolvable heights")
         ys = grid.y_levels
+        radii = grid.radii
+        # dy-integrand density: (2 pi r^2 / (1 - r^2)) per unit y, times y
+        # for the log-y trapezoid
+        gdens = 2 * np.pi * radii ** 2 / (1.0 - radii ** 2) * ys
         sectors = []
         for h in self._hs:
             half = np.pi * h
@@ -221,27 +210,22 @@ class DiskSums(_DensitySums):
             i0m = np.mod(i0, ntheta)
             y_top = np.inf if h >= 1.0 else -np.log1p(-h) / (2 * np.pi)
             sectors.append((i0m, i0m + np.clip(i1 - i0 + 1, 0, ntheta),
-                            _logy_weights(ys, min(y_top, float(ys[-1]) * 2))))
+                            _logy_weights(ys, min(y_top, float(ys[-1]) * 2)) * gdens))
         super().__init__(ys.size, sectors, 2)
 
     def report(self) -> CarlesonReport:
-        ys = self.grid.y_levels
-        radii = self.grid.radii
-        # dy-integrand density: (2 pi r^2 / (1 - r^2)) per unit y, times y
-        # for the log-y trapezoid
-        gdens = 2 * np.pi * radii ** 2 / (1.0 - radii ** 2) * ys
         best = -1.0
         argmax = {}
         per_scale = []
-        for h, table, gw in zip(self._hs, self._tables, self._weights):
-            vals = ((gw * gdens) @ self._whole(table).T) * self._dtheta / h
+        for h, (_, _, gw), acc in zip(self._hs, self._families, self._sums):
+            vals = acc * self._dtheta / h
             k = int(np.argmax(vals))
             per_scale.append((h, float(vals[k]), bool(np.count_nonzero(gw) < 2)))
             if vals[k] > best:
                 best = float(vals[k])
                 argmax = {"kind": "sector", "h": float(h), "theta0": float(self._theta0s[k])}
         profile = _cumulative_profile(per_scale)
-        cutoff = 1.0 - float(radii[0])
+        cutoff = 1.0 - float(self.grid.radii[0])
         return CarlesonReport(best, argmax, profile, self.sup_norm, cutoff, "sector-disk")
 
 

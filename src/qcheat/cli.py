@@ -23,11 +23,10 @@ import sys
 import tempfile
 from types import SimpleNamespace
 
-# one BLAS thread unless the user chose a count: the CLI's BLAS calls are a
-# few small products, and an idle OpenBLAS worker thread only costs start-up
-# time.  OpenBLAS reads the variable when numpy loads, so it is set before;
-# `import qcheat` loads no numpy, which lets `python -m qcheat.cli` get here
-# first.
+# one BLAS thread unless the user chose a count: no report path calls BLAS,
+# and an idle OpenBLAS worker thread only costs start-up time.  OpenBLAS
+# reads the variable when numpy loads, so it is set before; `import qcheat`
+# loads no numpy, which lets `python -m qcheat.cli` get here first.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
@@ -685,13 +684,14 @@ def _add_options(p: argparse.ArgumentParser, name: str):
     p.add_argument("--n", type=int, default=2048, help="builtin sample count")
     p.add_argument("--seed", type=int, default=0, help="random-trig seed")
     p.add_argument("--out", default="qcheat-out", help="output directory")
-    p.add_argument("--nx", type=int, default=2048)
-    p.add_argument("--x-min", dest="x_min", type=float, default=0.0)
-    p.add_argument("--x-max", dest="x_max", type=float, default=1.0)
-    p.add_argument("--y-min", dest="y_min", type=float, default=1e-3)
-    p.add_argument("--y-max", dest="y_max", type=float, default=4.0)
-    p.add_argument("--levels-per-octave", dest="levels_per_octave",
-                   type=int, default=8)
+    if name not in ("analyze", "contract"):  # the two that build no grid
+        p.add_argument("--nx", type=int, default=2048)
+        p.add_argument("--x-min", dest="x_min", type=float, default=0.0)
+        p.add_argument("--x-max", dest="x_max", type=float, default=1.0)
+        p.add_argument("--y-min", dest="y_min", type=float, default=1e-3)
+        p.add_argument("--y-max", dest="y_max", type=float, default=4.0)
+        p.add_argument("--levels-per-octave", dest="levels_per_octave",
+                       type=int, default=8)
     if name == "probe":
         base = p.add_mutually_exclusive_group()
         base.add_argument("--w0", help="base datum builtin spec; default const:0")

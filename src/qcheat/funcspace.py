@@ -253,9 +253,11 @@ def _john_nirenberg(f: SampledFunction, J, lambdas, norm: float) -> JNProfile:
 
     nz = exceed > 0
     if norm > 0 and np.count_nonzero(nz) >= 2:
-        A = np.stack([np.ones(np.count_nonzero(nz)), -lambdas[nz] / norm], axis=1)
-        sol, *_ = np.linalg.lstsq(A, np.log(exceed[nz]), rcond=None)
-        cjn = max(float(sol[1]), 0.0)
+        # least-squares line log(exceed) = a - cjn * lambda / norm
+        x = -lambdas[nz] / norm
+        x -= x.mean()
+        y = np.log(exceed[nz])
+        cjn = max(float(np.sum(x * (y - y.mean())) / np.sum(x * x)), 0.0)
     else:
         cjn = 0.0
     if np.any(nz) and norm > 0:

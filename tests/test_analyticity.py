@@ -214,16 +214,17 @@ def test_reference_probe_holds_no_whole_field_temporaries():
     # the reference grid (2048 x 97), where a field's values take 3.03 MiB:
     # the walk holds no whole field, only each node's weighed spectrum
     # (32 KiB), block rows and the half-plane sums of the Cauchy error and
-    # the three quotients, whose tables keep only the levels their boxes
-    # weigh.  It peaks at 1.99 such arrays at 12 nodes and 2.55 at 64; with
-    # tables of every level it peaked at 3.62 and 4.19, and walking the
-    # nodes one whole field after another at 5.67.  The bounds leave about
-    # 0.4 of an array for allocator and numpy changes.
+    # the three quotients, one running sum per box.  It peaks at 1.66 such
+    # arrays at 12 nodes and 2.23 at 64; with tables of the weighed levels
+    # it peaked at 1.99 and 2.55, with tables of every level at 3.62 and
+    # 4.19, and walking the nodes one whole field after another at 5.67.
+    # The bounds leave about 0.4 of an array for allocator and numpy
+    # changes.
     w0, w1 = qc.lift(qc.constant(0.0, 2048)), qc.lift(qc.sine(0.5, 2, 2048))
     grid = qc.HalfPlaneGrid.build()
     field_bytes = grid.ny * grid.nx * 16
     _probe_peak_bytes(w0, w1, grid, 12)  # first-use allocations
-    for n_contour, bound in ((12, 2.4), (64, 3.0)):
+    for n_contour, bound in ((12, 2.1), (64, 2.7)):
         assert _probe_peak_bytes(w0, w1, grid, n_contour) <= bound * field_bytes
 
 

@@ -1,22 +1,30 @@
 """Every output byte of the field commands, pinned by sha256.
 
-The digests were recorded from the CLI before the dilatation engine wrote
-its fields block by block in place; they hold the engine to the bits of
-that design on folding circle grids (the reference grid among them), a
-part-period grid (the chirp-z route) and line data.  The reference-grid
-`carleson` and `transfer` digests were recorded while the Carleson norms
-still read whole fields; they hold the block-by-block sums to the bits of
-the whole-field ones.  A report is hashed
-without its `config.out`, the one key that names the test's own
-directory.
+The `beltrami`, `extend` and line digests were recorded from the CLI
+before the dilatation engine wrote its fields block by block in place;
+they hold the engine to the bits of that design on folding circle grids
+(the reference grid among them), a part-period grid (the chirp-z route)
+and line data.  The `carleson`, `transfer` and `probe` digests were
+re-recorded when the Carleson sums became running sums in level order,
+with no BLAS product on any report path: every number moved by at most
+4.6e-16 relative.  So these bytes do not depend on the OpenBLAS kernel,
+which `test_outputs_keep_their_bytes_on_other_cores` checks with the
+small-grid report jobs, `analyze` among them.  They still follow numpy's
+SIMD paths for `exp`, `log`, `sin` and `cos`, which are host-specific.
+A report is hashed without its `config.out`, the one key that names the
+test's own directory.
 """
-
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import qcheat
 from qcheat.cli import run
 
 CIRCLE = ["--n", "256", "--nx", "256", "--y-min", "0.015625", "--y-max", "2"]
@@ -38,6 +46,8 @@ def _jobs():
         if name != "part":  # the disk needs a field over one whole period
             yield f"{name}-transfer", ["transfer", "--builtin", "random-trig:6,0.3,2", *grid]
         yield f"{name}-probe", ["probe", *PROBE, *grid]
+    # analyze builds no grid: it reads the sample count only
+    yield "circle-analyze", ["analyze", "--builtin", "random-trig:6,0.3,2", "--n", "256"]
     # the reference grid: 15 blocks of at most 8 levels
     for datum in ("const:0", "sawtooth:0.3"):
         yield f"reference-beltrami-{datum}", ["beltrami", "--builtin", datum]
@@ -81,15 +91,15 @@ DIGESTS = {
     },
     "circle-carleson": {
         "carleson.json":
-            "d10287907f82b7e9e355e50be43f261f462781e7b44e0ca6dd2a85453596d6f6",
+            "1fd51686ebdc18283400930efbac52daf18a3ba1b23dee23483df2423c6a9e32",
     },
     "circle-transfer": {
         "transfer.json":
-            "a915d8ac0ea4cb6b5a068e577f40dae3e2c3bbfdade50060e312ad5a5d7a5f04",
+            "0d177899b2622d62b98445fbb73a04f1727a8abf3d025cd7b6d8f634bcce191a",
     },
     "circle-probe": {
         "probe.json":
-            "6250d2e008126312b0ca7d1e9c8b11dbb68a61b57e1ec7a3f32ff6c63c87a489",
+            "46a449f96d830159a825dda5e0c0dbd6c1470bbec7d45b2374c265aeb6bb904c",
     },
     "fold-beltrami-const:0": {
         "beltrami.json":
@@ -123,15 +133,19 @@ DIGESTS = {
     },
     "fold-carleson": {
         "carleson.json":
-            "0b2b5d2278e283fe623bae74bf67e182a8c22029118df0fce61f09452af1b4ea",
+            "453831866e1b3bf7de7b4485b0a134a0b645803930cf30c7e14ba942c5dd1eaa",
     },
     "fold-transfer": {
         "transfer.json":
-            "04729deffb074ad0c6e9cd9079ec5d00a9b3d4bfe57ea13cd99276ac818d88b8",
+            "ad7315969847b291609376a7a0cff8da609267d82d720da2ded6aa41257b5bdc",
     },
     "fold-probe": {
         "probe.json":
             "d05f5a0aa29934cd6c7d2cfed352fca0d790b9ec8402f040ae9d5d00b4021287",
+    },
+    "circle-analyze": {
+        "analyze.json":
+            "f6d9b3d4d566792b4c5940f682eae0f9b2350452e2b9f721f2d127411cad1ddb",
     },
     "part-beltrami-const:0": {
         "beltrami.json":
@@ -165,11 +179,11 @@ DIGESTS = {
     },
     "part-carleson": {
         "carleson.json":
-            "26fae7798b72dbb3ad617af8022f1f34117013b4105b3eb93e71a1d40051000b",
+            "8001d0a137674d0daab080937f488aa5f08b00a73e5fff3ce74fa3df3cdcf143",
     },
     "part-probe": {
         "probe.json":
-            "585418b2251adda974844f550bfcc991b0c748cab803b787b6a72599971a523d",
+            "551b9563851f0568033e29f468dad37b0cd69f1ef853d047f216aa113c782124",
     },
     "reference-beltrami-const:0": {
         "beltrami.json":
@@ -185,11 +199,11 @@ DIGESTS = {
     },
     "reference-carleson": {
         "carleson.json":
-            "06fe4974614ea69135683ab6af300afa209c0334138ea976a7203700456b7ef4",
+            "51a9311f0a3bb91c926b52b28ff0f42183676a4681f48e76aa258a2ca4caead9",
     },
     "reference-transfer": {
         "transfer.json":
-            "87557578ac82270022af5686b4a4494e4d5e47226562f1433b4c5307c825ea15",
+            "cdbf23d378f16c55017c633ca74e4589dab3cfebf4aa9cad788f92628049ea70",
     },
     "line-beltrami": {
         "beltrami.json":
@@ -232,3 +246,31 @@ def test_outputs_keep_their_bytes(name, tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert run(JOBS[name] + ["--out", str(out)]) == 0
     assert _digests(out) == DIGESTS[name]
+
+
+def _run_digests(names, directory):
+    """The digests of the outputs of the golden jobs `names`, each run into
+    its own directory under `directory`."""
+    got = {}
+    for name in names:
+        out = pathlib.Path(directory) / name
+        assert run(JOBS[name] + ["--out", str(out)]) == 0
+        got[name] = _digests(out)
+    return got
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_outputs_keep_their_bytes_on_other_cores(coretype, tmp_path):
+    # a fresh interpreter, so OpenBLAS picks the kernels of that core type;
+    # no report reads BLAS, so none of its bytes may follow them
+    names = [name for name in JOBS if not name.startswith("reference")
+             and name.split("-")[1] in ("carleson", "transfer", "probe", "analyze")]
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcheat.__file__)))
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1])\n"
+            "from test_golden import _run_digests\n"
+            "print(json.dumps(_run_digests(sys.argv[3:], sys.argv[2])))")
+    res = subprocess.run([sys.executable, "-c", code, here, str(tmp_path / "other"), *names],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=coretype))
+    assert json.loads(res.stdout) == _run_digests(names, tmp_path / "default")
