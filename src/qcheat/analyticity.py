@@ -40,19 +40,6 @@ from .extension import (_CHUNK_ENTRIES, BeltramiField, HalfPlaneGrid, _collect,
 SAFE_DENOMINATOR = 1e-6
 
 
-class _Family(_DilatationMap):
-    """The dilatation fields of zeta -> w0 + zeta*w1 on `grid`, walked
-    through one dilatation map; `at(zeta)` is the walk's datum of the
-    field at zeta."""
-
-    def __init__(self, w0: SampledFunction, w1: SampledFunction, grid: HalfPlaneGrid):
-        super().__init__(w0, grid)
-        self._w0, self._w1 = w0, w1
-
-    def at(self, zeta: complex):
-        return self.datum(lambda: self._w0.values + zeta * self._w1.values)
-
-
 @dataclass(frozen=True)
 class HolomorphyProbe:
     """What one walk of the directional family zeta -> w0 + zeta*w1 found.
@@ -62,8 +49,8 @@ class HolomorphyProbe:
     -i*delta, and `served` maps each point zeta0 the probe was built for
     to its closed `_Point`: the Cauchy error of the contour
     |zeta| = 2*epsilon (`contour_nodes`) and the quotient distances at the
-    steps it was built with.  No field is kept: `family` walks the
-    fields of any zeta again, through the probe's one dilatation map, for
+    steps it was built with.  No field is kept: `family`, the probe's one
+    dilatation map of w0 + zeta*w1, walks the field of any zeta again for
     the accessors that return whole arrays.
     """
 
@@ -328,7 +315,7 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
     `steps`, if given, maps the probe's epsilon to the quotient steps it
     walks at each point (`quotient_convergence` reads their distances).
     Every field, here and from the probe's accessors, comes from one
-    dilatation map of w0's lattice and `grid`, so its plan is built
+    dilatation map of w0 + zeta*w1 on `grid`, so its plan is built
     once."""
     if w0.n != w1.n or w0.domain != w1.domain:
         raise DomainError("probe data must share one grid and domain")
@@ -341,7 +328,7 @@ def build_probe(w0: SampledFunction, w1: SampledFunction, epsilon: float = 0.1,
     _weights(epsilon, _nodes(epsilon, n_contour)[1], at)
     if grid is None:
         grid = HalfPlaneGrid.build(nx=max(64, w0.n))
-    return _probe(_Family(w0, w1, grid), w0, w1, epsilon, n_contour, at, steps)
+    return _probe(_DilatationMap(w0, grid, w1), w0, w1, epsilon, n_contour, at, steps)
 
 
 def _walk_again(p: HolomorphyProbe, zeta0: complex, steps=(), keep: bool = False) -> _Point:

@@ -132,7 +132,8 @@ def constant(c: complex, n: int = 2048) -> SampledFunction:
 
 def sine(amplitude: float, frequency: int = 1, n: int = 2048) -> SampledFunction:
     x = np.arange(n) / n
-    return SampledFunction(Domain.circle(), amplitude * np.sin(2 * np.pi * frequency * x) + 0j)
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which SampledFunction rejects
+        return SampledFunction(Domain.circle(), amplitude * np.sin(2 * np.pi * frequency * x) + 0j)
 
 
 def step(c: float, n: int = 2048) -> SampledFunction:
@@ -146,7 +147,8 @@ def step(c: float, n: int = 2048) -> SampledFunction:
 def sawtooth(amplitude: float, n: int = 2048) -> SampledFunction:
     """Linear ramp from -a to a over one period, jump at the wrap point."""
     x = np.arange(n) / n
-    return SampledFunction(Domain.circle(), amplitude * (2 * x - 1) + 0j)
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which SampledFunction rejects
+        return SampledFunction(Domain.circle(), amplitude * (2 * x - 1) + 0j)
 
 
 def random_trig(modes: int, amplitude: float, seed: int, n: int = 2048) -> SampledFunction:

@@ -32,10 +32,11 @@ datum's spectra in place; each level is computed alone, so the block size
 changes no bit.  `extend_blocks` streams the extension field from that
 walk, which is how the CLI writes it without holding a whole field, and
 `extend` fills its arrays from the same blocks.  A dilatation map
-(`_DilatationMap`, one per probe) walks the dilatation fields of any
-number of data at once, each field's checks running state decided after
-the last block: `beltrami_blocks` is its walk of one datum, which
-`beltrami` and the CLI's `beltrami`, `carleson` and `transfer` consume.
+(`_DilatationMap`, one per probe) walks the dilatation fields of the
+data w0 + zeta*w1 at any number of zeta at once, each field's checks
+running state decided after the last block: `beltrami_blocks` is the
+walk of the map of w0 alone, which `beltrami` and the CLI's `beltrami`,
+`carleson` and `transfer` consume.
 
 For circle data gamma splits into a linear part (integrated in closed form)
 plus a periodic part p0 obtained by spectral antiderivative; the vertical
@@ -698,76 +699,26 @@ def extend(w: SampledFunction, grid: HalfPlaneGrid) -> ExtensionField:
     return ExtensionField(grid, w, gamma, **fields, identity_residuals=residuals)
 
 
-def _magnitude_factor(w0: SampledFunction, grid: HalfPlaneGrid):
-    """The map values -> factor, for a function `values()` that gives the
-    samples of a datum w on the lattice of w0: factor(levels) turns
-    |e^(w - mean w) * beta_y| on a slice of levels into the recorded
-    magnitude, u = Re w, as one value or (rows, nx).  Line data record
-    |e^w * beta_y|: the factor is e^(mean u) on every level.  Circle data
-    record |e^(w - w_I) * beta_y|, I(x, y) = (x - y, x + y): the factor is
-    e^(mean u - mean of u over I) on the levels whose window is shorter
-    than the period, read from a prefix sum (`funcspace._prefix_sums`) of
-    three periods of u, and exactly 1 on every other level and on every
-    level of a grid whose x nodes are not the lattice nodes.  The prefix
-    sum is built again from `values()` on each call that reads it (about
-    3n adds), so a datum keeps no copy of its samples."""
-    if not w0.periodic:
-        def line(values):
-            scale = np.exp(float(np.mean(values().real)))
-            return lambda levels: scale
-        return line
-    n = w0.n
-    h = w0.h
-    offset = (grid.x_min - w0.domain.a) / h
-    if (grid.nx != n or not grid.spans_period(w0.domain.length)
-            or abs(offset - round(offset)) >= 1e-9):
-        half_widths = []
-    else:
-        # the lowest levels: m grows with y
-        half_widths = [int(m) for m in np.floor(grid.y_levels / h) if 2 * m + 1 < n]
-    shift = int(round(offset)) % n
-
-    def circle(values):
-        if not half_widths:
-            return lambda levels: 1.0
-        mean = float(np.mean(values().real))
-
-        def factor(levels: slice):
-            ms = half_widths[levels]
-            if not ms:
-                return 1.0
-            # grid node i is lattice node i + shift, read in the middle period
-            pref = _prefix_sums(np.roll(values().real, -shift), 3)
-            rows = np.ones((levels.stop - levels.start, n))
-            for row, m in zip(rows, ms):
-                np.subtract(pref[n + m + 1:2 * n + m + 1], pref[n - m:2 * n - m], out=row)
-                row /= 2 * m + 1
-            win = rows[:len(ms)]
-            np.exp(np.subtract(mean, win, out=win), out=win)
-            return rows
-
-        return factor
-
-    return circle
-
-
 class _DilatationChecks:
     """The checks of `beltrami` as running state over the blocks of one
     field, taken in ascending order by `add` and decided by `close`, in
     the precedence they have on whole arrays: a denominator magnitude
     below SINGULAR_THRESHOLD, named at its first smallest node, unless a
     magnitude anywhere is NaN (no small denominator then); then the first
-    node of mu, and then of the magnitude, that is not finite."""
+    node of mu, and then of the magnitude, that is not finite.  `floor` is
+    the absolute rounding floor of the denominator."""
 
-    def __init__(self, grid: HalfPlaneGrid):
-        self.grid = grid
+    def __init__(self, grid: HalfPlaneGrid, floor: float):
+        self.grid, self.floor = grid, floor
         self.not_finite = {}  # "mu", "denom_mag": the error of its first bad node
         self.nan = False
-        self.smallest, self.at = np.inf, None
+        self.smallest, self.at, self.noise = np.inf, None, None
 
-    def add(self, levels: slice, mu: np.ndarray, denom_mag: np.ndarray) -> bool:
+    def add(self, levels: slice, mu: np.ndarray, denom_mag: np.ndarray, factor) -> bool:
         """Take in the rows of mu and the recorded denominator magnitude on
-        `levels`; whether every block taken in so far is finite."""
+        `levels`, and the factor (one value or rows) that turned |den| into
+        it; whether every block taken in so far is finite.  The floor is
+        recorded the same way at the smallest node, where `close` reads it."""
         for name, rows in (("mu", mu), ("denom_mag", denom_mag)):
             if name not in self.not_finite:
                 try:
@@ -781,12 +732,11 @@ class _DilatationChecks:
         elif smallest < self.smallest:
             jj, ii = np.unravel_index(flat, denom_mag.shape)
             self.smallest, self.at = smallest, (levels.start + jj, ii)
+            self.noise = self.floor * float(np.broadcast_to(factor, denom_mag.shape)[jj, ii])
         return not self.not_finite
 
-    def close(self, factor, floor: float):
-        """Raise what the checks found: `factor(levels)` turned |den| on a
-        slice of levels into the recorded magnitude (`_magnitude_factor`),
-        and `floor` is the absolute rounding floor of den."""
+    def close(self):
+        """Raise what the checks found."""
         grid = self.grid
         if not self.nan and self.smallest < SINGULAR_THRESHOLD:
             jj, ii = self.at
@@ -794,13 +744,10 @@ class _DilatationChecks:
             where = f"at (x, y) = ({x:.6g}, {y:.6g})"
             # the engine cannot tell a magnitude below the threshold from zero
             # where its rounding floor, recorded the same way, exceeds it
-            with np.errstate(all="ignore"):
-                row = np.broadcast_to(factor(slice(jj, jj + 1)), (1, grid.nx))
-                noise = floor * float(row[0, ii])
-            if noise >= SINGULAR_THRESHOLD:
+            if self.noise >= SINGULAR_THRESHOLD:
                 raise ResolutionError(
                     f"dilatation denominator {self.smallest:.3e} {where} is below the "
-                    f"engine's rounding floor {noise:.3e} (e^w spans too wide a range)")
+                    f"engine's rounding floor {self.noise:.3e} (e^w spans too wide a range)")
             raise SingularDenominatorError(
                 f"dilatation denominator {self.smallest:.3e} below "
                 f"{SINGULAR_THRESHOLD:g} {where}",
@@ -813,13 +760,12 @@ class _DilatationChecks:
 
 @dataclass
 class _Datum:
-    """One datum's share of a dilatation walk (`_DilatationMap.datum`):
-    its weighed spectrum, the magnitude factor of its Re w, the rounding
-    floor of its denominator and its running checks."""
+    """One datum w0 + zeta*w1 of a dilatation walk (`_DilatationMap.at`):
+    its weighed spectrum, the mean of its Re w and its running checks."""
 
+    zeta: complex
     weighed: np.ndarray
-    factor: object
-    floor: float
+    mean: float
     checks: _DilatationChecks
 
     @property
@@ -828,16 +774,16 @@ class _Datum:
 
     def close(self):
         """Raise what the checks found over the blocks walked."""
-        self.checks.close(self.factor, self.floor)
+        self.checks.close()
 
 
 class _DilatationMap:
-    """The dilatation fields on `grid` of data on the lattice of w0, walked
-    block by block.
+    """The dilatation fields on `grid` of the data w0 + zeta*w1 (of w0
+    alone without w1), walked block by block.
 
     Every datum shares what the grid fixes, built here: one plan, the
     windows of the local means of Re w, and three block buffers.  A datum
-    costs its own FFT (`datum`), and a walk (`walk`) is the plan's walk of
+    costs its own FFT (`at`), and a walk (`walk`) is the plan's walk of
     every datum against ALPHA and BETA, each datum in turn written in place
     into the block buffers: the numerator into the rows of mu, which the
     quotient then takes over, the denominator, and its magnitude into the
@@ -846,41 +792,80 @@ class _DilatationMap:
     is the fields' `BeltramiField.periodic`.
     """
 
-    def __init__(self, w0: SampledFunction, grid: HalfPlaneGrid):
+    def __init__(self, w0: SampledFunction, grid: HalfPlaneGrid,
+                 w1: SampledFunction | None = None):
         self.plan = _SpectralPlan(w0, grid)
         self.grid = grid
         self.periodic = w0.periodic and grid.spans_period(w0.domain.length)
-        self._lattice = w0
+        self._w0, self._w1 = w0, w1
         shape = (self.plan.block_rows, grid.nx)
         self._bufs, self._mag = np.empty((2,) + shape, dtype=complex), np.empty(shape)
-        self._magnitude_factor = _magnitude_factor(w0, grid)
+        n, h = w0.n, w0.h
+        offset = (grid.x_min - w0.domain.a) / h
+        if (not w0.periodic or grid.nx != n or not grid.spans_period(w0.domain.length)
+                or abs(offset - round(offset)) >= 1e-9):
+            self._half_widths = []
+        else:
+            # the lowest levels: m grows with y
+            self._half_widths = [int(m) for m in np.floor(grid.y_levels / h) if 2 * m + 1 < n]
+        self._shift = int(round(offset)) % n
 
-    def datum(self, values) -> _Datum:
-        """The share of a walk of the datum whose samples on the lattice of
-        w0 `values()` gives (samples that are not finite raise
-        DomainError).  `values` is called again by each block whose
-        magnitude factor reads Re w, so the datum keeps only its weighed
-        spectrum."""
+    def _values(self, zeta: complex) -> np.ndarray:
+        return self._w0.values if self._w1 is None else self._w0.values + zeta * self._w1.values
+
+    def at(self, zeta: complex = 0) -> _Datum:
+        """The share of a walk of the datum w0 + zeta*w1 (samples that are
+        not finite raise DomainError): its weighed spectrum and the mean of
+        Re w only, so a block whose magnitude factor reads the window means
+        of Re w builds the samples again."""
         # samples out of floating range raise DomainError, and e^w out of it
         # shows as a non-finite field; the state is set per step: it must
         # not reach the consumer
         with np.errstate(all="ignore"):
-            w = self._lattice.with_values(values())
+            w = self._w0.with_values(self._values(zeta))
             _, ew = _recentered(w)
             weighed = self.plan.weigh(np.fft.fft(ew))
-            factor = self._magnitude_factor(values)
+            mean = float(np.mean(w.values.real))
             floor = FFT_ROUNDING_FLOOR * float(np.mean(np.abs(ew)))
-        return _Datum(weighed, factor, floor, _DilatationChecks(self.grid))
+        return _Datum(zeta, weighed, mean, _DilatationChecks(self.grid, floor))
+
+    def _factor(self, d: _Datum, levels: slice):
+        """What turns |e^(w - mean w) * beta_y| on `levels` into the
+        recorded magnitude, u = Re w, as one value or (rows, nx).  Line data
+        record |e^w * beta_y|: the factor is e^(mean u).  Circle data
+        recenter locally only on a grid of nx = n nodes that spans one
+        period from a lattice node: they record |e^(w - w_I) * beta_y|,
+        I(x, y) = (x - y, x + y), so the factor is e^(mean u - mean of u
+        over I) on the levels whose window is shorter than the period, read
+        from a prefix sum (`funcspace._prefix_sums`) of three periods of u
+        built again for the block (about 3n adds).  On every other level,
+        and on every level of any other grid, the factor is exactly 1: the
+        magnitude is recentered by the mean of w alone."""
+        if not self._w0.periodic:
+            return np.exp(d.mean)
+        ms = self._half_widths[levels]
+        if not ms:
+            return 1.0
+        n = self._w0.n
+        # grid node i is lattice node i + shift, read in the middle period
+        pref = _prefix_sums(np.roll(self._values(d.zeta).real, -self._shift), 3)
+        rows = np.ones((levels.stop - levels.start, n))
+        for row, m in zip(rows, ms):
+            np.subtract(pref[n + m + 1:2 * n + m + 1], pref[n - m:2 * n - m], out=row)
+            row /= 2 * m + 1
+        win = rows[:len(ms)]
+        np.exp(np.subtract(d.mean, win, out=win), out=win)
+        return rows
 
     def walk(self, data):
-        """The fields of `data` (each from `datum`), block by block: for
-        each block of levels, ascending, (levels, rows), where `rows`
-        yields for each datum in turn its (mu rows, denom_mag rows) on the
-        block, each (rows, nx) and finite, or None once the datum's checks
-        have failed in this block or an earlier one.  Such a datum's later
-        blocks are still computed and checked, so its checks keep the
-        precedence they have on whole arrays; `_Datum.close` raises what
-        they found.  Read each datum's rows before asking for the next."""
+        """The fields of `data` (each from `at`), block by block: for each
+        block of levels, ascending, (levels, rows), where `rows` yields for
+        each datum in turn its (mu rows, denom_mag rows) on the block, each
+        (rows, nx) and finite, or None once the datum's checks have failed
+        in this block or an earlier one.  Such a datum's later blocks are
+        still computed and checked, so its checks keep the precedence they
+        have on whole arrays; `_Datum.close` raises what they found.  Read
+        each datum's rows before asking for the next."""
         for levels, convs in self.plan.walk([(d.weighed, (ALPHA, BETA), self._bufs)
                                              for d in data]):
             yield levels, (self._rows(levels, d, *conv) for d, conv in zip(data, convs))
@@ -889,8 +874,9 @@ class _DilatationMap:
         with np.errstate(all="ignore"):
             np.divide(mu, den, out=mu)
             denom_mag = np.abs(den, out=self._mag[:levels.stop - levels.start])
-            denom_mag *= d.factor(levels)
-        return (mu, denom_mag) if d.checks.add(levels, mu, denom_mag) else None
+            factor = self._factor(d, levels)
+            denom_mag *= factor
+        return (mu, denom_mag) if d.checks.add(levels, mu, denom_mag, factor) else None
 
 
 def _datum_blocks(walk, d: _Datum):
@@ -915,7 +901,7 @@ def beltrami_blocks(w: SampledFunction, grid: HalfPlaneGrid):
     is not yielded, and no block after it.  It is the one-datum walk of a
     `_DilatationMap`."""
     dmap = _DilatationMap(w, grid)
-    return dmap.periodic, _datum_blocks(dmap.walk, dmap.datum(lambda: w.values))
+    return dmap.periodic, _datum_blocks(dmap.walk, dmap.at())
 
 
 def _collect(grid: HalfPlaneGrid, periodic: bool, blocks) -> BeltramiField:
@@ -934,14 +920,19 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid) -> BeltramiField:
 
     The ratio is evaluated with the weight recentered by a constant (the
     mean of w), which leaves mu unchanged and keeps e^w in floating range.
-    For periodic data the recorded denominator magnitude is the fully
-    recentered |beta_y * e^(w - w_I(x,y))|; for line data it is
-    |beta_y * e^w| itself.  A magnitude below 1e-12 raises
-    SingularDenominatorError carrying the offending (x, y), unless the
-    engine's rounding floor there (FFT_ROUNDING_FLOOR * mean
-    |e^(w - mean w)|, recorded the same way) is itself at least 1e-12: then
-    the denominator is unresolved, not vanishing, and ResolutionError is
-    raised.  A mu or magnitude that is not finite raises ResolutionError.
+    For line data the recorded denominator magnitude is |beta_y * e^w|
+    itself.  Circle data record the locally recentered
+    |beta_y * e^(w - w_I(x,y))|, I(x, y) = (x - y, x + y), only where nx =
+    n, the grid spans one period and its offset lies on the lattice, on
+    the levels whose window is shorter than the period; elsewhere they
+    record |beta_y * e^(w - mean w)|, so the magnitudes, and whether a
+    denominator counts as singular, depend on the grid.  A magnitude below
+    1e-12 raises SingularDenominatorError carrying the offending (x, y),
+    unless the engine's rounding floor there (FFT_ROUNDING_FLOOR * mean
+    |e^(w - mean w)|, recorded the same way) is itself at least 1e-12:
+    then the denominator is unresolved, not vanishing, and ResolutionError
+    is raised.  A mu or magnitude that is not finite raises
+    ResolutionError.
     """
     periodic, blocks = beltrami_blocks(w, grid)
     return _collect(grid, periodic, blocks)

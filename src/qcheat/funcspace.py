@@ -371,15 +371,9 @@ def analyze(f: SampledFunction, scales=None, lambdas=None) -> AnalyzerReport:
     constants are those of the weight e^(Re f).  The BMO norm, the VMO
     profile and the John-Nirenberg envelope share one pass over the
     interval family."""
-    if scales is None:
-        scales = [c * f.h for c in _dyadic_cell_widths(f.n)]
-    if lambdas is None:
-        peak = float(np.max(np.abs(f.values - f.values.mean())))
-        top = max(peak, 1e-6)
-        lambdas = np.linspace(top / 16, top * 1.25, 20)
     # the doubling constant sums three periods of the weight: a finite
     # 3 * sum bounds every prefix sum, and e^u that underflows to 0 is no
-    # weight either
+    # weight either; checked first, so no sum below overflows on u
     with np.errstate(over="ignore"):
         eu = np.exp(f.values.real)
         total = 3 * eu.sum()
@@ -387,6 +381,12 @@ def analyze(f: SampledFunction, scales=None, lambdas=None) -> AnalyzerReport:
         raise ResolutionError("e^u left floating range: the weight e^(Re f) or its sums "
                               "are not finite and positive")
     weight = f.with_values(eu + 0j)
+    if scales is None:
+        scales = [c * f.h for c in _dyadic_cell_widths(f.n)]
+    if lambdas is None:
+        peak = float(np.max(np.abs(f.values - f.values.mean())))
+        top = max(peak, 1e-6)
+        lambdas = np.linspace(top / 16, top * 1.25, 20)
     by_width = _oscillation_by_width(f)
     norm = max(v for _, v in by_width)
     jn = _john_nirenberg(f, (f.domain.a, f.domain.length), lambdas, norm)

@@ -165,11 +165,11 @@ def test_dilatation_failing_in_a_late_block_writes_nothing(tmp_path, capsys, mon
     add = _DilatationChecks.add
     blocks = []
 
-    def poisoned(self, levels, mu, denom_mag):
+    def poisoned(self, levels, mu, denom_mag, factor):
         blocks.append(levels)
         if levels.stop == self.grid.ny:
             mu[-1, -1] = np.nan  # the last node of the top level
-        return add(self, levels, mu, denom_mag)
+        return add(self, levels, mu, denom_mag, factor)
 
     monkeypatch.setattr(_DilatationChecks, "add", poisoned)
     out = tmp_path / "o"
@@ -597,6 +597,26 @@ def test_step_below_the_rounding_floor_exits_3_as_resolution(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["beltrami", "--builtin", "sine:inf,1"] + GRID_ARGS, 2),
+    (["beltrami", "--builtin", "sawtooth:inf"] + GRID_ARGS, 2),
+    (["analyze", "--builtin", "const:1e308"] + N_ARGS, 3),
+    (["analyze", "--builtin", "sine:1e308,1"] + N_ARGS, 3),
+    (["analyze", "--builtin", "step:1e308"] + N_ARGS, 3),
+    (["analyze", "--builtin", "random-trig:3,1e308"] + N_ARGS, 3),
+], ids=["sine-inf", "sawtooth-inf", "const-1e308", "sine-1e308", "step-1e308",
+        "random-trig-1e308"])
+def test_typed_errors_come_without_a_runtime_warning(tmp_path, capsys, argv, code):
+    # an infinite amplitude makes a NaN sample, and samples near 1e308
+    # overflow the mean of the default John-Nirenberg thresholds: each
+    # fails with its one error line and no RuntimeWarning ahead of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=")
+
+
 # ---------------------------------------------------------------------------
 # probe base datum: --w0 is a builtin spec, --w0-input a file
 
@@ -658,8 +678,8 @@ def test_probe_report_is_pinned_to_its_bits(tmp_path, args, pins):
                                     "--eps=nan", "--eps=-0.1", "--eps=0", "--eps=1e-300"])
 def test_probe_rejects_bad_arguments_before_any_field(tmp_path, monkeypatch, capsys, option):
     built = []
-    real = analyticity._Family
-    monkeypatch.setattr(analyticity, "_Family",
+    real = analyticity._DilatationMap
+    monkeypatch.setattr(analyticity, "_DilatationMap",
                         lambda *a: built.append(a) or real(*a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -914,9 +934,9 @@ def test_fresh_interpreter_import(case):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # BLAS serves only the Carleson quadratures (carleson, transfer) and the
-    # probe's quotient slope; each side runs in its own directory with the
-    # same --out, which the reports echo
+    # the Carleson reports (carleson, transfer) and the probe's read the
+    # same bits on one BLAS thread as on two; each side runs in its own
+    # directory with the same --out, which the reports echo
     jobs = ["carleson", "transfer", "probe --contour-nodes 8"]
     code = ("import sys\nfrom qcheat.cli import run\n"
             "for job in sys.argv[1:]:\n"
@@ -948,6 +968,41 @@ def test_modules_import_no_third_party_package_but_numpy():
         if name.endswith(".py"):
             found = set(_imported_top_level_names(os.path.join(package, name)))
             assert found - set(sys.stdlib_module_names) - {"numpy"} == set(), name
+
+
+BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "vdot", "inner", "linalg"}
+# the functions that may multiply matrices: no CLI command reaches either
+BLAS_ALLOWED = {("extension.py", "_periodic_eval"), ("funcspace.py", "oscillation_integral")}
+
+
+def _blas_uses(node, owner=None):
+    """(innermost enclosing function, line) of every matrix product, and of
+    every name of a BLAS or LAPACK routine, in a module's syntax tree."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _blas_uses(child, child.name)
+            continue
+        if (isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult)
+                or isinstance(child, ast.Attribute) and child.attr in BLAS_NAMES
+                or isinstance(child, ast.Name) and child.id in BLAS_NAMES
+                or isinstance(child, ast.ImportFrom) and "linalg" in (child.module or "")
+                or isinstance(child, ast.alias) and set(child.name.split(".")) & BLAS_NAMES):
+            yield owner, child.lineno
+        yield from _blas_uses(child, owner)
+
+
+def test_no_report_path_calls_blas():
+    # README: no report path calls BLAS or LAPACK, whose summation order
+    # belongs to the BLAS kernel
+    package = os.path.dirname(os.path.abspath(qc.__file__))
+    stray = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            stray += [(name, owner, line) for owner, line in _blas_uses(tree)
+                      if (name, owner) not in BLAS_ALLOWED]
+    assert stray == []
 
 
 def test_oracles_stay_outside_the_package():

@@ -745,23 +745,24 @@ def test_denom_mag_is_the_per_level_window_mean_magnitude(name, small_grid):
 # ---------------------------------------------------------------------------
 # the checks of a dilatation field across blocks, and its memory
 
-def _check_reference(mu_at=(), mag_at=(), factor=lambda levels: 1.0, floor=1e-20):
+def _check_reference(mu_at=(), mag_at=(), factor_at=(), floor=1e-20):
     """The running checks of a dilatation field fed synthetic arrays of the
-    reference grid block by block, over its 15 blocks of levels: mu = 1
-    and denom_mag = 1 but for the (level, node): value entries of `mu_at`
-    and `mag_at`."""
+    reference grid block by block, over its 15 blocks of levels: mu = 1,
+    denom_mag = 1 and its magnitude factor 1 but for the (level, node) or
+    level: value entries of `mu_at`, `mag_at` and `factor_at`."""
     grid = qc.HalfPlaneGrid.build()
     blocks = [block[0] for block in _SpectralPlan(qc.constant(0.0, 2048), grid).blocks()]
     assert len(blocks) == 15
     mu = np.ones((grid.ny, grid.nx), dtype=complex)
     denom_mag = np.ones((grid.ny, grid.nx))
-    for a, entries in ((mu, mu_at), (denom_mag, mag_at)):
+    factor = np.ones((grid.ny, grid.nx))
+    for a, entries in ((mu, mu_at), (denom_mag, mag_at), (factor, factor_at)):
         for at, value in entries:
             a[at] = value
-    checks = extension._DilatationChecks(grid)
+    checks = extension._DilatationChecks(grid, floor)
     for levels in blocks:
-        checks.add(levels, mu[levels], denom_mag[levels])
-    checks.close(factor, floor)
+        checks.add(levels, mu[levels], denom_mag[levels], factor[levels])
+    checks.close()
 
 
 # each message as the checks gave it when they read whole arrays of the
@@ -776,11 +777,9 @@ def _check_reference(mu_at=(), mag_at=(), factor=lambda levels: 1.0, floor=1e-20
      qc.ResolutionError, "dilatation denominator 1.000e-13 at (x, y) = (0.0488281, 0.176777) "
                          "is below the engine's rounding floor 2.000e-12"),
     # the floor is recorded with the factor of its own node
-    (dict(mag_at=[((60, 100), 1e-13)], floor=4e-13,
-          factor=lambda levels: np.full((1, 2048), 3.0) if levels == slice(60, 61) else 1.0),
+    (dict(mag_at=[((60, 100), 1e-13)], floor=4e-13, factor_at=[(60, 3.0)]),
      qc.ResolutionError, "rounding floor 1.200e-12"),
-    (dict(mag_at=[((60, 100), 1e-13)], floor=3e-13,
-          factor=lambda levels: np.full((1, 2048), 3.0) if levels == slice(60, 61) else 1.0),
+    (dict(mag_at=[((60, 100), 1e-13)], floor=3e-13, factor_at=[(60, 3.0)]),
      qc.SingularDenominatorError, "dilatation denominator 1.000e-13 below 1e-12 "
                                   "at (x, y) = (0.0488281, 0.176777)"),
 ])
