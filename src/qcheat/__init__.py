@@ -18,20 +18,17 @@ _PUBLIC = {
              "step"),
     "errors": ("CoverageError", "DomainError", "ProbeFailure", "QcheatError",
                "ResolutionError", "SingularDenominatorError"),
-    "kernels": ("ALPHA", "BETA", "KERNELS", "PHI", "PHI_SECOND", "PSI", "Kernel", "KernelId",
-                "eval_kernel", "scale"),
+    "kernels": ("ALPHA", "BETA", "KERNELS", "PHI", "PHI_SECOND", "PSI", "Kernel", "KernelId"),
     "extension": ("BeltramiField", "ExtensionField", "HalfPlaneGrid", "beltrami",
-                  "beltrami_blocks", "classical_ba_extend", "extend", "extend_blocks",
-                  "gamma_of"),
+                  "beltrami_blocks", "classical_ba_extend", "extend", "extend_blocks"),
     "funcspace": ("AnalyzerReport", "JNProfile", "a_infty_constant", "analyze", "bmo_norm",
-                  "doubling_constant", "john_nirenberg_profile", "oscillation_integral",
-                  "quasisymmetry_constant", "vmo_profile"),
+                  "doubling_constant", "vmo_profile"),
     "carleson": ("CarlesonReport", "DiskSums", "HalfPlaneSums", "ProfileEntry",
                  "carleson_norm_disk", "carleson_norm_halfplane", "hybrid_norm",
                  "vanishing_profile_disk", "vanishing_profile_halfplane"),
     "transfer": ("CircleHomeo", "DiskGrid", "contraction", "disk_phase",
                  "disk_extension_trace", "forward_L", "identity_homeo", "inverse_L", "lift",
-                 "push_to_disk", "reflect_beltrami"),
+                 "push_to_disk"),
     "analyticity": ("HolomorphyProbe", "build_probe", "cauchy_error", "cauchy_reconstruct",
                     "contour_derivative", "cr_residual", "quotient_convergence"),
 }

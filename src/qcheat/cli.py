@@ -462,10 +462,6 @@ def _config_echo(args) -> dict:
     return cfg
 
 
-def _lifted(datum: SampledFunction) -> SampledFunction:
-    return transfer.lift(datum) if datum.domain.kind == "circle" else datum
-
-
 def cmd_analyze(args) -> int:
     datum = load_datum(args)
     rep = funcspace.analyze(datum)
@@ -482,7 +478,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    datum = _lifted(load_datum(args))
+    datum = load_datum(args)
     grid = _grid_from(args)
     _, blocks = extension.extend_blocks(datum, grid)
     residuals, v_min = {}, np.inf
@@ -508,7 +504,7 @@ def cmd_extend(args) -> int:
 def cmd_beltrami(args) -> int:
     from .kernels import ALPHA, BETA, envelope_constant
 
-    datum = _lifted(load_datum(args))
+    datum = load_datum(args)
     grid = _grid_from(args)
     _, blocks = extension.beltrami_blocks(datum, grid)
     report = {}
@@ -551,7 +547,7 @@ def _carleson_json(rep: carleson.CarlesonReport) -> dict:
 
 
 def cmd_carleson(args) -> int:
-    datum = _lifted(load_datum(args))
+    datum = load_datum(args)
     grid = _grid_from(args)
     periodic, blocks = extension.beltrami_blocks(datum, grid)
     sums = carleson.HalfPlaneSums(grid, periodic)
@@ -568,7 +564,7 @@ def cmd_transfer(args) -> int:
     if datum.domain.kind != "circle":
         raise DomainError("transfer needs circle data")
     grid = _grid_from(args)
-    periodic, blocks = extension.beltrami_blocks(transfer.lift(datum), grid)
+    periodic, blocks = extension.beltrami_blocks(datum, grid)
     halfplane = carleson.HalfPlaneSums(grid, periodic)
     # a field that is not periodic has no disk image: that is reported
     # once the field itself has passed its checks
@@ -602,9 +598,9 @@ def _quotient_steps(eps: float) -> list:
 
 
 def cmd_probe(args) -> int:
-    w1 = _lifted(load_datum(args))
-    w0 = _lifted(load_datum_file(args.w0_input) if args.w0_input
-                 else parse_builtin(args.w0 or "const:0", args.n, args.seed))
+    w1 = load_datum(args)
+    w0 = (load_datum_file(args.w0_input) if args.w0_input
+          else parse_builtin(args.w0 or "const:0", args.n, args.seed))
     # one walk of the blocks gives every statistic: no whole field is built
     probe = analyticity.build_probe(w0, w1, args.eps, args.contour_nodes,
                                     _grid_from(args), at=(0.0,), steps=_quotient_steps)

@@ -45,14 +45,14 @@ the lattice frequencies p0 is an exact antiderivative of e^w, so the
 recorded identity residuals see only the aliases and rounding.
 
 Line data on [a, b] are taken as one period, of length n h, of a periodic
-lattice, and gamma (by cumulative trapezoid, anchored at 0 as in
-`gamma_of`, so [a, b] must contain 0) is convolved itself.  The
+lattice, and gamma (by cumulative trapezoid, anchored at gamma(0) = 0,
+so [a, b] must contain 0) is convolved itself.  The
 coverage check keeps every window of half-width 8y around a grid node
 inside [a, b], so the seam and every translate of the data lie at least
 8y from the node, where the kernels are below e^-64 of their peak: the
 periodised lattice sum is the window sum to rounding.  The real-space
-checks of the engine, its lattice sums and a finite-difference dilatation,
-are in tests/oracles.py.
+checks of the engine, its lattice sums, gamma and a finite-difference
+dilatation, are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -227,18 +227,6 @@ def _periodic_parts(w: SampledFunction):
     return scale_const, mhat, ew, p0
 
 
-def _periodic_eval(w: SampledFunction, p0: np.ndarray, x):
-    """Evaluate the periodic antiderivative part at arbitrary x (Fourier sum;
-    p0 holds samples at the lattice nodes, which start at domain.a)."""
-    n = w.n
-    L = w.domain.length
-    coef = np.fft.fft(p0) / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    x = np.asarray(x, dtype=float) - w.domain.a
-    phase = np.exp(2j * np.pi * np.outer(x, k) / L)
-    return phase @ coef
-
-
 def _cumulative_trapezoid(vals: np.ndarray, a: float, h: float):
     """Antiderivative from a of the piecewise-linear interpolant of vals on
     the lattice a + h*j.  Returns (nodes, at): its values at the lattice
@@ -254,21 +242,6 @@ def _cumulative_trapezoid(vals: np.ndarray, a: float, h: float):
         return nodes[j] + (vals[j] + v_t) * d / 2
 
     return nodes, at
-
-
-def gamma_of(w: SampledFunction, x: float) -> complex:
-    """Boundary curve value gamma(x) = integral of e^w over [0, x].
-
-    Periodic data extend over all of R; plain line data must contain
-    [0, x] (gamma(0) = 0 convention), integrated by cumulative trapezoid.
-    """
-    if w.periodic:
-        scale_const, mhat, _, p0 = _periodic_parts(w)
-        px = _periodic_eval(w, p0, [x, 0.0])
-        return complex(scale_const * (mhat * x + px[0] - px[1]))
-    w.domain.require_covers(min(0.0, x), max(0.0, x), "gamma interval from 0")
-    _, at = _cumulative_trapezoid(np.exp(w.values), w.domain.a, w.h)
-    return complex(at(x) - at(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +676,9 @@ class _DilatationChecks:
     """The checks of `beltrami` as running state over the blocks of one
     field, taken in ascending order by `add` and decided by `close`, in
     the precedence they have on whole arrays: a denominator magnitude
-    below SINGULAR_THRESHOLD, named at its first smallest node, unless a
-    magnitude anywhere is NaN (no small denominator then); then the first
+    below SINGULAR_THRESHOLD, or below the rounding floor where that floor
+    is at least SINGULAR_THRESHOLD, named at its first smallest node, unless
+    a magnitude anywhere is NaN (no small denominator then); then the first
     node of mu, and then of the magnitude, that is not finite.  `floor` is
     the absolute rounding floor of the denominator."""
 
@@ -712,7 +686,7 @@ class _DilatationChecks:
         self.grid, self.floor = grid, floor
         self.not_finite = {}  # "mu", "denom_mag": the error of its first bad node
         self.nan = False
-        self.smallest, self.at, self.noise = np.inf, None, None
+        self.smallest, self.at, self.noise = np.inf, None, 0.0
 
     def add(self, levels: slice, mu: np.ndarray, denom_mag: np.ndarray, factor) -> bool:
         """Take in the rows of mu and the recorded denominator magnitude on
@@ -738,12 +712,13 @@ class _DilatationChecks:
     def close(self):
         """Raise what the checks found."""
         grid = self.grid
-        if not self.nan and self.smallest < SINGULAR_THRESHOLD:
+        if not self.nan and self.smallest < max(SINGULAR_THRESHOLD, self.noise):
             jj, ii = self.at
             x, y = float(grid.x[ii]), float(grid.y_levels[jj])
             where = f"at (x, y) = ({x:.6g}, {y:.6g})"
-            # the engine cannot tell a magnitude below the threshold from zero
-            # where its rounding floor, recorded the same way, exceeds it
+            # the engine cannot tell a magnitude below its rounding floor,
+            # recorded the same way, from zero: where that floor reaches the
+            # threshold, such a magnitude is unresolved, not vanishing
             if self.noise >= SINGULAR_THRESHOLD:
                 raise ResolutionError(
                     f"dilatation denominator {self.smallest:.3e} {where} is below the "
@@ -930,9 +905,9 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid) -> BeltramiField:
     1e-12 raises SingularDenominatorError carrying the offending (x, y),
     unless the engine's rounding floor there (FFT_ROUNDING_FLOOR * mean
     |e^(w - mean w)|, recorded the same way) is itself at least 1e-12:
-    then the denominator is unresolved, not vanishing, and ResolutionError
-    is raised.  A mu or magnitude that is not finite raises
-    ResolutionError.
+    then a magnitude below that floor is unresolved, not vanishing, and
+    ResolutionError is raised, whether or not it lies below 1e-12.  A mu or
+    magnitude that is not finite raises ResolutionError.
     """
     periodic, blocks = beltrami_blocks(w, grid)
     return _collect(grid, periodic, blocks)

@@ -1,7 +1,6 @@
 """Estimators for sampled boundary data: mean oscillation (BMO/VMO),
-inverse-Jensen (A-infinity) and doubling constants of weights, the
-exponential level-set profile of oscillation, quasisymmetry constants,
-and kernel-weighted oscillation integrals.
+inverse-Jensen (A-infinity) and doubling constants of weights, and the
+exponential level-set profile of oscillation.
 
 All interval estimators run over the same family: dyadic widths from the
 full domain down to 4 grid cells, translated by half-steps (with wraparound
@@ -19,7 +18,6 @@ import numpy as np
 
 from .data import SampledFunction
 from .errors import DomainError, ResolutionError
-from .kernels import TRUNCATION_RADIUS, Kernel
 
 
 def _dyadic_cell_widths(n: int) -> list[int]:
@@ -219,19 +217,15 @@ class JNProfile:
     cjn_hat: float
 
 
-def john_nirenberg_profile(f: SampledFunction, J: tuple[float, float], lambdas) -> JNProfile:
+def _john_nirenberg(f: SampledFunction, J, lambdas, norm: float) -> JNProfile:
     """Empirical exceedance fractions of |f - f_J| on the interval J
     (given as (start, length) in x units) and the least exponential envelope
-    C0 * exp(-CJN * lambda / bmo_norm(f)) dominating them.
+    C0 * exp(-CJN * lambda / norm) dominating them, norm the BMO norm of f.
 
     The decay rate comes from least squares on the log of the nonzero
     exceedances; C0 is then the smallest constant making the envelope
     dominate every sampled bin.
     """
-    return _john_nirenberg(f, J, lambdas, bmo_norm(f))
-
-
-def _john_nirenberg(f: SampledFunction, J, lambdas, norm: float) -> JNProfile:
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(lambdas <= 0) or np.any(np.diff(lambdas) <= 0):
         raise DomainError("lambda values must be positive ascending")
@@ -270,91 +264,6 @@ def _john_nirenberg(f: SampledFunction, J, lambdas, norm: float) -> JNProfile:
 
 
 # ---------------------------------------------------------------------------
-# quasisymmetry
-
-def quasisymmetry_constant(h) -> float:
-    """Sup over sampled pairs of adjacent equal-length intervals of the
-    image-length ratio (both orders).  Accepts a CircleHomeo or a strictly
-    increasing real line map given as a SampledFunction."""
-    if isinstance(h, SampledFunction):
-        if not h.is_real:
-            raise DomainError("quasisymmetry needs a real-valued map")
-        g = h.values.real
-        if np.any(np.diff(g) <= 0):
-            raise DomainError("quasisymmetry needs a strictly increasing map")
-        n = g.size
-        best = 1.0
-        c = 1
-        while 2 * c <= n - 1:
-            x = np.arange(c, n - c)
-            num = g[x + c] - g[x]
-            den = g[x] - g[x - c]
-            r = num / den
-            best = max(best, float(np.max(r)), float(np.max(1.0 / r)))
-            c *= 2
-        return best
-    # duck-typed CircleHomeo
-    if not hasattr(h, "g_extended"):
-        raise DomainError("expected a SampledFunction or CircleHomeo")
-    n = h.n
-    best = 1.0
-    c = 1
-    while 4 * c <= n:
-        x = np.arange(n)
-        num = h.g_extended(x + c) - h.g_extended(x)
-        den = h.g_extended(x) - h.g_extended(x - c)
-        r = num / den
-        best = max(best, float(np.max(r)), float(np.max(1.0 / r)))
-        c *= 2
-    return best
-
-
-# ---------------------------------------------------------------------------
-# oscillation integrals
-
-def oscillation_integral(u: SampledFunction, k: Kernel, x: float, y: float,
-                         mode: str = "power", k_exp: int = 1) -> float:
-    """Kernel-weighted oscillation around the window mean u_I over
-    I(x, y) = (x - y, x + y):
-
-      power:       integral of |k_y(x-t)| * |u(t) - u_I|^k_exp dt
-      exponential: integral of |k_y(x-t)| * exp(|u(t) - u_I|) dt
-    """
-    if y <= 0:
-        raise DomainError(f"oscillation integral needs y > 0, got {y}")
-    if mode not in ("power", "exponential"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if mode == "power" and k_exp < 1:
-        raise DomainError("power mode needs k_exp >= 1")
-    R = TRUNCATION_RADIUS
-    u.domain.require_covers(x - R * y, x + R * y)
-    vals = u.values
-    n = u.n
-    a = u.domain.a
-    if u.periodic:
-        L = u.domain.length
-        hh = L / n
-        t = a + hh * np.arange(n)
-        # window mean over I(x, y)
-        rel = ((t - x + L / 2) % L) - L / 2
-        mask = np.abs(rel) < y if y < L / 2 else np.ones(n, dtype=bool)
-        u_I = vals[mask].mean() if np.any(mask) else vals.mean()
-        m_max = int(np.ceil((R * y) / L)) + 3
-        m = np.arange(-m_max, m_max + 1) * L
-        offs = rel[None, :] + m[:, None]
-        kern = np.abs(k.evaluator(-offs / y) / y).sum(axis=0)
-    else:
-        hh = u.h
-        t = u.x
-        mask = np.abs(t - x) < y
-        u_I = vals[mask].mean()
-        kern = np.abs(k.evaluator((x - t) / y) / y)
-    dev = np.abs(vals - u_I)
-    g = dev ** k_exp if mode == "power" else np.exp(dev)
-    return float(hh * np.dot(kern, g))
-
-
-# ---------------------------------------------------------------------------
 # report assembly
 
 @dataclass(frozen=True)
@@ -366,11 +275,13 @@ class AnalyzerReport:
     jn_fit: tuple[float, float]
 
 
-def analyze(f: SampledFunction, scales=None, lambdas=None) -> AnalyzerReport:
+def analyze(f: SampledFunction) -> AnalyzerReport:
     """Full estimator report for a datum; the A-infinity and doubling
     constants are those of the weight e^(Re f).  The BMO norm, the VMO
-    profile and the John-Nirenberg envelope share one pass over the
-    interval family."""
+    profile (at every family width) and the John-Nirenberg envelope (at
+    20 levels up to 1.25 times the largest deviation from the mean) share
+    one pass over the interval family.  A weight, or samples, whose sums
+    leave floating range raise ResolutionError."""
     # the doubling constant sums three periods of the weight: a finite
     # 3 * sum bounds every prefix sum, and e^u that underflows to 0 is no
     # weight either; checked first, so no sum below overflows on u
@@ -381,13 +292,16 @@ def analyze(f: SampledFunction, scales=None, lambdas=None) -> AnalyzerReport:
         raise ResolutionError("e^u left floating range: the weight e^(Re f) or its sums "
                               "are not finite and positive")
     weight = f.with_values(eu + 0j)
-    if scales is None:
-        scales = [c * f.h for c in _dyadic_cell_widths(f.n)]
-    if lambdas is None:
+    # samples out of floating range show as sums that are not finite
+    with np.errstate(all="ignore"):
         peak = float(np.max(np.abs(f.values - f.values.mean())))
-        top = max(peak, 1e-6)
-        lambdas = np.linspace(top / 16, top * 1.25, 20)
-    by_width = _oscillation_by_width(f)
+        by_width = _oscillation_by_width(f)
+    if not np.all(np.isfinite([1.25 * peak] + [v for _, v in by_width])):
+        raise ResolutionError("f left floating range: its deviations from the mean or its "
+                              "mean oscillations are not finite")
+    scales = [c * f.h for c in _dyadic_cell_widths(f.n)]
+    top = max(peak, 1e-6)
+    lambdas = np.linspace(top / 16, top * 1.25, 20)
     norm = max(v for _, v in by_width)
     jn = _john_nirenberg(f, (f.domain.a, f.domain.length), lambdas, norm)
     return AnalyzerReport(

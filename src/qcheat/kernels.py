@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 SQRT_PI = np.sqrt(np.pi)
 
 
@@ -75,16 +73,6 @@ class Kernel:
         """Kernel value k(s) = P(s) phi(s) at real s."""
         return self.gauss_factor(s) * _gauss(s)
 
-    @property
-    def moment0(self) -> complex:
-        """Integral of k: only phi has mass."""
-        return complex(dict(self.derivatives).get(0, 0))
-
-    @property
-    def moment1(self) -> complex:
-        """Integral of s k(s): only psi = phi' has a first moment, -1."""
-        return complex(-dict(self.derivatives).get(1, 0))
-
 
 PHI = Kernel(KernelId.Phi, ((0, 1.0),))
 PSI = Kernel(KernelId.Psi, ((1, 1.0),))
@@ -105,21 +93,6 @@ KERNELS: dict[KernelId, Kernel] = {
 
 # half-width of the real-space integration window, in units of s = t/y
 TRUNCATION_RADIUS = 8.0
-
-
-def eval_kernel(k: Kernel, s) -> complex | np.ndarray:
-    """Kernel value at s (scalar or array); a total function."""
-    out = k.evaluator(np.asarray(s, dtype=float))
-    if np.isscalar(s) or np.asarray(s).ndim == 0:
-        return complex(out)
-    return out
-
-
-def scale(k: Kernel, y: float, t) -> complex | np.ndarray:
-    """Scaled kernel k_y(t) = k(t/y) / y; y must be positive."""
-    if y <= 0:
-        raise DomainError(f"kernel scale requires y > 0, got {y}")
-    return eval_kernel(k, np.asarray(t, dtype=float) / y) / y
 
 
 def _horner(z: np.ndarray, coeffs) -> np.ndarray:
@@ -148,9 +121,9 @@ def multiplier(k: Kernel, nu) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # diagnostics
 
-def envelope_constant(k: Kernel, s_min: float = 4.0, s_max: float = 30.0,
-                      n: int = 4001) -> float:
-    """Smallest C with |k(s)| <= C exp(-|s|) on |s| >= s_min (sampled)."""
-    s = np.linspace(s_min, s_max, n)
+def envelope_constant(k: Kernel) -> float:
+    """Smallest C with |k(s)| <= C exp(-|s|) on |s| >= 4, sampled at 4001
+    points of [4, 30] on either side."""
+    s = np.linspace(4.0, 30.0, 4001)
     s = np.concatenate([-s[::-1], s])
     return float(np.max(np.abs(k.evaluator(s)) * np.exp(np.abs(s))))

@@ -159,21 +159,6 @@ def forward_L(h: CircleHomeo) -> SampledFunction:
     return SampledFunction(Domain.circle(), np.log(gp) + 0j)
 
 
-def reflect_beltrami(mu2: BeltramiField) -> BeltramiField:
-    """Reflection z -> 1/conj(z) between the disk and its exterior at the
-    dilatation level: values become conj(mu2) * z^2 / conj(z)^2.
-
-    A field "on the exterior" is stored at the mirrored grid points (the
-    polar grid is reflection-closed under r -> 1/r by construction), so the
-    operation is a pure value transform on the same DiskGrid; applying it
-    twice is the identity."""
-    if not isinstance(mu2.grid, DiskGrid):
-        raise DomainError("reflection needs a reflection-closed disk grid")
-    phase = np.exp(4j * mu2.grid.thetas)
-    vals = np.conj(mu2.values) * phase[None, :]
-    return BeltramiField(mu2.grid, vals, mu2.denom_mag, periodic=mu2.periodic)
-
-
 def contraction(u: SampledFunction, t: float) -> CircleHomeo:
     """Contraction path through the log-derivative coordinate: the
     homeomorphism with boundary datum (1 - t) * u."""

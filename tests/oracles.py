@@ -14,9 +14,11 @@ independent of the code they check:
 - `numeric_moment`: a dense trapezoid of a kernel's moment;
 - `beltrami_fd_oracle`: the dilatation by central differences of F.
 
-One oracle works on the Fourier side: `alias_table`, the folding route's
-multiplier rows summed alias by alias over every alias the plan's J allows,
-from the public `kernels.multiplier` and public attributes of a plan.
+Two oracles work on the Fourier side.  `alias_table`: the folding route's
+multiplier rows summed alias by alias over every alias the plan's J
+allows, from the public `kernels.multiplier` and public attributes of a
+plan.  `gamma_of`: the boundary curve, by the dense Fourier series of e^w
+on periodic data (and cell by cell on line data), from the samples alone.
 """
 
 import numpy as np
@@ -101,6 +103,35 @@ def convolve(w, kern, x, y) -> complex:
     if w.periodic:
         return periodic_point_sum(w, kern, x, y, data)
     return complex(window_sum(w, data, kern, x, y))
+
+
+def gamma_of(w, x: float) -> complex:
+    """gamma(x), the integral of e^w over [0, x]: for periodic data that of
+    the Fourier series of the samples of e^w, term by term; for line data,
+    which must contain [0, x], that of their piecewise-linear interpolant,
+    summed exactly over the part of each lattice cell inside [0, x]."""
+    ew = np.exp(w.values)
+    a = w.domain.a
+    if w.periodic:
+        period = w.domain.length
+        coef = np.fft.fft(ew) / w.n
+        k = np.fft.fftfreq(w.n, d=1.0 / w.n)[1:]
+
+        def wave(t):
+            return np.exp(2j * np.pi * k * (t - a) / period)
+
+        return complex(coef[0] * x + np.sum(coef[1:] * (wave(x) - wave(0.0))
+                                            * (period / (2j * np.pi * k))))
+    w.domain.require_covers(min(0.0, x), max(0.0, x))
+    t = a + w.h * np.arange(w.n)
+    slope = np.diff(ew) / w.h
+
+    def interpolant(s):
+        return ew[:-1] + slope * (s - t[:-1])
+
+    lo, hi = np.clip(min(0.0, x), t[:-1], t[1:]), np.clip(max(0.0, x), t[:-1], t[1:])
+    total = complex(np.sum((hi - lo) * (interpolant(lo) + interpolant(hi)) / 2))
+    return total if x >= 0 else -total
 
 
 def alias_table(plan, *kerns):

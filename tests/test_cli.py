@@ -330,10 +330,10 @@ def test_circle_windows_need_32_nodes(tmp_path, capsys, y_min, code):
         assert "error kind=resolution" in capsys.readouterr().err
 
 
-def _readme_cli_section():
+def _readme_section(title):
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
         text = fh.read()
-    start = text.index("\n## CLI\n")
+    start = text.index(f"\n## {title}\n")
     end = text.find("\n## ", start + 1)
     return text[start:end if end >= 0 else None]
 
@@ -343,9 +343,13 @@ def test_readme_documents_every_cli_option():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for p in sub.choices.values() for a in p._actions
                for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
-    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _readme_cli_section()))
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _readme_section("CLI")))
     assert options - documented == set()
     assert documented - options == set()
+
+
+def test_readme_lists_every_public_name():
+    assert set(re.findall(r"`([^`]+)`", _readme_section("Library API"))) == set(qc.__all__)
 
 
 def test_singular_datum_exits_3(tmp_path, capsys):
@@ -594,6 +598,35 @@ def test_step_below_the_rounding_floor_exits_3_as_resolution(tmp_path, capsys):
     assert run(["beltrami", "--builtin", "step:20", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "error kind=resolution" in err and "rounding floor" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [[], ["--nx", "1024"], ["--nx", "2000"],
+                                  ["--x-min", "0.1", "--x-max", "0.6"]],
+                         ids=["reference", "nx1024", "nx2000", "part"])
+@pytest.mark.parametrize("spec", ["step:19", "step:20"])
+def test_denominator_below_a_floor_above_the_threshold_exits_3(tmp_path, capsys, spec, grid):
+    # with --nx 2000 the smallest |den| of step:20 reads 3.97e-11 under a
+    # rounding floor of ~5.4e-8: above 1e-12, yet unresolved, not a field
+    out = tmp_path / "o"
+    assert run(["beltrami", "--builtin", spec, "--out", str(out)] + grid) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=resolution")
+    assert "rounding floor" in err[0]
+    assert not out.exists()
+
+
+def test_analyze_of_samples_out_of_floating_range_exits_3(tmp_path, capsys):
+    # Im w = 1e308 leaves the weight e^(Re w) alone but overflows the mean of w
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"domain": "circle", "n": 64, "values_re": [0.0] * 64,
+                                "values_im": [1e308] * 64}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["analyze", "--input", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=resolution")
     assert not out.exists()
 
 
@@ -971,8 +1004,8 @@ def test_modules_import_no_third_party_package_but_numpy():
 
 
 BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "vdot", "inner", "linalg"}
-# the functions that may multiply matrices: no CLI command reaches either
-BLAS_ALLOWED = {("extension.py", "_periodic_eval"), ("funcspace.py", "oscillation_integral")}
+# the functions that may multiply matrices: none
+BLAS_ALLOWED = set()
 
 
 def _blas_uses(node, owner=None):
@@ -992,8 +1025,8 @@ def _blas_uses(node, owner=None):
 
 
 def test_no_report_path_calls_blas():
-    # README: no report path calls BLAS or LAPACK, whose summation order
-    # belongs to the BLAS kernel
+    # README: no package function calls BLAS or LAPACK, whose summation
+    # order belongs to the BLAS kernel
     package = os.path.dirname(os.path.abspath(qc.__file__))
     stray = []
     for name in sorted(os.listdir(package)):
@@ -1018,7 +1051,7 @@ def test_oracles_stay_outside_the_package():
                 if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
     assert private == []
     moved = {"convolve", "_periodic_point_sum", "numeric_moment", "beltrami_fd_oracle",
-             "require_window_nodes", "alias_table", "block_window_sums"}
+             "require_window_nodes", "alias_table", "block_window_sums", "gamma_of"}
     package = os.path.dirname(os.path.abspath(qc.__file__))
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):

@@ -79,17 +79,11 @@ def _coverage_cases():
     far = qc.HalfPlaneGrid.build(x_min=2.0, x_max=3.0, nx=64, y_min=1 / 32, y_max=1 / 16)
     identity = _line(-1.0, 1.0, 4097, np.linspace(-1.0, 1.0, 4097))
     return {
-        # [0, 0.75] from the anchor 0
-        "gamma_of": (lambda: qc.gamma_of(_line(0.5, 1.0), 0.75), (0.5, 1.0), (0.0, 0.5)),
         # grid windows [-1, 0.4921875 + 1]
         "extend": (lambda: qc.extend(_line(-1.0, 1.0), half), (-1.0, 1.0), (1.0, 1.4921875)),
         "beltrami": (lambda: qc.beltrami(_line(-1.0, 1.0), half), (-1.0, 1.0), (1.0, 1.4921875)),
         # the windows lie inside [0.5, 4.5], the anchor 0 of gamma does not
         "extend_anchor": (lambda: qc.extend(_line(0.5, 4.5), far), (0.5, 4.5), (0.0, 0.5)),
-        # window [0.375, 1.375] of (x, y) = (0.875, 1/16)
-        "oscillation_integral": (
-            lambda: qc.oscillation_integral(_line(0.0, 1.0), qc.PHI, 0.875, 1 / 16),
-            (0.0, 1.0), (1.0, 1.375)),
         # box windows [0 - 0.75, 0.4921875 + 0.75]
         "classical_ba_extend": (lambda: qc.classical_ba_extend(identity, 2.0, box),
                                 (-1.0, 1.0), (1.0, 1.2421875)),

@@ -12,8 +12,8 @@ from qcheat import extension
 from qcheat.extension import _SpectralEngine, _SpectralPlan, _cumulative_trapezoid
 from qcheat.kernels import _V_RATE, ALPHA, BETA, KERNELS, PHI, PHI_SECOND, PSI
 
-from oracles import (alias_table, beltrami_fd_oracle, block_window_sums, periodic_point_sum,
-                     window_sum)
+from oracles import (alias_table, beltrami_fd_oracle, block_window_sums, gamma_of,
+                     periodic_point_sum, window_sum)
 
 
 def grid_points(grid):
@@ -42,18 +42,18 @@ def _convolutions(eng, ew_kernels=(), gamma_kernels=()):
 # gamma
 
 def test_gamma_of_zero_datum():
-    assert qc.gamma_of(qc.constant(0.0), 2.0) == pytest.approx(2.0, abs=1e-12)
+    assert gamma_of(qc.constant(0.0), 2.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_gamma_of_constant_datum():
     c = 0.5
-    assert qc.gamma_of(qc.constant(c), 1.0) == pytest.approx(np.exp(c), abs=1e-12)
+    assert gamma_of(qc.constant(c), 1.0) == pytest.approx(np.exp(c), abs=1e-12)
 
 
 def test_gamma_of_linear_datum_closed_form():
     # integral of e^t over [0, 1] = e - 1, cumulative trapezoid on the line
     w = SampledFunction(Domain.line(0.0, 1.0), np.linspace(0, 1, 8192) + 0j)
-    assert abs(qc.gamma_of(w, 1.0) - (np.e - 1)) <= 1e-8
+    assert abs(gamma_of(w, 1.0) - (np.e - 1)) <= 1e-8
 
 
 def test_cumulative_trapezoid_is_exact_on_linear_data():
@@ -81,19 +81,19 @@ def test_gamma_of_on_a_shifted_period():
     nodes = _SpectralEngine(shifted, grid).gamma_at_nodes()
     for i in (1, 37, 200, 255):
         x = float(grid.x[i])
-        got = qc.gamma_of(shifted, x) - qc.gamma_of(shifted, 0.5)
+        got = gamma_of(shifted, x) - gamma_of(shifted, 0.5)
         assert abs(got - (nodes[i] - nodes[0])) <= 1e-12
-        assert abs(got - (qc.gamma_of(unshifted, x - 0.5) - qc.gamma_of(unshifted, 0.0))) <= 1e-12
+        assert abs(got - (gamma_of(unshifted, x - 0.5) - gamma_of(unshifted, 0.0))) <= 1e-12
     # between lattice nodes too
     x = 0.6445
-    assert abs(qc.gamma_of(shifted, x) - qc.gamma_of(shifted, 0.5)
-               - qc.gamma_of(unshifted, x - 0.5)) <= 1e-12
+    assert abs(gamma_of(shifted, x) - gamma_of(shifted, 0.5)
+               - gamma_of(unshifted, x - 0.5)) <= 1e-12
 
 
 def test_gamma_of_coverage_error_off_anchor():
     w = SampledFunction(Domain.line(0.5, 1.0), np.zeros(64) + 0j)
     with pytest.raises(qc.CoverageError):
-        qc.gamma_of(w, 0.75)  # [0, 0.75] leaves [0.5, 1]
+        gamma_of(w, 0.75)  # [0, 0.75] leaves [0.5, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +255,12 @@ def test_line_extension_gamma_is_gamma_of_between_lattice_nodes():
     n = 1025
     x = np.linspace(-4.0, 4.0, n)
     # the field recenters the weight by exp(mean w), gamma_of does not:
-    # they agree to rounding (1.0e-14 measured)
+    # they agree to rounding (5.0e-15 measured)
     w = SampledFunction(Domain.line(-4.0, 4.0), 0.5 + 0.3 * np.sin(3 * x) + 0.2j * np.cos(x))
     grid = qc.HalfPlaneGrid.build(x_min=-0.503, x_max=0.497, nx=100, y_min=0.05, y_max=0.375)
     assert not np.any(np.isclose((grid.x + 4.0) / w.h % 1, 0.0, atol=1e-6))
     field = qc.extend(w, grid)
-    want = np.array([qc.gamma_of(w, float(t)) for t in grid.x])
+    want = np.array([gamma_of(w, float(t)) for t in grid.x])
     assert np.max(np.abs(field.gamma - want)) <= 1e-13
 
 

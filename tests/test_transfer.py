@@ -97,33 +97,6 @@ def test_inverse_L_rejects_complex_data():
 
 
 # ---------------------------------------------------------------------------
-# reflection
-
-def test_reflection_preserves_modulus_and_is_involutive(small_grid):
-    disk = qc.DiskGrid.from_halfplane(small_grid)
-    rng = np.random.default_rng(5)
-    vals = 0.3 * (rng.standard_normal((small_grid.ny, small_grid.nx))
-                  + 1j * rng.standard_normal((small_grid.ny, small_grid.nx)))
-    nu = BeltramiField(disk, vals, periodic=True)
-    refl = qc.reflect_beltrami(nu)
-    assert np.max(np.abs(np.abs(refl.values) - np.abs(vals))) <= 1e-14
-    twice = qc.reflect_beltrami(refl)
-    assert np.max(np.abs(twice.values - vals)) <= 1e-12
-
-
-def test_reflection_of_zero_field(small_grid):
-    disk = qc.DiskGrid.from_halfplane(small_grid)
-    nu = BeltramiField(disk, np.zeros((small_grid.ny, small_grid.nx), dtype=complex))
-    assert np.all(qc.reflect_beltrami(nu).values == 0.0)
-
-
-def test_reflection_rejects_halfplane_fields(small_grid):
-    mu = BeltramiField(small_grid, np.zeros((small_grid.ny, small_grid.nx), dtype=complex))
-    with pytest.raises(qc.DomainError):
-        qc.reflect_beltrami(mu)
-
-
-# ---------------------------------------------------------------------------
 # contraction
 
 def test_contraction_endpoints():
