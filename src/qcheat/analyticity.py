@@ -34,8 +34,7 @@ from .carleson import HalfPlaneSums
 from .data import SampledFunction
 from .errors import (DomainError, ProbeFailure, QcheatError, ResolutionError,
                      SingularDenominatorError)
-from .extension import (_CHUNK_ENTRIES, BeltramiField, HalfPlaneGrid, _collect,
-                        _datum_blocks, _DilatationMap)
+from .extension import BeltramiField, HalfPlaneGrid, _collect, _datum_blocks, _DilatationMap
 
 SAFE_DENOMINATOR = 1e-6
 
@@ -247,7 +246,7 @@ def _walk(family, eps: float, n_contour: int, at, steps=(), keep: bool = False):
     centers, contour = _nodes(eps, n_contour)
     weights = _weights(eps, contour, at)
     steps = np.asarray(steps, dtype=complex)
-    term = np.zeros((min(grid.ny, max(1, _CHUNK_ENTRIES // grid.nx)), grid.nx), dtype=complex)
+    term = np.zeros((family.block_rows, grid.nx), dtype=complex)
     residual = _Residual(eps / 8.0, term.shape)
     # (zeta, readers, the point that decides it, or None for a probe node)
     nodes = [(zeta, [], None) for zeta in np.concatenate([centers, contour])]

@@ -26,12 +26,12 @@ multipliers and the inverse transforms.  Both of the plan's routes follow
 one band rule: a level sums only the aliases whose Gaussian factor it
 leaves above e^-64.  One walk of the plan (`_SpectralPlan.walk`) builds
 every field, block by block of levels (8 levels of the reference grid):
-a block builds the multiplier rows, over the slots of its band only, or
-the chirp-z rows of every kernel asked for once, and applies them to each
-datum's spectra in place; each level is computed alone, so the block size
-changes no bit.  `extend_blocks` streams the extension field from that
-walk, which is how the CLI writes it without holding a whole field, and
-`extend` fills its arrays from the same blocks.  A dilatation map
+a block evaluates the multiplier rows of every kernel asked for once,
+over its band, and applies them to each datum's spectra in place; each
+level is computed alone, so the block size changes no bit.
+`extend_blocks` streams the extension field from that walk, which is how
+the CLI writes it without holding a whole field, and `extend` fills its
+arrays from the same blocks.  A dilatation map
 (`_DilatationMap`, one per probe) walks the dilatation fields of the
 data w0 + zeta*w1 at any number of zeta at once, each field's checks
 running state decided after the last block: `beltrami_blocks` is the
@@ -288,15 +288,6 @@ def _fast_len(m: int) -> int:
         m += 1
 
 
-def _pieces(start: int, size: int, n: int):
-    """The run of `size` slots start, start + 1, ... modulo n in at most
-    two pieces, as (slots, offsets into the run) slice pairs."""
-    first = min(size, n - start)
-    yield slice(start, start + first), slice(0, first)
-    if size > first:
-        yield slice(0, size - first), slice(first, size)
-
-
 class _SpectralPlan:
     """The datum-independent part of the engine, for one data lattice and
     one grid.  The window rule: a window of half-width 8 y_min must hold
@@ -320,12 +311,10 @@ class _SpectralPlan:
 
     Both routes work in blocks of at most _CHUNK_ENTRIES / nx levels
     (`blocks`), each inside one chunk, and one `walk` over the blocks
-    serves every convolution: a block builds its own multiplier rows or
-    chirp-z rows and writes its levels of the result in place, and every
-    level is computed alone, so the block size changes no bit.  A band
-    narrower than n covers a run of consecutive slots modulo n (`_run`): a
-    block's rows hold that run only, and the walk multiplies the slots
-    outside it as entries of 0.
+    serves every convolution: a block evaluates each kernel's multiplier
+    rows once (`entries`), applies them to every datum and writes its
+    levels of the result in place, and every level is computed alone, so
+    the block size changes no bit.
     """
 
     def __init__(self, w: SampledFunction, grid: HalfPlaneGrid):
@@ -396,44 +385,37 @@ class _SpectralPlan:
             for i in range(levels.start, levels.stop, step):
                 yield slice(i, min(i + step, levels.stop)), band, chirp
 
-    def entries(self, block, *kerns):
-        """What `walk` applies for each of `kerns` on the levels of
-        `block`: on a folding grid its multiplier rows over the slots of the
-        block's band run (`_run`), stacked as (len(kerns), rows, size);
-        otherwise the kernel itself, whose multipliers `walk` evaluates.
+    def entries(self, block, *kerns, out=None):
+        """The multiplier rows of each of `kerns` on the levels of `block`
+        over its band, each evaluated once, kernel by kernel as (rows,
+        size) arrays: off a folding grid as they are (size the band's
+        width); on a folding grid scattered into all n lattice slots (size
+        n), stacked in the leading rows of `out` if given.
 
         A slot's entry sums the multipliers of the band's aliases f that
         fall into it, each with the phase of the first grid node, in
-        ascending f.  The band's frequencies are contiguous, so they fall
-        into the run in pieces that end where f crosses a multiple of n."""
-        if not self.fold:
-            return kerns
+        ascending f, and is 0 where none falls.  The band's frequencies are
+        contiguous, so they fall into the slots in pieces that end where f
+        crosses a multiple of n."""
         levels, band, _ = block
-        n = self.n
-        start, size = self._run(band)
         f = self._f[band]
-        phase = np.exp(2j * np.pi * f * self.x_rel[0])
         nu = self._ys[levels, None] * f
-        out = np.zeros((len(kerns), nu.shape[0], size), dtype=complex)
+        if not self.fold:
+            return [kq.multiplier(kern, nu) for kern in kerns]
+        phase = np.exp(2j * np.pi * f * self.x_rel[0])
+        shape = (len(kerns), nu.shape[0], self.n)
+        out = np.empty(shape, dtype=complex) if out is None else out[:shape[0], :shape[1]]
+        out.fill(0)
         for t, kern in zip(out, kerns):
             mult = kq.multiplier(kern, nu)
             mult *= phase
             lo = band.start
             while lo < band.stop:
-                at = (self._f0 + lo - start) % n
-                hi = min(band.stop, lo + size - at)
+                at = (self._f0 + lo) % self.n
+                hi = min(band.stop, lo + self.n - at)
                 t[:, at:at + hi - lo] += mult[:, lo - band.start:hi - band.start]
                 lo = hi
         return out
-
-    def _run(self, band: slice):
-        """(start, size): the band's frequencies fall into the `size` slots
-        start, start + 1, ... modulo n, all n slots from 0 when the band
-        holds n frequencies or more."""
-        size = band.stop - band.start
-        if size >= self.n:
-            return 0, self.n
-        return (self._f0 + band.start) % self.n, size
 
     def weigh(self, spectra: np.ndarray) -> np.ndarray:
         """`spectra`, FFTs of lattice data, as `walk` reads them: on a
@@ -454,16 +436,19 @@ class _SpectralPlan:
         """The convolutions of `data`, items (weighed, kernels, outs) of
         `weigh`ed spectra (..., N) and one buffer (..., `block_rows`, nx) a
         kernel.  For each block of levels, ascending, it builds the
-        `entries` of every kernel named once and yields (levels, convs):
+        `entries` of every kernel named once, on a folding grid in one rows
+        buffer that every block reuses, and yields (levels, convs):
         `convs` gives, item by item as read, each kernel's (1/n) * sum over
         the aliased frequencies f of k^(f y / P) * spectra[..., f mod n] *
         exp(2 pi i f x_rel) at the grid nodes on the levels, written into
-        the leading rows of its buffer.  Items may share buffers: read an
-        item's rows before the next item or block overwrites them."""
+        the leading rows of its buffer.  Items may share buffers, and blocks
+        the rows: read an item before the next item or block overwrites it."""
         kernels = tuple(dict.fromkeys(k for _, kerns, _ in data for k in kerns))
+        rows = (np.empty((len(kernels), self.block_rows, self.n), dtype=complex)
+                if self.fold else None)
         for block in self.blocks():
             with np.errstate(all="ignore"):
-                entries = dict(zip(kernels, self.entries(block, *kernels)))
+                entries = dict(zip(kernels, self.entries(block, *kernels, out=rows)))
             yield block[0], (self._apply(block, entries, *item) for item in data)
 
     def _apply(self, block, entries, weighed, kerns, outs):
@@ -471,16 +456,17 @@ class _SpectralPlan:
         outs = [out[..., :levels.stop - levels.start, :] for out in outs]
         # e^w out of floating range shows as a field the consumer reports
         with np.errstate(all="ignore"):
-            for kern, out in zip(kerns, outs):
+            for entry, out in zip(map(entries.get, kerns), outs):
                 if self.fold:
                     # with nx = n the products go straight into `out`, which
                     # the inverse FFT then transforms in place
                     acc = out if self.n == self.grid.nx else None
-                    self._fold(self._products(band, entries[kern], weighed, acc), out)
+                    self._fold(np.multiply(entry, weighed[..., None, :], out=acc), out)
                 else:
-                    mult = kq.multiplier(entries[kern], self._ys[levels, None] * self._f[band])
-                    self._czt(weighed[..., None, band] * mult, chirp, out)
-                    out += weighed[..., -1, None, None] * kq.multiplier(entries[kern], 0.0)
+                    self._czt(weighed[..., None, band] * entry, chirp, out)
+                    # the zero-frequency term, by the rows' f = 0 column,
+                    # which every band holds
+                    out += weighed[..., -1, None, None] * entry[:, -self._f0 - band.start, None]
         return outs
 
     def series(self, spectrum: np.ndarray) -> np.ndarray:
@@ -492,23 +478,6 @@ class _SpectralPlan:
                                           spectrum), out)
         base = slice(self.J * self.n, (self.J + 1) * self.n)
         return self._czt(spectrum[self._slot[base]] * self._pre[base], self._chirp(base), out)
-
-    def _products(self, band: slice, entry: np.ndarray, weighed: np.ndarray,
-                  acc: np.ndarray | None = None) -> np.ndarray:
-        """entry * weighed on all n slots, (..., rows, n), in `acc` if
-        given, for a block's `entries` over its band run: a slot outside
-        the run takes 0 * weighed, as an entry of 0 there would give it."""
-        n = self.n
-        start, size = self._run(band)
-        if acc is None:
-            acc = np.empty(weighed.shape[:-1] + entry.shape[-2:-1] + (n,), dtype=complex)
-        if size < n:
-            zero = np.multiply(np.zeros(n, dtype=complex), weighed)
-            for slots, _ in _pieces((start + size) % n, n - size, n):
-                acc[..., slots] = zero[..., None, slots]
-        for slots, at in _pieces(start, size, n):
-            np.multiply(entry[..., at], weighed[..., None, slots], out=acc[..., slots])
-        return acc
 
     def _fold(self, acc: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Sum the products `acc` over the n // nx frequencies of each slot
@@ -586,10 +555,10 @@ class _SpectralEngine:
 FIELD_NAMES = ("U", "V", "U_x", "V_x", "U_y", "V_y", "F_z", "F_zbar")
 
 
-def _require_finite(grid: HalfPlaneGrid, levels=slice(None), **fields):
-    """Raise ResolutionError naming the first grid node where one of the
-    (rows, nx) arrays on `levels` or (nx,) arrays in `fields` is not
-    finite."""
+def _require_finite(grid: HalfPlaneGrid, levels=slice(None), cause="e^w", **fields):
+    """Raise ResolutionError naming `cause` and the first grid node where
+    one of the (rows, nx) arrays on `levels` or (nx,) arrays in `fields` is
+    not finite."""
     for name, a in fields.items():
         bad = ~np.isfinite(a)
         if bad.any():
@@ -598,7 +567,7 @@ def _require_finite(grid: HalfPlaneGrid, levels=slice(None), **fields):
             if a.ndim == 2:
                 where += f", y = {grid.y_levels[levels][at[0]]:.6g}"
             raise ResolutionError(
-                f"e^w left floating range: {name} is not finite at {where}")
+                f"{cause} left floating range: {name} is not finite at {where}")
 
 
 def extend_blocks(w: SampledFunction, grid: HalfPlaneGrid):
@@ -764,7 +733,8 @@ class _DilatationMap:
     quotient then takes over, the denominator, and its magnitude into the
     rows of denom_mag.  So the rows the walk gives are overwritten by the
     next datum's or block's: read them, or copy them, first.  `periodic`
-    is the fields' `BeltramiField.periodic`.
+    is the fields' `BeltramiField.periodic`, and `block_rows` the most
+    levels a block holds.
     """
 
     def __init__(self, w0: SampledFunction, grid: HalfPlaneGrid,
@@ -773,7 +743,8 @@ class _DilatationMap:
         self.grid = grid
         self.periodic = w0.periodic and grid.spans_period(w0.domain.length)
         self._w0, self._w1 = w0, w1
-        shape = (self.plan.block_rows, grid.nx)
+        self.block_rows = self.plan.block_rows
+        shape = (self.block_rows, grid.nx)
         self._bufs, self._mag = np.empty((2,) + shape, dtype=complex), np.empty(shape)
         n, h = w0.n, w0.h
         offset = (grid.x_min - w0.domain.a) / h
@@ -919,7 +890,8 @@ def beltrami(w: SampledFunction, grid: HalfPlaneGrid) -> BeltramiField:
 def classical_ba_extend(h: SampledFunction, r: float, grid: HalfPlaneGrid) -> ExtensionField:
     """Box-kernel extension baseline: U averages h over [x-y, x+y] and V is
     (r/2y) times the difference of the right and left half-window integrals.
-    Partials are filled by central differences."""
+    Partials are filled by central differences.  A field that is not finite
+    everywhere raises ResolutionError."""
     if not (np.isfinite(r) and r > 0):
         raise DomainError(f"classical extension needs a finite r > 0, got {r}")
     if not h.is_real:
@@ -932,21 +904,22 @@ def classical_ba_extend(h: SampledFunction, r: float, grid: HalfPlaneGrid) -> Ex
     ys = grid.y_levels
     gx = grid.x
     h.domain.require_covers(gx[0] - ys[-1], gx[-1] + ys[-1], "box windows")
-    _, at = _cumulative_trapezoid(hu, h.domain.a, h.h)
-    y = ys[:, None]
-    mid = at(gx)
-    left = mid - at(gx - y)
-    right = at(gx + y) - mid
-    U = (left + right) / (2 * y) + 0j
-    V = (r / (2 * y)) * (right - left) + 0j
-
-    F = U + 1j * V
-    U_x = np.gradient(U, grid.hx, axis=1, edge_order=2)
-    V_x = np.gradient(V, grid.hx, axis=1, edge_order=2)
-    U_y = np.gradient(U, ys, axis=0, edge_order=2)
-    V_y = np.gradient(V, ys, axis=0, edge_order=2)
-    F_x = U_x + 1j * V_x
-    F_y = U_y + 1j * V_y
-    gamma = np.interp(gx, h.x, hu) + 0j
-    return ExtensionField(grid, h, gamma, U, V, U_x, V_x, U_y, V_y,
-                          0.5 * (F_x - 1j * F_y), 0.5 * (F_x + 1j * F_y))
+    # data, r or levels out of floating range show as a field that is not
+    # finite, reported below
+    with np.errstate(all="ignore"):
+        _, at = _cumulative_trapezoid(hu, h.domain.a, h.h)
+        y = ys[:, None]
+        mid = at(gx)
+        left = mid - at(gx - y)
+        right = at(gx + y) - mid
+        U = (left + right) / (2 * y) + 0j
+        V = (r / (2 * y)) * (right - left) + 0j
+        U_x, V_x = (np.gradient(a, grid.hx, axis=1, edge_order=2) for a in (U, V))
+        U_y, V_y = (np.gradient(a, ys, axis=0, edge_order=2) for a in (U, V))
+        F_x = U_x + 1j * V_x
+        F_y = U_y + 1j * V_y
+        fields = dict(U=U, V=V, U_x=U_x, V_x=V_x, U_y=U_y, V_y=V_y,
+                      F_z=0.5 * (F_x - 1j * F_y), F_zbar=0.5 * (F_x + 1j * F_y))
+        gamma = np.interp(gx, h.x, hu) + 0j
+    _require_finite(grid, cause="the box-kernel extension", gamma=gamma, **fields)
+    return ExtensionField(grid, h, gamma, **fields)

@@ -131,20 +131,23 @@ def push_to_disk(mu: BeltramiField) -> BeltramiField:
 
 def inverse_L(u: SampledFunction) -> CircleHomeo:
     """Homeomorphism with log|h'| = u modulo an additive constant:
-    g(x) = (integral of e^u over [0, x]) / (integral over [0, 1])."""
+    g(x) = (integral of e^u over [0, x]) / (integral over [0, 1]).  An
+    angle map that is not finite, or that e^u spans too wide a range to
+    keep strictly increasing, raises ResolutionError."""
     if u.domain.kind != "circle":
         raise DomainError("inverse_L expects circle data")
     if not u.is_real:
         raise DomainError("inverse_L expects real-valued data")
     n = u.n
-    # e^u out of floating range shows as an angle map that is not finite
+    # g' = e^u / mean e^u > 0: an increment that is not finite and positive
+    # is e^u out of floating range, or spanning a range too wide to resolve
     with np.errstate(all="ignore"):
         _, mhat, _, p0 = _periodic_parts(u)
         g = np.arange(n + 1) / n + np.append(p0.real, p0.real[0]) / mhat.real
-    if not np.all(np.isfinite(g)):
-        raise ResolutionError("e^u left floating range: the angle map is not finite")
-    g[0] = 0.0
-    g[-1] = 1.0
+        g[0], g[-1] = 0.0, 1.0
+        if not np.all(np.diff(g) > 0):
+            raise ResolutionError("e^u left floating range or spans too wide a range: "
+                                  "the angle map is not finite and strictly increasing")
     return CircleHomeo(g)
 
 

@@ -8,7 +8,7 @@ import pytest
 import qcheat as qc
 from qcheat import analyticity, kernels
 from qcheat.data import Domain, SampledFunction
-from qcheat.extension import BeltramiField
+from qcheat.extension import BeltramiField, _SpectralPlan
 
 
 def _const_field(grid, value):
@@ -25,7 +25,7 @@ class _SyntheticFamily:
     def __init__(self, grid, fn, mag, failure):
         ones = _const_field(grid, 1.0)
         self.unit = ones.values / qc.hybrid_norm(ones)
-        self.grid, self.periodic = grid, True
+        self.grid, self.periodic, self.block_rows = grid, True, 8
         self.fn, self.mag, self.failure = fn, mag, failure
 
     def at(self, zeta):
@@ -405,7 +405,9 @@ def test_probe_fields_equal_independent_beltrami_calls(name):
         assert f.periodic == direct.periodic
 
 
-def test_probe_builds_its_multiplier_tables_once(monkeypatch, small_grid):
+def test_probe_builds_its_multiplier_tables_once(monkeypatch):
+    # each block evaluates the multipliers of ALPHA and BETA once, on the
+    # folding grid and both chirp-z grids, whatever the number of nodes
     calls = []
     multiplier = kernels.multiplier
 
@@ -414,13 +416,13 @@ def test_probe_builds_its_multiplier_tables_once(monkeypatch, small_grid):
         return multiplier(k, nu)
 
     monkeypatch.setattr(kernels, "multiplier", counted)
-    w0, w1 = qc.lift(qc.sine(0.3, 1, 256)), qc.lift(qc.sine(1.0, 2, 256))
-    counts = []
-    for n_contour in (8, 16):
-        calls.clear()
-        qc.build_probe(w0, w1, 0.1, n_contour, small_grid)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    for name in ("reference", "partial_period", "line"):
+        w0, w1, grid = _plan_case(name)
+        blocks = len(list(_SpectralPlan(w0, grid).blocks()))
+        for n_contour in (8, 16):
+            calls.clear()
+            assert qc.build_probe(w0, w1, 0.1, n_contour, grid).epsilon == 0.1
+            assert len(calls) == 2 * blocks, (name, n_contour)
 
 
 # ---------------------------------------------------------------------------

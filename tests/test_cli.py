@@ -630,24 +630,39 @@ def test_analyze_of_samples_out_of_floating_range_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["beltrami", "--builtin", "sine:inf,1"] + GRID_ARGS, 2),
-    (["beltrami", "--builtin", "sawtooth:inf"] + GRID_ARGS, 2),
-    (["analyze", "--builtin", "const:1e308"] + N_ARGS, 3),
-    (["analyze", "--builtin", "sine:1e308,1"] + N_ARGS, 3),
-    (["analyze", "--builtin", "step:1e308"] + N_ARGS, 3),
-    (["analyze", "--builtin", "random-trig:3,1e308"] + N_ARGS, 3),
+# the classical baseline's line grid: identity data on [-8, 8]
+BASELINE_ARGS = ["baseline", "--n", "1025", "--nx", "64", "--x-min", "-1", "--x-max", "1",
+                 "--y-max", "1"]
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["beltrami", "--builtin", "sine:inf,1"] + GRID_ARGS, 2, "validation"),
+    (["beltrami", "--builtin", "sawtooth:inf"] + GRID_ARGS, 2, "validation"),
+    (["analyze", "--builtin", "const:1e308"] + N_ARGS, 3, "resolution"),
+    (["analyze", "--builtin", "sine:1e308,1"] + N_ARGS, 3, "resolution"),
+    (["analyze", "--builtin", "step:1e308"] + N_ARGS, 3, "resolution"),
+    (["analyze", "--builtin", "random-trig:3,1e308"] + N_ARGS, 3, "resolution"),
+    (BASELINE_ARGS + ["--builtin", "id:-8,8", "--r", "1e308"], 3, "resolution"),
+    (BASELINE_ARGS + ["--builtin", "id:-8,8", "--y-min", "1e-300"], 3, "resolution"),
+    (BASELINE_ARGS + ["--builtin", "id:-1e300,1e300"], 3, "resolution"),
+    (["contract", "--builtin", "sine:40,1"], 3, "resolution"),
 ], ids=["sine-inf", "sawtooth-inf", "const-1e308", "sine-1e308", "step-1e308",
-        "random-trig-1e308"])
-def test_typed_errors_come_without_a_runtime_warning(tmp_path, capsys, argv, code):
+        "random-trig-1e308", "baseline-r-1e308", "baseline-y-min-1e-300",
+        "baseline-id-1e300", "contract-sine-40"])
+def test_typed_errors_come_without_a_runtime_warning(tmp_path, capsys, argv, code, kind):
     # an infinite amplitude makes a NaN sample, and samples near 1e308
-    # overflow the mean of the default John-Nirenberg thresholds: each
-    # fails with its one error line and no RuntimeWarning ahead of it
+    # overflow the mean of the default John-Nirenberg thresholds.  The
+    # baseline's V overflows with r = 1e308, its central differences over
+    # levels 1e-300 apart, and its window integrals of data near 1e300; an
+    # increment of the angle map of e^(40 sin) rounds to 0.  Each fails with
+    # its one error line, no RuntimeWarning ahead of it and no file
+    out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(argv + ["--out", str(tmp_path / "o")]) == code
+        assert run(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error kind=")
+    assert len(err) == 1 and err[0].startswith(f"error kind={kind} ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -565,36 +565,27 @@ def _circle_case(name, small_grid):
     return w, qc.HalfPlaneGrid(x_min, x_max, nx, small_grid.y_levels)
 
 
-def _run_slots(plan, band):
-    """The lattice slots of the band's run, in the order of the last axis
-    of `entries`."""
-    start, size = plan._run(band)
-    return (start + np.arange(size)) % plan.n
-
-
-@pytest.mark.parametrize("name", ["reference", *FOLDING_GRIDS])
-def test_entries_hold_only_the_slots_of_the_band_run(name, small_grid):
-    # a block's rows span its band's run of slots, not all n lattice slots,
-    # and some band is narrower than n
-    w, grid = _circle_case(name, small_grid)
+@pytest.mark.parametrize("name", ["reference", *FOLDING_GRIDS, "partial_period", "line"])
+def test_entries_span_all_slots_when_folding_and_the_band_otherwise(name, small_grid):
+    # a block's rows span all n lattice slots on a folding grid and its
+    # band on the chirp-z route, whose band holds the f = 0 column that
+    # the zero-frequency term reads
+    w, grid = _complex_case() if name == "line" else _circle_case(name, small_grid)
     plan = _SpectralPlan(w, grid)
-    assert plan.fold
-    sizes = []
+    assert plan.fold == (name not in ("partial_period", "line"))
     for block in plan.blocks():
         levels, band, _ = block
-        rows = plan.entries(block, ALPHA, BETA)
-        assert rows.shape == (2, levels.stop - levels.start, plan._run(band)[1])
-        sizes.append(rows.shape[-1])
-    assert min(sizes) < plan.n
+        size = plan.n if plan.fold else band.stop - band.start
+        assert np.shape(plan.entries(block, ALPHA, BETA)) == (2, levels.stop - levels.start, size)
+        assert band.start <= -plan._f0 < band.stop
 
 
 @pytest.mark.parametrize("name", ["reference", *FOLDING_GRIDS])
 def test_banded_tables_drop_only_entries_below_e64(name, small_grid):
     # every alias outside a level's band has a Gaussian factor below e^-64,
     # so an entry moves by less than e^-64 times the kernel's polynomial at
-    # the band edge (e.g. 69 for BETA, 2.1e3 for _V_RATE); each block's
-    # rows are scattered into all n slots, so a slot outside the band's run
-    # is checked as an entry of 0
+    # the band edge (e.g. 69 for BETA, 2.1e3 for _V_RATE); a slot that no
+    # alias of a block's band reaches is checked as an entry of 0
     w, grid = _circle_case(name, small_grid)
     plan = _SpectralPlan(w, grid)
     assert plan.fold
@@ -602,7 +593,7 @@ def test_banded_tables_drop_only_entries_below_e64(name, small_grid):
     want = alias_table(plan, *kernels)
     got = np.zeros_like(want)
     for block in plan.blocks():
-        got[:, block[0], _run_slots(plan, block[1])] = plan.entries(block, *kernels)
+        got[:, block[0]] = plan.entries(block, *kernels)
     for kern, g, v in zip(kernels, got, want):
         assert np.max(np.abs(g - v)) < np.exp(-64.0) * _edge_size(kern)
     # the bands hold a small share of the (2J + 1) n aliases of each level
@@ -616,12 +607,12 @@ def test_banded_tables_give_the_alias_table_fields(name, small_grid, monkeypatch
     w, grid = _circle_case(name, small_grid)
     mu, field = qc.beltrami(w, grid), qc.extend(w, grid)
     # every multiplier row either field reads comes from `entries`, block by
-    # block, over the slots of the block's band run
+    # block
     patched = []
 
-    def alias_entries(plan, block, *kerns):
+    def alias_entries(plan, block, *kerns, out=None):
         patched.append(block[0])
-        return alias_table(plan, *kerns)[:, block[0]][..., _run_slots(plan, block[1])]
+        return alias_table(plan, *kerns)[:, block[0]]
 
     monkeypatch.setattr(_SpectralPlan, "entries", alias_entries)
     want_mu = qc.beltrami(w, grid)
@@ -644,9 +635,9 @@ def test_extend_builds_each_blocks_entries_once(name, small_grid, monkeypatch):
     calls = []
     entries = _SpectralPlan.entries
 
-    def counted(plan, block, *kerns):
+    def counted(plan, block, *kerns, out=None):
         calls.append((block[0], kerns))
-        return entries(plan, block, *kerns)
+        return entries(plan, block, *kerns, out=out)
 
     monkeypatch.setattr(_SpectralPlan, "entries", counted)
     qc.extend(w, grid)
